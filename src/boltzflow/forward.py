@@ -34,12 +34,6 @@ def collision_operator(net: VelocityNetwork, f: np.ndarray) -> np.ndarray:
     return net.div_bar(net.W_q * net.B_q * (p - r)) / net.node_weight
 
 
-def _rhs(net: VelocityNetwork, f: np.ndarray) -> np.ndarray:
-    # collision_operator without the sign check, for internal stepping
-    p, r = net.pair_products(f)
-    return net.div_bar(net.W_q * net.B_q * (p - r)) / net.node_weight
-
-
 def entropy(net: VelocityNetwork, f: np.ndarray) -> float:
     """H(f) = sum_v w f_v log f_v with 0 log 0 = 0."""
     f = np.asarray(f, dtype=float)
@@ -139,14 +133,14 @@ def solve_forward(
         if dt < 1e-13 * max(1.0, T):
             raise StiffnessError(f"step size underflow at t = {t:.6g}")
         k = np.empty((7, f.size))
-        k[0] = _rhs(net, f)
+        k[0] = collision_operator(net, f)
         ok = True
         for s in range(1, 7):
             fs = f + dt * (np.array(_DP_A[s]) @ k[:s])
             if np.any(~np.isfinite(fs)):
                 raise NumericalError(f"non-finite state at t = {t:.6g}")
             fs = np.maximum(fs, 0.0)  # internal stages only
-            k[s] = _rhs(net, fs)
+            k[s] = collision_operator(net, fs)
         f5 = f + dt * (_DP_B5 @ k)
         f4 = f + dt * (_DP_B4 @ k)
         if np.any(~np.isfinite(f5)):

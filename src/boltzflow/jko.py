@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import ForwardTrajectory, entropy
+from .forward import ForwardTrajectory, NumericalError, entropy
 from .metric import (
     SolverOptions,
     _minimize_smooth,
@@ -79,7 +79,8 @@ def jko_step(
 
     Jointly optimizes the K-slice inner path and its (eliminated) flux;
     the objective at the minimizer may not exceed the value at the
-    constant competitor g = f_prev beyond 10x the solver tolerance.
+    constant competitor g = f_prev beyond 10x the solver tolerance
+    (NumericalError otherwise).
     """
     opts = opts or SolverOptions()
     f_prev = np.asarray(f_prev, dtype=float)
@@ -128,7 +129,7 @@ def jko_step(
     obj = H_new + sq / (2.0 * tau)
     H_prev = entropy(net, f_prev)
     if obj > H_prev + 10.0 * opts.tol:
-        raise AssertionError(
+        raise NumericalError(
             f"proximal objective {obj:.12g} exceeds competitor value {H_prev:.12g}"
         )
     return JkoStep(

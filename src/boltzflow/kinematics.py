@@ -18,8 +18,8 @@ SPHERE_SURFACE = {2: 2.0 * np.pi, 3: 4.0 * np.pi}
 def _check_unit(omega: np.ndarray) -> np.ndarray:
     omega = np.asarray(omega, dtype=float)
     norm = np.linalg.norm(omega, axis=-1)
-    if not np.all(np.abs(norm - 1.0) <= 1e-12):
-        raise ValueError("omega must be a unit vector (|omega| = 1 within 1e-12)")
+    if not np.all(np.abs(norm - 1.0) <= _UNIT_TOL):
+        raise ValueError(f"omega must be a unit vector (|omega| = 1 within {_UNIT_TOL:g})")
     return omega
 
 
@@ -88,12 +88,6 @@ class Kernel:
             return np.broadcast_to(np.float64(self.b), k.shape[:-1]).copy()
         speed = np.linalg.norm(k, axis=-1)
         return np.clip(speed, self.lo, self.hi)
-
-
-def kernel_eval(kernel: Kernel, k: np.ndarray, omega: np.ndarray) -> float:
-    """Evaluate the kernel at (k, omega); result lies in [lower, upper]."""
-    _check_unit(omega)
-    return kernel(k, omega)
 
 
 def angular_integral(kernel: Kernel, k: np.ndarray, d: int = None) -> float:

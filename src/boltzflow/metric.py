@@ -21,7 +21,7 @@ import scipy.optimize
 import scipy.sparse
 
 from .network import MomentError, VelocityNetwork
-from .scalars import action_density, log_mean, log_mean_partials
+from .scalars import action_density, log_mean, log_mean_and_partials
 
 
 class ConvergenceError(RuntimeError):
@@ -89,40 +89,12 @@ def boltzmann_flux(net: VelocityNetwork, f: np.ndarray) -> np.ndarray:
     return p - r
 
 
-def _lam_and_partials(p: np.ndarray, r: np.ndarray):
-    """Logarithmic mean and its partials for strictly positive arguments.
-
-    Dtype-agnostic (supports complex-step differentiation); branch
-    selection uses real parts only.
-    """
-    ratio = np.log(p / r)
-    small = np.abs(np.real(ratio)) < 1e-5
-    lam = np.empty_like(p)
-    dp = np.empty_like(p)
-    dr = np.empty_like(p)
-    rl = ratio[~small]
-    lam[~small] = (p[~small] - r[~small]) / rl
-    dp[~small] = (rl - (p[~small] - r[~small]) / p[~small]) / rl**2
-    dr[~small] = (-rl + (p[~small] - r[~small]) / r[~small]) / rl**2
-    rs = ratio[small]
-    g = np.sqrt(p[small] * r[small])
-    lam[small] = g * (1.0 + rs**2 / 24.0 + rs**4 / 1920.0)
-    dp[small] = (r[small] / p[small]) * (0.5 + rs / 3.0 + rs**2 / 8.0)
-    dr[small] = (p[small] / r[small]) * (0.5 - rs / 3.0 + rs**2 / 8.0)
-    return lam, dp, dr
-
-
 class _PathProblem:
     """Reduced objective over interior slices (flux eliminated)."""
 
     def __init__(self, net: VelocityNetwork, opts: SolverOptions):
         self.net = net
         self.opts = opts
-        n, Q = net.n_nodes, net.n_quadruples
-        rows = np.concatenate([net.quad[:, 0], net.quad[:, 1], net.quad[:, 2], net.quad[:, 3]])
-        cols = np.tile(np.arange(Q), 4)
-        vals = np.concatenate([np.ones(2 * Q), -np.ones(2 * Q)])
-        self.S = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, Q))
         self.kappa = net.W_q * net.B_q
         C = net.invariants
         self.C = C
@@ -137,15 +109,14 @@ class _PathProblem:
         i, j, k, l = net.quad.T
         p = fbar[i] * fbar[j]
         r = fbar[k] * fbar[l]
-        lam_q, dlam_dp, dlam_dr = _lam_and_partials(p, r)
-        wts = self.kappa * lam_q
-        L = (self.S.multiply(wts)).dot(self.S.T).toarray()
+        lam_q, dlam_dp, dlam_dr = log_mean_and_partials(p, r)
+        L = net.laplacian(self.kappa * lam_q)
         scale = np.real(np.trace(L)) / len(L)
         g = net.node_weight * (fb - fa) / dt
         pot = np.linalg.solve(L + scale * self.P, g.astype(L.dtype))
         act = g @ pot
         # dA/dg and the -pot' dL pot term through Lambda(fbar)
-        sq = self.S.T.dot(pot)  # s_q . pot per quadruple
+        sq = net.grad_bar(pot)
         coef = self.kappa * sq**2
         dbar = np.zeros(net.n_nodes, dtype=pot.dtype)
         np.add.at(dbar, i, -coef * dlam_dp * fbar[j])
@@ -350,17 +321,8 @@ def gradient_form_residual(net: VelocityNetwork, solution: MetricSolution) -> fl
         norm2 = float(np.sum(wts * U**2))
         if norm2 <= 1e-30:
             continue
-        i, j, k, l = net.quad.T
-        L = np.zeros((net.n_nodes, net.n_nodes))
-        slots = [(i, 1.0), (j, 1.0), (k, -1.0), (l, -1.0)]
-        for a, sa in slots:
-            for b, sb in slots:
-                np.add.at(L, (a, b), sa * sb * wts)
-        d = np.zeros(net.n_nodes)
-        np.add.at(d, k, wts * U)
-        np.add.at(d, l, wts * U)
-        np.subtract.at(d, i, wts * U)
-        np.subtract.at(d, j, wts * U)
+        L = net.laplacian(wts)
+        d = net.div_bar(wts * U)
         C = net.invariants
         phi = np.linalg.solve(L + np.trace(L) / len(L) * (C @ C.T), d)
         resid2 = max(norm2 - float(d @ phi), 0.0)
@@ -369,7 +331,7 @@ def gradient_form_residual(net: VelocityNetwork, solution: MetricSolution) -> fl
 
 
 def single_quadruple_oracle(
-    net: VelocityNetwork, f0: np.ndarray, f1: np.ndarray, n_points: int = 4096
+    net: VelocityNetwork, f0: np.ndarray, f1: np.ndarray, n_points: int = 256
 ) -> float:
     """Exhaustive 1-D oracle for a network with exactly one quadruple.
 

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse
 
 from .kinematics import Kernel, collide
 
@@ -77,20 +79,30 @@ class VelocityNetwork:
         i, j, k, l = self.quad.T
         return f[i] * f[j], f[k] * f[l]
 
+    @cached_property
+    def S(self) -> scipy.sparse.csr_matrix:
+        """Signed (n, Q) incidence: +1 on (k, l), -1 on (i, j) per quadruple.
+
+        Assembled from COO entries in slot order (i, j, k, l); a slot
+        repeated within a quadruple (i == j or k == l) sums to +-2.
+        """
+        Q = self.n_quadruples
+        rows = self.quad.T.ravel()
+        cols = np.tile(np.arange(Q), 4)
+        vals = np.concatenate([-np.ones(2 * Q), np.ones(2 * Q)])
+        return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(self.n_nodes, Q))
+
     def grad_bar(self, phi: np.ndarray) -> np.ndarray:
         """Discrete collision gradient: phi_k + phi_l - phi_i - phi_j."""
-        i, j, k, l = self.quad.T
-        return phi[k] + phi[l] - phi[i] - phi[j]
+        return self.S.T @ phi
 
     def div_bar(self, q_values: np.ndarray) -> np.ndarray:
-        """Adjoint of grad_bar: scatter +1 on (k, l), -1 on (i, j)."""
-        i, j, k, l = self.quad.T
-        out = np.zeros(self.n_nodes)
-        np.add.at(out, k, q_values)
-        np.add.at(out, l, q_values)
-        np.subtract.at(out, i, q_values)
-        np.subtract.at(out, j, q_values)
-        return out
+        """Adjoint of grad_bar: +q on (k, l), -q on (i, j), summed per node."""
+        return self.S @ q_values
+
+    def laplacian(self, weights: np.ndarray) -> np.ndarray:
+        """Dense weighted network Laplacian S diag(weights) S^T."""
+        return (self.S.multiply(weights)).dot(self.S.T).toarray()
 
     # -- export --------------------------------------------------------------
 
@@ -119,24 +131,45 @@ class VelocityNetwork:
         return json.dumps(payload, indent=1, sort_keys=True)
 
 
-def _invariant_basis(n: int, quad: np.ndarray) -> np.ndarray:
+def _invariant_basis(net: VelocityNetwork) -> np.ndarray:
     """Orthonormal basis of node functions conserved by every quadruple."""
-    A = np.zeros((n, n))
-    slots = [(0, 1.0), (1, 1.0), (2, -1.0), (3, -1.0)]
-    for a, sa in slots:
-        for b, sb in slots:
-            np.add.at(A, (quad[:, a], quad[:, b]), sa * sb)
-    vals, vecs = np.linalg.eigh(A)
+    vals, vecs = np.linalg.eigh(net.laplacian(np.ones(net.n_quadruples)))
     null = vals < 1e-9 * max(vals.max(), 1.0)
     return vecs[:, null]
+
+
+def _join_quadruples(lattice: np.ndarray, M: int) -> np.ndarray:
+    """All canonical conservative quadruples, sorted lexicographically.
+
+    Each pair i <= j gets one integer key, a mixed-radix encoding of the
+    exact pair (|z_i|^2 + |z_j|^2, z_i + z_j); any two pairs sharing a
+    key form a quadruple, the lexicographically smaller pair first.
+    """
+    i, j = np.triu_indices(len(lattice))
+    sq = np.sum(lattice**2, axis=1)
+    key = sq[i] + sq[j]
+    for c in (lattice[i] + lattice[j] + 2 * M).T:  # each digit in [0, 4M]
+        key = key * (4 * M + 1) + c
+    # the stable sort keeps each key group in (i, j) order
+    order = np.argsort(key, kind="stable")
+    _, start, size = np.unique(key[order], return_index=True, return_counts=True)
+    # match every sorted position with each later position of its group
+    pos = np.arange(len(order))
+    count = np.repeat(start + size, size) - pos - 1
+    first = np.repeat(pos, count)
+    rank = np.arange(len(first)) - np.repeat(np.cumsum(count) - count, count)
+    lo, hi = order[first], order[first + 1 + rank]
+    quad = np.column_stack([i[lo], j[lo], i[hi], j[hi]])
+    return quad[np.lexsort(quad.T[::-1])]
 
 
 def build_network(d: int, V: float, h: float, kernel: Kernel) -> VelocityNetwork:
     """Enumerate lattice nodes and all conservative collision quadruples.
 
-    The join key is the exact integer pair (z_i + z_j, |z_i|^2 + |z_j|^2);
-    quadruples are kept in canonical form i <= j, k <= l,
-    (i, j) < (k, l), {i, j} != {k, l}, sorted for reproducible output.
+    The join key is the exact integer pair (z_i + z_j, |z_i|^2 + |z_j|^2)
+    (see _join_quadruples); quadruples are kept in canonical form
+    i <= j, k <= l, (i, j) < (k, l), {i, j} != {k, l}, sorted for
+    reproducible output.
     """
     if d not in (2, 3):
         raise ValueError("dimension must be 2 or 3")
@@ -150,27 +183,13 @@ def build_network(d: int, V: float, h: float, kernel: Kernel) -> VelocityNetwork
     order = np.lexsort(lattice.T[::-1])
     lattice = lattice[order]
     nodes = h * lattice.astype(float)
-    n = len(lattice)
 
-    groups: dict[tuple, list[tuple[int, int]]] = {}
-    sq = np.sum(lattice**2, axis=1)
-    for i in range(n):
-        for j in range(i, n):
-            key = tuple(lattice[i] + lattice[j]) + (int(sq[i] + sq[j]),)
-            groups.setdefault(key, []).append((i, j))
-
-    quads = []
-    for pairs in groups.values():
-        for a in range(len(pairs)):
-            for b in range(a + 1, len(pairs)):
-                (i, j), (k, l) = pairs[a], pairs[b]
-                quads.append((i, j, k, l))
-    if not quads:
+    quad = _join_quadruples(lattice, M)
+    if len(quad) == 0:
         raise BuildError(
             f"no conservative quadruples on this grid (V/h = {M}); "
             "the smallest usable grid has V/h = 1 in d = 2"
         )
-    quad = np.array(sorted(quads), dtype=np.int64)
 
     vi, vk = nodes[quad[:, 0]], nodes[quad[:, 2]]
     diff = vi - vk
@@ -191,7 +210,7 @@ def build_network(d: int, V: float, h: float, kernel: Kernel) -> VelocityNetwork
         B_q=B_q,
         W_q=W_q,
     )
-    net.invariants = _invariant_basis(n, quad)
+    net.invariants = _invariant_basis(net)
 
     # every emitted quadruple must reproduce (v_k, v_l) under the collision map
     vp, vp_star = collide(nodes[quad[:, 0]], nodes[quad[:, 1]], omega)
@@ -201,28 +220,6 @@ def build_network(d: int, V: float, h: float, kernel: Kernel) -> VelocityNetwork
     if err > 1e-12:
         raise BuildError(f"quadruple collision-consistency failed (max error {err:.2e})")
     return net
-
-
-def brute_force_quadruples(d: int, V: float, h: float) -> np.ndarray:
-    """O(n^4) oracle enumeration of canonical conservative quadruples."""
-    M = int(round(V / h))
-    axes = np.arange(-M, M + 1)
-    lattice = np.stack(np.meshgrid(*([axes] * d), indexing="ij"), axis=-1).reshape(-1, d)
-    lattice = lattice[np.lexsort(lattice.T[::-1])]
-    n = len(lattice)
-    sq = np.sum(lattice**2, axis=1)
-    out = []
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(n):
-                for l in range(k, n):
-                    if (i, j) >= (k, l) or {i, j} == {k, l}:
-                        continue
-                    if np.array_equal(lattice[i] + lattice[j], lattice[k] + lattice[l]) and (
-                        sq[i] + sq[j] == sq[k] + sq[l]
-                    ):
-                        out.append((i, j, k, l))
-    return np.array(sorted(out), dtype=np.int64)
 
 
 def restrict_quadruples(net: VelocityNetwork, indices) -> VelocityNetwork:
@@ -243,7 +240,7 @@ def restrict_quadruples(net: VelocityNetwork, indices) -> VelocityNetwork:
         B_q=net.B_q[indices],
         W_q=net.W_q[indices],
     )
-    sub.invariants = _invariant_basis(net.n_nodes, sub.quad)
+    sub.invariants = _invariant_basis(sub)
     return sub
 
 

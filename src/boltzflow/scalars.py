@@ -45,28 +45,27 @@ def log_mean(s, t):
     return float(out[0]) if scalar else out
 
 
-def log_mean_partials(s, t):
-    """Partial derivatives (dL/ds, dL/dt) of the logarithmic mean.
+def log_mean_and_partials(p: np.ndarray, r: np.ndarray):
+    """Logarithmic mean and its partials for strictly positive arguments.
 
-    Requires s, t > 0.  dL/ds = (r - (s - t)/s) / r^2 with r = log(s/t);
-    near s = t a series in r is used (limit is 1/2).
+    Dtype-agnostic (supports complex-step differentiation); branch
+    selection uses real parts only.
     """
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    with np.errstate(divide="ignore"):
-        r = np.log(s / t)
-    small = np.abs(r) < 1e-4
-    ds = np.empty(np.broadcast_shapes(s.shape, t.shape))
-    dt = np.empty_like(ds)
-    rl = np.where(small, 1.0, r)
-    ds_large = (rl - (s - t) / s) / rl**2
-    dt_large = (-rl + (s - t) / t) / rl**2
-    # series: with s = t e^r, dL/ds = (t/s) * (1/2 + r/3 + r^2/8 + ...)
-    ds_small = (t / s) * (0.5 + r / 3.0 + r**2 / 8.0)
-    dt_small = (s / t) * (0.5 - r / 3.0 + r**2 / 8.0)
-    ds = np.where(small, ds_small, ds_large)
-    dt = np.where(small, dt_small, dt_large)
-    return ds, dt
+    ratio = np.log(p / r)
+    small = np.abs(np.real(ratio)) < _SERIES_CUT
+    lam = np.empty_like(p)
+    dp = np.empty_like(p)
+    dr = np.empty_like(p)
+    rl = ratio[~small]
+    lam[~small] = (p[~small] - r[~small]) / rl
+    dp[~small] = (rl - (p[~small] - r[~small]) / p[~small]) / rl**2
+    dr[~small] = (-rl + (p[~small] - r[~small]) / r[~small]) / rl**2
+    rs = ratio[small]
+    g = np.sqrt(p[small] * r[small])
+    lam[small] = g * (1.0 + rs**2 / 24.0 + rs**4 / 1920.0)
+    dp[small] = (r[small] / p[small]) * (0.5 + rs / 3.0 + rs**2 / 8.0)
+    dr[small] = (p[small] / r[small]) * (0.5 - rs / 3.0 + rs**2 / 8.0)
+    return lam, dp, dr
 
 
 def action_density(u, s, t):

@@ -401,7 +401,7 @@ def test_criterion_09_kac_simulator(momentum_bound):
     # per-event conservation over 1e6 proposals: replay the accepted events
     state = sample_initial(64, mix, 901)
     rate_T = 10**6 / (0.5 * 63 * 2.0 * np.pi)
-    _, log = simulate(state, kernel, rate_T, 901)
+    final, log = simulate(state, kernel, rate_T, 901)
     v = state.velocities.copy()
     n_acc = log.n_accepted
     pre = np.empty((n_acc, 2, v.shape[1]))
@@ -411,6 +411,8 @@ def test_criterion_09_kac_simulator(momentum_bound):
         pre[n, 0], pre[n, 1] = v[i], v[j]
         v[i], v[j] = collide(v[i], v[j], log.omegas[e])
         post[n, 0], post[n, 1] = v[i], v[j]
+    # the replay must land on simulate's own final state, bit for bit
+    replay_ok = bool(np.array_equal(v, final.velocities))
     within, ratio = momentum_bound(pre[:, 0], pre[:, 1], post[:, 0], post[:, 1])
     mom_within = int(np.all(within, axis=1).sum())
     mom_ratio = float(np.max(ratio, initial=0.0))
@@ -418,7 +420,7 @@ def test_criterion_09_kac_simulator(momentum_bound):
     e0 = np.sum(pre[:, 0] ** 2, axis=1) + np.sum(pre[:, 1] ** 2, axis=1)
     e1 = np.sum(post[:, 0] ** 2, axis=1) + np.sum(post[:, 1] ** 2, axis=1)
     energy_worst = float(np.max(np.abs(e1 - e0) / e0, initial=0.0))
-    conserve_ok = energy_worst <= 1e-12 and mom_within == n_acc
+    conserve_ok = replay_ok and energy_worst <= 1e-12 and mom_within == n_acc
 
     # thinning correctness: accepted omega uniform for a clamp kernel
     clamp = Kernel("clamp", lo=0.5, hi=2.0)
@@ -452,6 +454,8 @@ def test_criterion_09_kac_simulator(momentum_bound):
     ok = conserve_ok and chi_ok and m4_ok and H_ok and elapsed < 300.0
     _report(
         9, ok,
+        f"replay of the event log {'equals' if replay_ok else 'DIFFERS from'} "
+        f"the final state bit for bit, "
         f"momentum defect within ulp(v')/2 + ulp(v'_*)/2 in "
         f"{mom_within}/{n_acc} accepted events of {log.n_events} proposals "
         f"(exact; max defect/bound {mom_ratio:.3f}; fl sums equal in "

@@ -4,9 +4,11 @@ import os
 
 import pytest
 
+import boltzflow.jko
 from boltzflow.cli import (
     EXIT_CONFIG,
     EXIT_DOMAIN,
+    EXIT_NUMERICAL,
     main,
     run,
     selftest,
@@ -65,7 +67,7 @@ def test_run_type_mismatch(tmp_path):
         run(cfg, experiment_kind="kac")
 
 
-def test_main_exit_codes(tmp_path, capsys):
+def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"experiment": {"type": "forward", "bogus": 1}}))
     assert main(["forward", "--config", str(bad)]) == EXIT_CONFIG
@@ -84,6 +86,16 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["kac", "--config", str(dom)]) == EXIT_DOMAIN
 
     assert main(["forward", "--config", str(tmp_path / "none.json")]) == EXIT_CONFIG
+
+    # numerical failure: a proximal step worse than staying put
+    def ascend(objective, y0, opts, nslices, nfree):
+        _, g = objective(y0)
+        return y0 + 1e-4 * g / (g @ g), 0.0, 0
+
+    monkeypatch.setattr(boltzflow.jko, "_minimize_smooth", ascend)
+    capsys.readouterr()
+    assert main(["jko", "--out", str(tmp_path / "jko")]) == EXIT_NUMERICAL
+    assert "exceeds competitor" in capsys.readouterr().err
 
 
 def test_main_flag_overrides(tmp_path):

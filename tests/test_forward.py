@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from boltzflow.forward import (
     collision_operator,
     dissipation,
@@ -9,6 +10,7 @@ from boltzflow.forward import (
     solve_forward,
 )
 from boltzflow.metric import boltzmann_flux
+from boltzflow.network import restrict_quadruples
 
 
 def test_collision_operator_conserves(net, tilted):
@@ -29,6 +31,16 @@ def test_collision_operator_is_flux_divergence(net, tilted):
     q = collision_operator(net, f)
     rhs = net.div_bar(net.W_q * net.B_q * boltzmann_flux(net, f)) / net.node_weight
     assert np.allclose(q, rhs, atol=1e-15)
+
+
+def test_collision_operator_matches_scatter_oracle(net, tilted):
+    sub = restrict_quadruples(net, [0, 5, 17, 300])
+    for g in (net, sub):
+        for seed in (0, 1, 2):
+            f = tilted(seed)
+            ref = oracles.collision_operator(g, f)
+            got = collision_operator(g, f)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_collision_operator_rejects_negative(net):

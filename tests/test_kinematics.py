@@ -10,7 +10,6 @@ from boltzflow.kinematics import (
     Kernel,
     angular_integral,
     collide,
-    kernel_eval,
     povzner_gap,
 )
 
@@ -163,13 +162,6 @@ def test_kernel_validation():
         Kernel("constant", b=0.0)
     with pytest.raises(ValueError):
         Kernel("clamp", lo=2.0, hi=1.0)
-
-
-def test_kernel_eval_checks_omega():
-    k = Kernel("constant", b=1.0)
-    with pytest.raises(ValueError):
-        kernel_eval(k, np.zeros(2), np.array([0.5, 0.0]))
-    assert kernel_eval(k, np.zeros(2), np.array([1.0, 0.0])) == 1.0
 
 
 def test_angular_integral_constant():

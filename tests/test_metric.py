@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import oracles
 from boltzflow.forward import dissipation, solve_forward
 from boltzflow.metric import (
+    MetricSolution,
     SolverOptions,
     boltzmann_flux,
     cre_residual,
@@ -142,6 +144,35 @@ def test_gradient_form_residual_optimal_vs_circulated(net, tilted):
 
     worse = replace(sol, flux=bad)
     assert gradient_form_residual(net, worse) > 1e-2
+
+
+def test_gradient_form_residual_matches_scatter_oracle(net, tilted):
+    sub = restrict_quadruples(net, [0, 5, 17, 300])
+    rng = np.random.default_rng(3)
+    path = np.array([tilted(s) for s in (1, 2, 3)])
+    # an arbitrary flux is far from gradient form on the full network
+    flux = rng.standard_normal((2, net.n_quadruples))
+    trial = MetricSolution(0.0, 0.0, path, flux, np.zeros(2), 0.0, 0)
+    ref = oracles.gradient_form_residual(net, trial)
+    assert 0.1 < ref < 1.0
+    assert abs(gradient_form_residual(net, trial) - ref) <= 1e-12
+    # four independent reactions: every flux is a gradient, up to roundoff
+    flux = rng.standard_normal((2, sub.n_quadruples))
+    trial = MetricSolution(0.0, 0.0, path, flux, np.zeros(2), 0.0, 0)
+    assert oracles.gradient_form_residual(sub, trial) <= 1e-6
+    assert gradient_form_residual(sub, trial) <= 1e-6
+
+
+def test_single_quadruple_oracle_points(net):
+    sub = restrict_quadruples(net, [0])
+    i, j, k, l = sub.quad[0]
+    f0 = np.full(net.n_nodes, 0.1)
+    s = np.zeros(net.n_nodes)
+    s[[i, j]] += 1.0
+    s[[k, l]] -= 1.0
+    f1 = f0 - 0.02 / sub.node_weight * s
+    ref = single_quadruple_oracle(sub, f0, f1, n_points=4096)
+    assert abs(single_quadruple_oracle(sub, f0, f1) - ref) <= 1e-14 * ref
 
 
 def test_single_quadruple_oracle_matches(net):

@@ -3,11 +3,11 @@ import json
 import numpy as np
 import pytest
 
+import oracles
 from boltzflow.kinematics import Kernel, collide
 from boltzflow.network import (
     MomentError,
     build_network,
-    brute_force_quadruples,
     maxent_project,
     restrict_quadruples,
     tilt_to_moments,
@@ -19,8 +19,44 @@ K1 = Kernel("constant", b=1.0)
 def test_matches_brute_force_small():
     for d, V, h in ((2, 2.0, 1.0), (2, 3.0, 1.5)):
         net = build_network(d, V, h, K1)
-        oracle = brute_force_quadruples(d, V, h)
+        oracle = oracles.brute_force_quadruples(d, V, h)
         assert np.array_equal(net.quad, oracle)
+
+
+@pytest.mark.parametrize(
+    "d, M", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3)]
+)
+def test_matches_dict_join(d, M):
+    kernel = Kernel("clamp", lo=0.5, hi=2.0)
+    net = build_network(d, float(M), 1.0, kernel)
+    quad = oracles.dict_join_quadruples(d, M)
+    assert np.array_equal(net.quad, quad)
+    # everything derived from quad follows, bit for bit
+    nodes = oracles.lattice(d, M).astype(float)
+    diff = nodes[quad[:, 0]] - nodes[quad[:, 2]]
+    assert np.array_equal(net.omega, diff / np.linalg.norm(diff, axis=1, keepdims=True))
+    assert np.array_equal(net.B_q, kernel(nodes[quad[:, 0]] - nodes[quad[:, 1]]))
+    assert np.array_equal(net.W_q, np.ones(len(quad)))
+    assert np.array_equal(net.invariants, oracles.invariant_basis(quad, net.n_nodes))
+
+
+def test_operators_match_scatter_oracles(net):
+    rng = np.random.default_rng(11)
+    for g in (net, restrict_quadruples(net, [0, 5, 17, 300])):
+        n, Q = g.n_nodes, g.n_quadruples
+        q = rng.standard_normal(Q)
+        phi = rng.standard_normal(n)
+        w = rng.random(Q)
+        ref = oracles.div_bar(g.quad, n, q)
+        assert np.max(np.abs(g.div_bar(q) - ref)) <= 1e-14 * np.max(np.abs(ref))
+        ref = oracles.grad_bar(g.quad, phi)
+        assert np.max(np.abs(g.grad_bar(phi) - ref)) <= 1e-14 * np.max(np.abs(ref))
+        ref = oracles.laplacian(g.quad, n, w)
+        assert np.max(np.abs(g.laplacian(w) - ref)) <= 1e-14 * np.max(np.abs(ref))
+        # the invariant Gram matrix has integer entries: equal exactly
+        ones = np.ones(Q)
+        assert np.array_equal(g.laplacian(ones), oracles.laplacian(g.quad, n, ones))
+        assert np.array_equal(g.invariants, oracles.invariant_basis(g.quad, n))
 
 
 def test_quadruples_conserve_exactly(net):
@@ -52,7 +88,7 @@ def test_weights(net):
 def test_build_3d():
     net = build_network(3, 1.0, 1.0, K1)
     assert net.n_nodes == 27
-    oracle = brute_force_quadruples(3, 1.0, 1.0)
+    oracle = oracles.brute_force_quadruples(3, 1.0, 1.0)
     assert np.array_equal(net.quad, oracle)
     assert net.invariants.shape[1] == net.d + 2
 

@@ -9,7 +9,7 @@ from boltzflow.scalars import (
     collision_involution_matrix,
     dissipation_density,
     log_mean,
-    log_mean_partials,
+    log_mean_and_partials,
     ou_commutation_residual,
     ou_evolve,
     standard_mixture,
@@ -60,17 +60,28 @@ def test_log_mean_quadrature_oracle():
 
 def test_log_mean_partials_complex_step():
     rng = np.random.default_rng(1)
-    h = 1e-7
-    for _ in range(100):
-        s, t = 10.0 ** rng.uniform(-3, 3, 2)
-        ds, dt = log_mean_partials(np.asarray(s), np.asarray(t))
-        ds_fd = (log_mean(s + h * s, t) - log_mean(s - h * s, t)) / (2 * h * s)
-        dt_fd = (log_mean(s, t + h * t) - log_mean(s, t - h * t)) / (2 * h * t)
-        assert abs(ds - ds_fd) <= 1e-5 * max(abs(ds_fd), 1e-12)
-        assert abs(dt - dt_fd) <= 1e-5 * max(abs(dt_fd), 1e-12)
+    h = 1e-30
+    # both branches: |r| = |log(s/t)| from 1e-9 (series) up to 6 (closed form)
+    r = rng.choice([-1, 1], 4000) * 10.0 ** rng.uniform(-9, 0.8, 4000)
+    t = 10.0 ** rng.uniform(-3, 3, 4000)
+    s = t * np.exp(r)
+    lam, ds, dt = log_mean_and_partials(s, t)
+    closed = np.abs(r) >= 1e-5
+    # the closed form (s - t) / r cancels: its relative error grows as eps / |r|
+    err = np.abs(lam / log_mean(s, t) - 1.0)
+    assert np.all(err[closed] * np.abs(r[closed]) <= 4e-15)
+    assert np.all(err[~closed] <= 1e-14)
+    # dtype-agnostic: a complex step differentiates the kernel to roundoff
+    ds_cs = np.imag(log_mean_and_partials(s + 1j * h * s, t.astype(complex))[0]) / (h * s)
+    dt_cs = np.imag(log_mean_and_partials(s.astype(complex), t + 1j * h * t)[0]) / (h * t)
+    # closed-form partials cancel to order r^2: relative error grows as eps / r^2
+    for d, d_cs in ((ds, ds_cs), (dt, dt_cs)):
+        err = np.abs(d / d_cs - 1.0)
+        assert np.all(err[closed] * r[closed] ** 2 <= 3e-14)
+        assert np.all(err[~closed] <= 1e-14)
     # symmetric point: both partials are exactly 1/2
-    ds, dt = log_mean_partials(np.asarray(2.0), np.asarray(2.0))
-    assert np.isclose(float(ds), 0.5) and np.isclose(float(dt), 0.5)
+    lam, ds, dt = log_mean_and_partials(np.array([2.0]), np.array([2.0]))
+    assert lam[0] == 2.0 and ds[0] == 0.5 and dt[0] == 0.5
 
 
 def test_action_density_cases():
