@@ -96,16 +96,16 @@ def jko_step(
     nfree = prob.N.shape[1]
 
     def unpack(y):
-        path = np.broadcast_to(f_prev, (K + 1, n)).astype(y.dtype).copy()
+        path = np.broadcast_to(f_prev, (K + 1, n)).copy()
         path[1:] += y.reshape(K, nfree) @ prob.N.T
         return path
 
     def objective(y):
         path = unpack(y)
-        if np.any(np.real(path) < opts.floor):
+        if np.any(path < opts.floor):
             return np.inf, np.zeros_like(y)
         g = path[K]
-        grad = np.zeros((K + 1, n), dtype=y.dtype)
+        grad = np.zeros((K + 1, n))
         total = np.sum(w * g * np.log(g))
         grad[K] += w * (np.log(g) + 1.0)
         for m in range(K):
@@ -116,8 +116,15 @@ def jko_step(
         gy = (grad[1:] @ prob.N).ravel()
         return total, gy
 
+    def hessian(y):
+        path = unpack(y)
+        H = prob.path_hessian(path, dt, K) / (2.0 * tau)
+        # entropy of the free last slice
+        H[-nfree:, -nfree:] += prob.N.T @ (w / path[K][:, None] * prob.N)
+        return H
+
     y0 = np.zeros(K * nfree)
-    y_opt, kkt, iters = _minimize_smooth(objective, y0, opts, K, nfree)
+    y_opt, kkt, iters = _minimize_smooth(objective, hessian, y0, opts)
     path = unpack(y_opt)
     g = path[K]
     sq = 0.0

@@ -128,6 +128,18 @@ def _unit_vectors(rng: np.random.Generator, m: int, d: int) -> np.ndarray:
     return g / norm
 
 
+def _pair_from_index(N: int, pick: np.ndarray):
+    """Pairs (i, j), i < j, at the given positions of np.triu_indices(N, 1).
+
+    Row i of the upper triangle starts at position i (2N - i - 1) / 2;
+    the N - 1 row starts replace the N (N - 1) / 2 pair table.
+    """
+    rows = np.arange(N - 1)
+    starts = rows * (2 * N - rows - 1) // 2
+    i = np.searchsorted(starts, pick, side="right") - 1
+    return i, pick - starts[i] + i + 1
+
+
 def simulate(
     state: ParticleState,
     kernel: Kernel,
@@ -157,7 +169,7 @@ def simulate(
         if np.any(record < 0) or np.any(record > T + 1e-12):
             raise ValueError("record times must lie in [0, T]")
 
-    pairs_all = np.column_stack(np.triu_indices(N, 1))
+    n_pairs = N * (N - 1) // 2
     v = state.velocities.copy()
     t = 0.0
     times, prs, oms, accs = [], [], [], []
@@ -166,7 +178,7 @@ def simulate(
     done = False
     while not done:
         gaps = rng.exponential(1.0 / rate, chunk)
-        pick = rng.integers(0, len(pairs_all), chunk)
+        pick_i, pick_j = _pair_from_index(N, rng.integers(0, n_pairs, chunk))
         om = _unit_vectors(rng, chunk, d)
         u = rng.random(chunk)
         for e in range(chunk):
@@ -179,7 +191,7 @@ def simulate(
                 done = True
                 break
             t = t_next
-            i, j = pairs_all[pick[e]]
+            i, j = pick_i[e], pick_j[e]
             b = float(kernel(v[i] - v[j]))
             acc = u[e] * c2 < b
             if acc:

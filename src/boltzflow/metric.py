@@ -8,7 +8,8 @@ For a fixed path the optimal flux per interval is a weighted
 least-squares problem whose solution is a potential gradient
 J_q = Lambda_q * grad_bar(lambda)_q with L(fbar) lambda = w df/dt.  The
 flux is eliminated and the remaining problem over interior slices is
-solved by quasi-Newton iteration in moment-preserving coordinates.
+solved by damped Newton iteration on its analytic Hessian in
+moment-preserving coordinates.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ class ConvergenceError(RuntimeError):
 @dataclass
 class SolverOptions:
     tol: float = 1e-8  # projected-gradient (KKT) target
-    max_iter: int = 20000
     floor: float = 1e-12  # positivity barrier for densities
 
 
@@ -99,88 +99,121 @@ class _PathProblem:
         C = net.invariants
         self.C = C
         self.N = _orthonormal_complement(C)
+        self.N2 = scipy.linalg.block_diag(self.N, self.N)
         # kernel regularizer; exact on moment-conserving differences
         self.P = C @ C.T
+        # flat (a, b) node index of every slot pair of every quadruple, for
+        # summing per-quadruple 4x4 blocks into an n x n matrix
+        n = net.n_nodes
+        self._pairs = (net.quad[:, :, None] * n + net.quad[:, None, :]).ravel()
+
+    def _scatter(self, blocks: np.ndarray) -> np.ndarray:
+        """Sum per-quadruple (Q, 4, 4) slot blocks into a dense n x n matrix."""
+        n = self.net.n_nodes
+        flat = np.bincount(self._pairs, weights=blocks.ravel(), minlength=n * n)
+        return flat.reshape(n, n)
+
+    def _linearize(self, fa: np.ndarray, fb: np.ndarray, dt: float):
+        """Slot Jacobian of (p, r), log-mean partials, regularized L and g.
+
+        The Jacobian D has shape (Q, 2, 4): rows p = f_i f_j and
+        r = f_k f_l of fbar, columns the slots i, j, k, l.
+        """
+        net = self.net
+        fs = (0.5 * (fa + fb))[net.quad]
+        D = np.zeros((len(fs), 2, 4))
+        D[:, 0, 0], D[:, 0, 1] = fs[:, 1], fs[:, 0]
+        D[:, 1, 2], D[:, 1, 3] = fs[:, 3], fs[:, 2]
+        partials = log_mean_and_partials(fs[:, 0] * fs[:, 1], fs[:, 2] * fs[:, 3])
+        L = net.laplacian(self.kappa * partials[0])
+        L += np.trace(L) / len(L) * self.P
+        g = net.node_weight * (fb - fa) / dt
+        return D, partials, L, g
 
     def interval_action(self, fa: np.ndarray, fb: np.ndarray, dt: float):
         """(action, dA/dfa, dA/dfb, potential lambda) for one interval."""
         net = self.net
-        fbar = 0.5 * (fa + fb)
-        i, j, k, l = net.quad.T
-        p = fbar[i] * fbar[j]
-        r = fbar[k] * fbar[l]
-        lam_q, dlam_dp, dlam_dr = log_mean_and_partials(p, r)
-        L = net.laplacian(self.kappa * lam_q)
-        scale = np.real(np.trace(L)) / len(L)
-        g = net.node_weight * (fb - fa) / dt
-        pot = np.linalg.solve(L + scale * self.P, g.astype(L.dtype))
+        D, (_, lam_p, lam_r, *_), L, g = self._linearize(fa, fb, dt)
+        pot = np.linalg.solve(L, g)
         act = g @ pot
         # dA/dg and the -pot' dL pot term through Lambda(fbar)
-        sq = net.grad_bar(pot)
-        coef = self.kappa * sq**2
-        dbar = np.zeros(net.n_nodes, dtype=pot.dtype)
-        np.add.at(dbar, i, -coef * dlam_dp * fbar[j])
-        np.add.at(dbar, j, -coef * dlam_dp * fbar[i])
-        np.add.at(dbar, k, -coef * dlam_dr * fbar[l])
-        np.add.at(dbar, l, -coef * dlam_dr * fbar[k])
+        coef = self.kappa * net.grad_bar(pot) ** 2
+        slot_grad = lam_p[:, None] * D[:, 0] + lam_r[:, None] * D[:, 1]
+        dbar = -np.bincount(
+            net.quad.ravel(), weights=(coef[:, None] * slot_grad).ravel(), minlength=net.n_nodes
+        )
         dfa = -2.0 * net.node_weight / dt * pot + 0.5 * dbar
         dfb = 2.0 * net.node_weight / dt * pot + 0.5 * dbar
         return act, dfa, dfb, pot
+
+    def interval_hessian(self, fa: np.ndarray, fb: np.ndarray, dt: float) -> np.ndarray:
+        """2n x 2n Hessian in (fa, fb) of A = g' L^+ g, g = w (fb - fa) / dt.
+
+        With u = L^+ g, s = grad_bar(u), c = kappa s^2, G the Q x n
+        Jacobian of Lambda(fbar) and B = S diag(kappa s) G,
+        M = [-(w/dt) I - B/2, (w/dt) I - B/2] is the Jacobian of g - L u
+        at fixed u, and H = 2 M' L^+ M - (1/4) [[H2, H2], [H2, H2]] with
+        H2 = sum_q c_q Hess Lambda_q(fbar).
+        """
+        net = self.net
+        n = net.n_nodes
+        D, (_, lam_p, lam_r, lam_pp, lam_pr, lam_rr), L, g = self._linearize(fa, fb, dt)
+        s = net.grad_bar(np.linalg.solve(L, g))
+        slot_grad = lam_p[:, None] * D[:, 0] + lam_r[:, None] * D[:, 1]
+        sign = np.array([-1.0, -1.0, 1.0, 1.0])  # column q of S in the slots
+        B = self._scatter((self.kappa * s)[:, None, None] * np.einsum("a,qb->qab", sign, slot_grad))
+        w = net.node_weight / dt
+        M = np.hstack([-w * np.eye(n) - 0.5 * B, w * np.eye(n) - 0.5 * B])
+        M -= self.C @ (self.C.T @ M)  # L^+ = L_reg^-1 on the range of L
+        H = 2.0 * M.T @ np.linalg.solve(L, M)
+        # Hess Lambda_q in the slots: D' [[lam_pp, lam_pr], [lam_pr, lam_rr]] D
+        # plus lam_p, lam_r times the Hessians of p and r, 1 on (i, j), (k, l)
+        second = np.stack([lam_pp, lam_pr, lam_pr, lam_rr], axis=1).reshape(-1, 2, 2)
+        local = D.transpose(0, 2, 1) @ (second @ D)
+        local[:, 0, 1] += lam_p
+        local[:, 1, 0] += lam_p
+        local[:, 2, 3] += lam_r
+        local[:, 3, 2] += lam_r
+        H2 = self._scatter((self.kappa * s**2)[:, None, None] * local)
+        H -= 0.25 * np.tile(H2, (2, 2))
+        return H
+
+    def path_hessian(self, path: np.ndarray, dt: float, nslices: int) -> np.ndarray:
+        """Hessian of sum_m dt A_m in the coordinates of slices 1..nslices.
+
+        Slice m moves as path[m] + N y_{m-1}; interval m couples slices m
+        and m + 1 only, so the result is block tridiagonal.
+        """
+        K = len(path) - 1
+        nfree = self.N.shape[1]
+        H = np.zeros((K + 1, nfree, K + 1, nfree))
+        for m in range(K):
+            Hm = self.N2.T @ self.interval_hessian(path[m], path[m + 1], dt) @ self.N2
+            H[m : m + 2, :, m : m + 2] += dt * Hm.reshape(2, nfree, 2, nfree)
+        return H[1 : nslices + 1, :, 1 : nslices + 1].reshape(nslices * nfree, -1)
 
     def flux_from_potential(self, fa: np.ndarray, fb: np.ndarray, pot: np.ndarray):
         p, r = self.net.pair_products(0.5 * (fa + fb))
         return log_mean(p, r) * self.net.grad_bar(pot)
 
 
-def _dense_hessian(objective, y, nslices: int, nfree: int) -> np.ndarray:
-    """Hessian of the reduced objective by complex-step on the gradient.
-
-    The slice coupling is tridiagonal (slice m interacts with m +- 1
-    only), so perturbing every third slice at once disentangles exactly;
-    the build needs 3 * nfree gradient evaluations instead of one per
-    unknown.  Complex step is exact to machine precision.
-    """
-    m = nslices * nfree
-    H = np.zeros((nslices, nfree, nslices, nfree))
-    h = 1e-100
-    for color in range(min(3, nslices)):
-        slices = np.arange(color, nslices, 3)
-        for a in range(nfree):
-            p = np.zeros((nslices, nfree))
-            p[slices, a] = 1.0
-            _, g = objective(y + 1j * h * p.ravel())
-            Hp = (np.imag(g) / h).reshape(nslices, nfree)
-            for s in slices:
-                lo, hi = max(s - 1, 0), min(s + 1, nslices - 1)
-                H[lo : hi + 1, :, s, a] = Hp[lo : hi + 1]
-    H = H.reshape(m, m)
-    return 0.5 * (H + H.T)
-
-
-def _minimize_smooth(objective, y0, opts: SolverOptions, nslices: int, nfree: int):
-    """Quasi-Newton warm start followed by a damped Newton polish.
+def _minimize_smooth(objective, hessian, y0, opts: SolverOptions):
+    """Damped Newton iteration on the exact Hessian, started at y0.
 
     Truncated-CG trust regions stall above the target tolerance on this
-    objective, so the polish factors the exact (complex-step) Hessian
-    and backtracks on the full Newton step.
+    objective, so each step factors the analytic Hessian and backtracks
+    on the full Newton step.
     """
-    warm = scipy.optimize.minimize(
-        objective,
-        y0,
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": min(opts.max_iter, 2000), "ftol": 1e-16, "maxcor": 30},
-    )
-    iters = int(warm.nit)
-    y = warm.x
+    y = y0
     val, g = objective(y)
     if not np.isfinite(val):
         raise ConvergenceError("path solver left the positive cone")
     kkt = float(np.max(np.abs(g)))
+    iters = 0
     for _ in range(60):
         if kkt <= 0.3 * opts.tol:
             break
-        H = _dense_hessian(objective, y, nslices, nfree)
+        H = hessian(y)
         scale = np.trace(H) / len(H)
         jitter = 0.0
         for _ in range(16):
@@ -254,16 +287,16 @@ def solve_distance(
     nfree = prob.N.shape[1]
 
     def unpack(y):
-        path = base.astype(y.dtype)
-        path[1:K] += (y.reshape(K - 1, nfree) @ prob.N.T)
+        path = base.copy()
+        path[1:K] += y.reshape(K - 1, nfree) @ prob.N.T
         return path
 
     def objective(y):
         path = unpack(y)
-        if np.any(np.real(path) < opts.floor):
+        if np.any(path < opts.floor):
             return np.inf, np.zeros_like(y)
         total = 0.0
-        grad = np.zeros((K + 1, n), dtype=y.dtype)
+        grad = np.zeros((K + 1, n))
         for m in range(K):
             act, dfa, dfb, _ = prob.interval_action(path[m], path[m + 1], dt)
             total += dt * act
@@ -272,8 +305,11 @@ def solve_distance(
         gy = (grad[1:K] @ prob.N).ravel()
         return total, gy
 
+    def hessian(y):
+        return prob.path_hessian(unpack(y), dt, K - 1)
+
     y0 = np.zeros((K - 1) * nfree)
-    y_opt, kkt, iters = _minimize_smooth(objective, y0, opts, K - 1, nfree)
+    y_opt, kkt, iters = _minimize_smooth(objective, hessian, y0, opts)
     path = unpack(y_opt)
     flux = np.zeros((K, net.n_quadruples))
     actions = np.zeros(K)

@@ -4,6 +4,7 @@ import pytest
 from boltzflow.cli import bimodal_mixture
 from boltzflow.kac import (
     ParticleState,
+    _pair_from_index,
     empirical_entropy,
     empirical_moments,
     fourth_moment_of_density,
@@ -48,6 +49,13 @@ def test_simulate_deterministic_and_conservative():
     # invariants preserved over the whole run
     assert np.max(np.abs(f1.momentum() - s0.momentum())) <= 1e-12
     assert abs(f1.energy() - s0.energy()) <= 1e-10 * s0.energy()
+
+
+@pytest.mark.parametrize("N", [2, 3, 64, 1024])
+def test_pair_from_index_matches_triu(N):
+    i, j = _pair_from_index(N, np.arange(N * (N - 1) // 2))
+    ti, tj = np.triu_indices(N, 1)
+    assert np.array_equal(i, ti) and np.array_equal(j, tj)
 
 
 def test_event_count_matches_poisson_rate():

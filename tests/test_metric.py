@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import boltzflow.jko
+import boltzflow.metric
 import oracles
 from boltzflow.forward import dissipation, solve_forward
 from boltzflow.metric import (
@@ -116,12 +118,62 @@ def test_distance_path_properties(net, tilted):
     assert spread <= 1e-3
 
 
+def test_distance_d3():
+    from boltzflow.kinematics import Kernel
+    from boltzflow.network import build_network, maxent_project, tilt_to_moments
+
+    net3 = build_network(3, 2.0, 1.0, Kernel("constant", b=1.0))  # n=125, Q=12222
+    feq3 = maxent_project(net3)
+
+    def tilt(seed):
+        rng = np.random.Generator(np.random.Philox(seed))
+        pert = feq3 * np.exp(0.3 * rng.standard_normal(net3.n_nodes))
+        return tilt_to_moments(net3, pert, net3.moments(feq3))
+
+    f0, f1 = tilt(1), tilt(2)
+    a = solve_distance(net3, f0, f1, K=4)
+    b = solve_distance(net3, f1, f0, K=4)
+    assert a.value > 0 and a.kkt_residual <= 1e-8
+    assert abs(a.value - b.value) <= 2e-8
+    assert cre_residual(net3, a.path, a.flux) <= 1e-12
+    assert gradient_form_residual(net3, a) <= 1e-4
+
+
 def test_distance_moment_mismatch_rejected(net, feq, tilted):
     bad = feq * 1.01
     with pytest.raises(MomentError):
         solve_distance(net, feq, bad, K=4)
     with pytest.raises(ValueError):
         solve_distance(net, feq, np.zeros_like(feq), K=4)
+
+
+@pytest.mark.parametrize("solver", ["solve_distance", "jko_step"])
+def test_reduced_hessian_matches_gradient_differences(net, tilted, monkeypatch, solver):
+    # capture the objective and the analytic Hessian the Newton solver gets
+    module = boltzflow.metric if solver == "solve_distance" else boltzflow.jko
+    real = module._minimize_smooth
+    seen = {}
+
+    def spy(objective, hessian, y0, opts):
+        y_opt, kkt, iters = real(objective, hessian, y0, opts)
+        seen.update(objective=objective, hessian=hessian, points=(y0, y_opt))
+        return y_opt, kkt, iters
+
+    monkeypatch.setattr(module, "_minimize_smooth", spy)
+    if solver == "solve_distance":
+        solve_distance(net, tilted(6), tilted(7), K=4)
+    else:
+        boltzflow.jko.jko_step(net, tilted(1), 0.1, K=4)
+    rng = np.random.default_rng(5)
+    h = 1e-8
+    for y in seen["points"]:  # the straight or constant start and the minimizer
+        H = seen["hessian"](y)
+        assert np.max(np.abs(H - H.T)) <= 1e-13 * np.max(np.abs(H))
+        for _ in range(3):
+            v = rng.standard_normal(len(y))
+            v /= np.linalg.norm(v)
+            fd = (seen["objective"](y + h * v)[1] - seen["objective"](y - h * v)[1]) / (2 * h)
+            assert np.linalg.norm(H @ v - fd) <= 1e-6 * np.linalg.norm(fd)
 
 
 def test_gradient_form_residual_optimal_vs_circulated(net, tilted):

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -58,30 +59,34 @@ def test_log_mean_quadrature_oracle():
         assert abs(log_mean(s, t) - ref) <= 1e-12 * ref
 
 
-def test_log_mean_partials_complex_step():
+def _log_mean_jet_reference(p, r):
+    """(L, L_p, L_r, L_pp, L_pr, L_rr) of (p - r) / log(p / r) at 50 digits."""
+    with mpmath.workdps(50):
+        p, r = mpmath.mpf(p), mpmath.mpf(r)
+
+        def L(a, b):
+            return (a - b) / (mpmath.log(a) - mpmath.log(b))
+
+        return [
+            float(mpmath.diff(L, (p, r), order))
+            for order in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+        ]
+
+
+def test_log_mean_partials_mpmath():
     rng = np.random.default_rng(1)
-    h = 1e-30
-    # both branches: |r| = |log(s/t)| from 1e-9 (series) up to 6 (closed form)
-    r = rng.choice([-1, 1], 4000) * 10.0 ** rng.uniform(-9, 0.8, 4000)
-    t = 10.0 ** rng.uniform(-3, 3, 4000)
-    s = t * np.exp(r)
-    lam, ds, dt = log_mean_and_partials(s, t)
-    closed = np.abs(r) >= 1e-5
-    # the closed form (s - t) / r cancels: its relative error grows as eps / |r|
-    err = np.abs(lam / log_mean(s, t) - 1.0)
-    assert np.all(err[closed] * np.abs(r[closed]) <= 4e-15)
-    assert np.all(err[~closed] <= 1e-14)
-    # dtype-agnostic: a complex step differentiates the kernel to roundoff
-    ds_cs = np.imag(log_mean_and_partials(s + 1j * h * s, t.astype(complex))[0]) / (h * s)
-    dt_cs = np.imag(log_mean_and_partials(s.astype(complex), t + 1j * h * t)[0]) / (h * t)
-    # closed-form partials cancel to order r^2: relative error grows as eps / r^2
-    for d, d_cs in ((ds, ds_cs), (dt, dt_cs)):
-        err = np.abs(d / d_cs - 1.0)
-        assert np.all(err[closed] * r[closed] ** 2 <= 3e-14)
-        assert np.all(err[~closed] <= 1e-14)
-    # symmetric point: both partials are exactly 1/2
-    lam, ds, dt = log_mean_and_partials(np.array([2.0]), np.array([2.0]))
-    assert lam[0] == 2.0 and ds[0] == 0.5 and dt[0] == 0.5
+    # |x| = |log(p/r)| from 1e-12 to 6 on both sides of the series cut at 2,
+    # at scales r from 1e-3 to 1e3
+    x = rng.choice([-1, 1], 400) * 10.0 ** rng.uniform(-12, np.log10(6.0), 400)
+    x = np.concatenate([x, [2.0, -2.0, np.nextafter(2.0, 0.0), -np.nextafter(2.0, 0.0)]])
+    r = 10.0 ** rng.uniform(-3, 3, len(x))
+    p = r * np.exp(x)
+    got = np.array(log_mean_and_partials(p, r))
+    ref = np.array([_log_mean_jet_reference(a, b) for a, b in zip(p, r)]).T
+    assert np.all(np.abs(got / ref - 1.0) <= 1e-14)
+    # symmetric point: both first partials are exactly 1/2
+    lam, dp, dr, *_ = log_mean_and_partials(np.array([2.0]), np.array([2.0]))
+    assert lam[0] == 2.0 and dp[0] == 0.5 and dr[0] == 0.5
 
 
 def test_action_density_cases():
