@@ -15,11 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forward import ForwardTrajectory, NumericalError, entropy
-from .metric import (
-    SolverOptions,
-    _minimize_smooth,
-    _PathProblem,
-)
+from .metric import SolverOptions, _minimize_smooth, _PathProblem
 from .network import VelocityNetwork
 
 
@@ -89,49 +85,14 @@ def jko_step(
     if tau <= 0:
         raise ValueError("tau must be positive")
 
-    prob = _PathProblem(net, opts)
-    n = net.n_nodes
-    w = net.node_weight
-    dt = 1.0 / K
-    nfree = prob.N.shape[1]
-
-    def unpack(y):
-        path = np.broadcast_to(f_prev, (K + 1, n)).copy()
-        path[1:] += y.reshape(K, nfree) @ prob.N.T
-        return path
-
-    def objective(y):
-        path = unpack(y)
-        if np.any(path < opts.floor):
-            return np.inf, np.zeros_like(y)
-        g = path[K]
-        grad = np.zeros((K + 1, n))
-        total = np.sum(w * g * np.log(g))
-        grad[K] += w * (np.log(g) + 1.0)
-        for m in range(K):
-            act, dfa, dfb, _ = prob.interval_action(path[m], path[m + 1], dt)
-            total += dt * act / (2.0 * tau)
-            grad[m] += dt * dfa / (2.0 * tau)
-            grad[m + 1] += dt * dfb / (2.0 * tau)
-        gy = (grad[1:] @ prob.N).ravel()
-        return total, gy
-
-    def hessian(y):
-        path = unpack(y)
-        H = prob.path_hessian(path, dt, K) / (2.0 * tau)
-        # entropy of the free last slice
-        H[-nfree:, -nfree:] += prob.N.T @ (w / path[K][:, None] * prob.N)
-        return H
-
-    y0 = np.zeros(K * nfree)
-    y_opt, kkt, iters = _minimize_smooth(objective, hessian, y0, opts)
-    path = unpack(y_opt)
+    prob = _PathProblem(
+        net, np.broadcast_to(f_prev, (K + 1, len(f_prev))), K, 1.0 / (2.0 * tau), entropy=True
+    )
+    y_opt, kkt, iters = _minimize_smooth(prob, np.zeros(K * prob.N.shape[1]), opts)
+    path = prob.path(y_opt)
     g = path[K]
-    sq = 0.0
-    for m in range(K):
-        act, _, _, _ = prob.interval_action(path[m], path[m + 1], dt)
-        sq += dt * act
-    sq = float(sq)
+    actions = prob.evaluate(path)[3]
+    sq = float(prob.dt * actions.sum())
     H_new = entropy(net, g)
     obj = H_new + sq / (2.0 * tau)
     H_prev = entropy(net, f_prev)

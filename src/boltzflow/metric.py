@@ -14,14 +14,14 @@ moment-preserving coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.optimize
 import scipy.sparse
 
-from .network import MomentError, VelocityNetwork
+from .network import SLOT_SIGN, MomentError, VelocityNetwork
 from .scalars import action_density, log_mean, log_mean_and_partials
 
 
@@ -29,10 +29,12 @@ class ConvergenceError(RuntimeError):
     pass
 
 
+FLOOR = 1e-12  # positivity barrier for densities
+
+
 @dataclass
 class SolverOptions:
     tol: float = 1e-8  # projected-gradient (KKT) target
-    floor: float = 1e-12  # positivity barrier for densities
 
 
 @dataclass
@@ -90,122 +92,150 @@ def boltzmann_flux(net: VelocityNetwork, f: np.ndarray) -> np.ndarray:
 
 
 class _PathProblem:
-    """Reduced objective over interior slices (flux eliminated)."""
+    """Reduced path objective, the flux eliminated.
 
-    def __init__(self, net: VelocityNetwork, opts: SolverOptions):
+    Slices 1..nslices of the path are base[m] + N y_{m-1}, the others stay
+    at base.  The objective is scale * sum_m dt A_m, plus the entropy
+    sum w g log g of the last slice g when `entropy` is set: scale 1 and
+    nslices = K - 1 give W_B^2, scale 1/(2 tau), nslices = K and the
+    entropy give the JKO step.
+    """
+
+    def __init__(self, net, base, nslices, scale=1.0, entropy=False):
         self.net = net
-        self.opts = opts
+        self.base = np.array(base, dtype=float)
+        self.nslices = nslices
+        self.scale = scale
+        self.entropy = entropy
+        self.dt = 1.0 / (len(self.base) - 1)
         self.kappa = net.W_q * net.B_q
-        C = net.invariants
-        self.C = C
-        self.N = _orthonormal_complement(C)
-        self.N2 = scipy.linalg.block_diag(self.N, self.N)
+        self.C = net.invariants
+        self.N = _orthonormal_complement(self.C)
         # kernel regularizer; exact on moment-conserving differences
-        self.P = C @ C.T
-        # flat (a, b) node index of every slot pair of every quadruple, for
-        # summing per-quadruple 4x4 blocks into an n x n matrix
-        n = net.n_nodes
-        self._pairs = (net.quad[:, :, None] * n + net.quad[:, None, :]).ravel()
+        self.P = self.C @ self.C.T
 
-    def _scatter(self, blocks: np.ndarray) -> np.ndarray:
-        """Sum per-quadruple (Q, 4, 4) slot blocks into a dense n x n matrix."""
-        n = self.net.n_nodes
-        flat = np.bincount(self._pairs, weights=blocks.ravel(), minlength=n * n)
-        return flat.reshape(n, n)
+    def path(self, y: np.ndarray) -> np.ndarray:
+        path = self.base.copy()
+        path[1 : self.nslices + 1] += y.reshape(self.nslices, -1) @ self.N.T
+        return path
 
-    def _linearize(self, fa: np.ndarray, fb: np.ndarray, dt: float):
-        """Slot Jacobian of (p, r), log-mean partials, regularized L and g.
+    def interval(self, fa: np.ndarray, fb: np.ndarray, hessian: bool = False):
+        """Action, gradient, potential and Hessian of one interval.
 
-        The Jacobian D has shape (Q, 2, 4): rows p = f_i f_j and
-        r = f_k f_l of fbar, columns the slots i, j, k, l.
+        A = g' L^+ g with g = w (fb - fa) / dt and L = S diag(kappa
+        Lambda(fbar)) S'.  With u = L^+ g (the potential), s = S' u,
+        c = kappa s^2, G the Q x n Jacobian of Lambda(fbar) and
+        B = S diag(kappa s) G, the gradient in (fa, fb) is
+        (-2 (w/dt) u - G'c / 2, 2 (w/dt) u - G'c / 2).  On request the
+        Hessian in the coordinates (N' fa, N' fb) is
+        2 M' L^+ M - (1/4) [[H2, H2], [H2, H2]], where
+        M = [-(w/dt) N - B N / 2, (w/dt) N - B N / 2] is the Jacobian of
+        g - L u at fixed u and H2 = N' (sum_q c_q Hess Lambda_q) N;
+        otherwise None.  The regularized L + tr(L)/n C C' is SPD and is
+        factored once; it acts as L^+ on the range of L.
         """
-        net = self.net
+        net, kappa, N = self.net, self.kappa, self.N
         fs = (0.5 * (fa + fb))[net.quad]
-        D = np.zeros((len(fs), 2, 4))
-        D[:, 0, 0], D[:, 0, 1] = fs[:, 1], fs[:, 0]
-        D[:, 1, 2], D[:, 1, 3] = fs[:, 3], fs[:, 2]
-        partials = log_mean_and_partials(fs[:, 0] * fs[:, 1], fs[:, 2] * fs[:, 3])
-        L = net.laplacian(self.kappa * partials[0])
-        L += np.trace(L) / len(L) * self.P
-        g = net.node_weight * (fb - fa) / dt
-        return D, partials, L, g
-
-    def interval_action(self, fa: np.ndarray, fb: np.ndarray, dt: float):
-        """(action, dA/dfa, dA/dfb, potential lambda) for one interval."""
-        net = self.net
-        D, (_, lam_p, lam_r, *_), L, g = self._linearize(fa, fb, dt)
-        pot = np.linalg.solve(L, g)
-        act = g @ pot
-        # dA/dg and the -pot' dL pot term through Lambda(fbar)
-        coef = self.kappa * net.grad_bar(pot) ** 2
-        slot_grad = lam_p[:, None] * D[:, 0] + lam_r[:, None] * D[:, 1]
-        dbar = -np.bincount(
-            net.quad.ravel(), weights=(coef[:, None] * slot_grad).ravel(), minlength=net.n_nodes
+        # u_a = d(f_i f_j or f_k f_l)/d(f_a): the partner slot's density
+        u = fs[:, [1, 0, 3, 2]]
+        lam, lam_p, lam_r, lam_pp, lam_pr, lam_rr = log_mean_and_partials(
+            fs[:, 0] * fs[:, 1], fs[:, 2] * fs[:, 3]
         )
-        dfa = -2.0 * net.node_weight / dt * pot + 0.5 * dbar
-        dfb = 2.0 * net.node_weight / dt * pot + 0.5 * dbar
-        return act, dfa, dfb, pot
-
-    def interval_hessian(self, fa: np.ndarray, fb: np.ndarray, dt: float) -> np.ndarray:
-        """2n x 2n Hessian in (fa, fb) of A = g' L^+ g, g = w (fb - fa) / dt.
-
-        With u = L^+ g, s = grad_bar(u), c = kappa s^2, G the Q x n
-        Jacobian of Lambda(fbar) and B = S diag(kappa s) G,
-        M = [-(w/dt) I - B/2, (w/dt) I - B/2] is the Jacobian of g - L u
-        at fixed u, and H = 2 M' L^+ M - (1/4) [[H2, H2], [H2, H2]] with
-        H2 = sum_q c_q Hess Lambda_q(fbar).
-        """
-        net = self.net
-        n = net.n_nodes
-        D, (_, lam_p, lam_r, lam_pp, lam_pr, lam_rr), L, g = self._linearize(fa, fb, dt)
-        s = net.grad_bar(np.linalg.solve(L, g))
-        slot_grad = lam_p[:, None] * D[:, 0] + lam_r[:, None] * D[:, 1]
-        sign = np.array([-1.0, -1.0, 1.0, 1.0])  # column q of S in the slots
-        B = self._scatter((self.kappa * s)[:, None, None] * np.einsum("a,qb->qab", sign, slot_grad))
-        w = net.node_weight / dt
-        M = np.hstack([-w * np.eye(n) - 0.5 * B, w * np.eye(n) - 0.5 * B])
-        M -= self.C @ (self.C.T @ M)  # L^+ = L_reg^-1 on the range of L
-        H = 2.0 * M.T @ np.linalg.solve(L, M)
-        # Hess Lambda_q in the slots: D' [[lam_pp, lam_pr], [lam_pr, lam_rr]] D
-        # plus lam_p, lam_r times the Hessians of p and r, 1 on (i, j), (k, l)
-        second = np.stack([lam_pp, lam_pr, lam_pr, lam_rr], axis=1).reshape(-1, 2, 2)
-        local = D.transpose(0, 2, 1) @ (second @ D)
+        L = net.laplacian(kappa * lam)
+        L += np.trace(L) / len(L) * self.P
+        cho = scipy.linalg.cho_factor(L)
+        g = net.node_weight * (fb - fa) / self.dt
+        pot = scipy.linalg.cho_solve(cho, g)
+        act = g @ pot
+        s = net.grad_bar(pot)
+        slot_grad = np.stack([lam_p, lam_p, lam_r, lam_r], axis=1) * u  # dLambda/df_a
+        c = kappa * s**2
+        dbar = -0.5 * np.bincount(
+            net.quad.ravel(), weights=(c[:, None] * slot_grad).ravel(), minlength=net.n_nodes
+        )
+        w = net.node_weight / self.dt
+        grad = np.concatenate([-2.0 * w * pot + dbar, 2.0 * w * pot + dbar])
+        if not hessian:
+            return act, grad, pot, None
+        B = net.scatter_blocks(SLOT_SIGN[:, None] * ((kappa * s)[:, None] * slot_grad)[:, None])
+        BN = B @ N
+        BN -= self.C @ (self.C.T @ BN)  # the range of L
+        M = np.hstack([-w * N - 0.5 * BN, w * N - 0.5 * BN])
+        H = 2.0 * M.T @ scipy.linalg.cho_solve(cho, M)
+        # Hess Lambda_q in the slots: Lambda_xy u_a u_b, with x and y the
+        # products (p or r) of slots a and b, plus Lambda_p on (i, j), (j, i)
+        # and Lambda_r on (k, l), (l, k) from the Hessians of p and r
+        local = u[:, :, None] * u[:, None, :]
+        local[:, :2, :2] *= lam_pp[:, None, None]
+        local[:, :2, 2:] *= lam_pr[:, None, None]
+        local[:, 2:, :2] *= lam_pr[:, None, None]
+        local[:, 2:, 2:] *= lam_rr[:, None, None]
         local[:, 0, 1] += lam_p
         local[:, 1, 0] += lam_p
         local[:, 2, 3] += lam_r
         local[:, 3, 2] += lam_r
-        H2 = self._scatter((self.kappa * s**2)[:, None, None] * local)
+        H2 = N.T @ net.scatter_blocks(c[:, None, None] * local) @ N
         H -= 0.25 * np.tile(H2, (2, 2))
-        return H
+        return act, grad, pot, H
 
-    def path_hessian(self, path: np.ndarray, dt: float, nslices: int) -> np.ndarray:
-        """Hessian of sum_m dt A_m in the coordinates of slices 1..nslices.
+    def evaluate(self, path: np.ndarray, hessian: bool = False):
+        """The objective on a whole path, interval by interval.
 
-        Slice m moves as path[m] + N y_{m-1}; interval m couples slices m
-        and m + 1 only, so the result is block tridiagonal.
+        Returns the value, the gradient in the path (K + 1, n), the
+        Hessian in the slice coordinates N' f (K + 1, nfree, K + 1, nfree)
+        or None, and the actions A_m and potentials of the K intervals.
         """
-        K = len(path) - 1
+        K, n = len(path) - 1, self.net.n_nodes
         nfree = self.N.shape[1]
-        H = np.zeros((K + 1, nfree, K + 1, nfree))
+        weight = self.scale * self.dt
+        actions = np.zeros(K)
+        pots = np.zeros((K, n))
+        grad = np.zeros((K + 1, n))
+        H = np.zeros((K + 1, nfree, K + 1, nfree)) if hessian else None
         for m in range(K):
-            Hm = self.N2.T @ self.interval_hessian(path[m], path[m + 1], dt) @ self.N2
-            H[m : m + 2, :, m : m + 2] += dt * Hm.reshape(2, nfree, 2, nfree)
-        return H[1 : nslices + 1, :, 1 : nslices + 1].reshape(nslices * nfree, -1)
+            actions[m], gm, pots[m], Hm = self.interval(path[m], path[m + 1], hessian)
+            grad[m : m + 2] += weight * gm.reshape(2, n)
+            if hessian:
+                H[m : m + 2, :, m : m + 2] += weight * Hm.reshape(2, nfree, 2, nfree)
+        value = weight * actions.sum()
+        if self.entropy:
+            w, g = self.net.node_weight, path[K]
+            value += np.sum(w * g * np.log(g))
+            grad[K] += w * (np.log(g) + 1.0)
+            if hessian:
+                H[K, :, K] += self.N.T @ (w / g[:, None] * self.N)
+        return value, grad, H, actions, pots
 
-    def flux_from_potential(self, fa: np.ndarray, fb: np.ndarray, pot: np.ndarray):
-        p, r = self.net.pair_products(0.5 * (fa + fb))
-        return log_mean(p, r) * self.net.grad_bar(pot)
+    def __call__(self, y: np.ndarray, hessian: bool = False):
+        """Value, reduced gradient and, on request, reduced Hessian at y.
+
+        Outside the positive cone the value is +inf.
+        """
+        path = self.path(y)
+        if np.any(path < FLOOR):
+            return np.inf, np.zeros_like(y), None
+        try:
+            value, grad, H, _, _ = self.evaluate(path, hessian)
+        except np.linalg.LinAlgError:  # L lost definiteness at the barrier
+            return np.inf, np.zeros_like(y), None
+        free = slice(1, self.nslices + 1)
+        if hessian:
+            H = H[free, :, free].reshape(len(y), -1)
+        return value, (grad[free] @ self.N).ravel(), H
 
 
-def _minimize_smooth(objective, hessian, y0, opts: SolverOptions):
+def _minimize_smooth(evaluate, y0, opts: SolverOptions):
     """Damped Newton iteration on the exact Hessian, started at y0.
 
-    Truncated-CG trust regions stall above the target tolerance on this
-    objective, so each step factors the analytic Hessian and backtracks
-    on the full Newton step.
+    evaluate(y, hessian) returns the value, the gradient and, when
+    hessian is set, the Hessian at y.  Truncated-CG trust regions stall
+    above the target tolerance on this objective, so each step factors
+    the analytic Hessian and backtracks on the full Newton step.  Every
+    candidate is evaluated with its Hessian, so an accepted point is
+    never evaluated twice.
     """
     y = y0
-    val, g = objective(y)
+    val, g, H = evaluate(y, hessian=True)
     if not np.isfinite(val):
         raise ConvergenceError("path solver left the positive cone")
     kkt = float(np.max(np.abs(g)))
@@ -213,7 +243,6 @@ def _minimize_smooth(objective, hessian, y0, opts: SolverOptions):
     for _ in range(60):
         if kkt <= 0.3 * opts.tol:
             break
-        H = hessian(y)
         scale = np.trace(H) / len(H)
         jitter = 0.0
         for _ in range(16):
@@ -229,7 +258,7 @@ def _minimize_smooth(objective, hessian, y0, opts: SolverOptions):
         damp = 1.0
         while damp > 1e-8:
             cand = y - damp * step
-            val_c, g_c = objective(cand)
+            val_c, g_c, H_c = evaluate(cand, hessian=True)
             if np.isfinite(val_c) and (
                 val_c <= val + 1e-12 * (abs(val) + 1.0) or np.max(np.abs(g_c)) < kkt
             ):
@@ -238,7 +267,7 @@ def _minimize_smooth(objective, hessian, y0, opts: SolverOptions):
             damp *= 0.5
         if not accepted:
             break
-        y, val, g = cand, val_c, g_c
+        y, val, g, H = cand, val_c, g_c, H_c
         kkt = float(np.max(np.abs(g)))
         iters += 1
     if kkt > opts.tol:
@@ -280,55 +309,24 @@ def solve_distance(
         raise ValueError("endpoints must be strictly positive")
     _check_moment_match(net, f0, f1)
 
-    prob = _PathProblem(net, opts)
-    n = net.n_nodes
-    dt = 1.0 / K
     base = np.array([(1 - m / K) * f0 + (m / K) * f1 for m in range(K + 1)])
-    nfree = prob.N.shape[1]
-
-    def unpack(y):
-        path = base.copy()
-        path[1:K] += y.reshape(K - 1, nfree) @ prob.N.T
-        return path
-
-    def objective(y):
-        path = unpack(y)
-        if np.any(path < opts.floor):
-            return np.inf, np.zeros_like(y)
-        total = 0.0
-        grad = np.zeros((K + 1, n))
-        for m in range(K):
-            act, dfa, dfb, _ = prob.interval_action(path[m], path[m + 1], dt)
-            total += dt * act
-            grad[m] += dt * dfa
-            grad[m + 1] += dt * dfb
-        gy = (grad[1:K] @ prob.N).ravel()
-        return total, gy
-
-    def hessian(y):
-        return prob.path_hessian(unpack(y), dt, K - 1)
-
-    y0 = np.zeros((K - 1) * nfree)
-    y_opt, kkt, iters = _minimize_smooth(objective, hessian, y0, opts)
-    path = unpack(y_opt)
-    flux = np.zeros((K, net.n_quadruples))
-    actions = np.zeros(K)
-    for m in range(K):
-        act, _, _, pot = prob.interval_action(path[m], path[m + 1], dt)
-        actions[m] = act
-        flux[m] = prob.flux_from_potential(path[m], path[m + 1], pot)
-    squared = float(dt * actions.sum())
+    prob = _PathProblem(net, base, K - 1)
+    y_opt, kkt, iters = _minimize_smooth(prob, np.zeros((K - 1) * prob.N.shape[1]), opts)
+    path = prob.path(y_opt)
+    squared, _, _, actions, pots = prob.evaluate(path)
+    fbar = 0.5 * (path[:-1] + path[1:])
+    flux = np.array(
+        [log_mean(*net.pair_products(f)) * net.grad_bar(u) for f, u in zip(fbar, pots)]
+    )
     value = float(np.sqrt(max(squared, 0.0)))
     # re-evaluate on the path clipped at a 10x larger floor to expose how
-    # much the reported value leans on the positivity barrier
-    clipped = np.maximum(path, 10.0 * opts.floor)
-    sq_hi = float(
-        dt * sum(prob.interval_action(clipped[m], clipped[m + 1], dt)[0] for m in range(K))
-    )
+    # much the reported value leans on the positivity barrier; the same
+    # evaluation gives exactly 0 when nothing is clipped
+    sq_hi = prob.evaluate(np.maximum(path, 10.0 * FLOOR))[0]
     sensitivity = abs(float(np.sqrt(max(sq_hi, 0.0))) - value)
     return MetricSolution(
         value=value,
-        squared=squared,
+        squared=float(squared),
         path=path,
         flux=flux,
         slice_actions=actions,

@@ -19,6 +19,10 @@ import scipy.sparse
 from .kinematics import Kernel, collide
 
 
+# a quadruple's column of S, in its slots (i, j, k, l)
+SLOT_SIGN = np.array([-1.0, -1.0, 1.0, 1.0])
+
+
 class BuildError(RuntimeError):
     pass
 
@@ -100,9 +104,25 @@ class VelocityNetwork:
         """Adjoint of grad_bar: +q on (k, l), -q on (i, j), summed per node."""
         return self.S @ q_values
 
+    def scatter_blocks(self, blocks: np.ndarray) -> np.ndarray:
+        """Sum per-quadruple (Q, 4, 4) slot blocks into a dense n x n matrix.
+
+        Entry (a, b) of block q lands on (quad[q, a], quad[q, b]).  One
+        bincount per slot pair keeps every temporary Q-sized.
+        """
+        n = self.n_nodes
+        out = np.zeros(n * n)
+        for a in range(4):
+            rows = self.quad[:, a] * n
+            for b in range(4):
+                out += np.bincount(
+                    rows + self.quad[:, b], weights=blocks[:, a, b], minlength=n * n
+                )
+        return out.reshape(n, n)
+
     def laplacian(self, weights: np.ndarray) -> np.ndarray:
         """Dense weighted network Laplacian S diag(weights) S^T."""
-        return (self.S.multiply(weights)).dot(self.S.T).toarray()
+        return self.scatter_blocks(weights[:, None, None] * np.outer(SLOT_SIGN, SLOT_SIGN))
 
     # -- export --------------------------------------------------------------
 

@@ -1,8 +1,16 @@
-import numpy as np
-import pytest
+import os
 
-from boltzflow.kinematics import Kernel
-from boltzflow.network import build_network, maxent_project, tilt_to_moments
+# one BLAS thread, set before numpy loads (OpenBLAS and OpenMP read these
+# once, at import): the dense per-interval solves of the W_B and JKO tests
+# run many times slower on two threads when another process holds a CPU
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from boltzflow.kinematics import Kernel  # noqa: E402
+from boltzflow.network import build_network, maxent_project, tilt_to_moments  # noqa: E402
 
 
 @pytest.fixture(scope="session")

@@ -78,6 +78,15 @@ def laplacian(quad: np.ndarray, n: int, weights: np.ndarray) -> np.ndarray:
     return L
 
 
+def scatter_blocks(quad: np.ndarray, n: int, blocks: np.ndarray) -> np.ndarray:
+    """sum_q of block q's entry (a, b) on (quad[q, a], quad[q, b]), by np.add.at."""
+    out = np.zeros((n, n))
+    for a in range(4):
+        for b in range(4):
+            np.add.at(out, (quad[:, a], quad[:, b]), blocks[:, a, b])
+    return out
+
+
 def invariant_basis(quad: np.ndarray, n: int) -> np.ndarray:
     vals, vecs = np.linalg.eigh(laplacian(quad, n, np.ones(len(quad))))
     return vecs[:, vals < 1e-9 * max(vals.max(), 1.0)]

@@ -88,8 +88,8 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["forward", "--config", str(tmp_path / "none.json")]) == EXIT_CONFIG
 
     # numerical failure: a proximal step worse than staying put
-    def ascend(objective, hessian, y0, opts):
-        _, g = objective(y0)
+    def ascend(evaluate, y0, opts):
+        _, g, _ = evaluate(y0)
         return y0 + 1e-4 * g / (g @ g), 0.0, 0
 
     monkeypatch.setattr(boltzflow.jko, "_minimize_smooth", ascend)

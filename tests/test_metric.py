@@ -6,6 +6,7 @@ import boltzflow.metric
 import oracles
 from boltzflow.forward import dissipation, solve_forward
 from boltzflow.metric import (
+    FLOOR,
     MetricSolution,
     SolverOptions,
     boltzmann_flux,
@@ -16,7 +17,7 @@ from boltzflow.metric import (
     solve_distance,
     w1_distance,
 )
-from boltzflow.network import MomentError, restrict_quadruples
+from boltzflow.network import MomentError, restrict_quadruples, tilt_to_moments
 from boltzflow.scalars import action_density
 
 
@@ -118,11 +119,13 @@ def test_distance_path_properties(net, tilted):
     assert spread <= 1e-3
 
 
-def test_distance_d3():
+@pytest.fixture(scope="module")
+def d3():
+    """d=3, V/h=2 network (n=125, Q=12222) and its seeded moment-matched tilts."""
     from boltzflow.kinematics import Kernel
     from boltzflow.network import build_network, maxent_project, tilt_to_moments
 
-    net3 = build_network(3, 2.0, 1.0, Kernel("constant", b=1.0))  # n=125, Q=12222
+    net3 = build_network(3, 2.0, 1.0, Kernel("constant", b=1.0))
     feq3 = maxent_project(net3)
 
     def tilt(seed):
@@ -130,6 +133,11 @@ def test_distance_d3():
         pert = feq3 * np.exp(0.3 * rng.standard_normal(net3.n_nodes))
         return tilt_to_moments(net3, pert, net3.moments(feq3))
 
+    return net3, tilt
+
+
+def test_distance_d3(d3):
+    net3, tilt = d3
     f0, f1 = tilt(1), tilt(2)
     a = solve_distance(net3, f0, f1, K=4)
     b = solve_distance(net3, f1, f0, K=4)
@@ -137,6 +145,23 @@ def test_distance_d3():
     assert abs(a.value - b.value) <= 2e-8
     assert cre_residual(net3, a.path, a.flux) <= 1e-12
     assert gradient_form_residual(net3, a) <= 1e-4
+
+
+def test_floor_sensitivity_zero_when_nothing_is_clipped(net, feq):
+    # the geodesic benchmark's pairs: their paths stay above 4.7e-6, so
+    # clipping at 10 x FLOOR changes nothing and both sums must agree bit
+    # for bit (summing in two orders differs in the last bit on some seeds)
+    for seed in range(1, 9):
+        rng = np.random.Generator(np.random.Philox(seed).jumped(0))
+        a, b = (
+            tilt_to_moments(
+                net, feq * np.exp(0.25 * rng.standard_normal(net.n_nodes)), net.moments(feq)
+            )
+            for _ in range(2)
+        )
+        sol = solve_distance(net, a, b, K=8)
+        assert np.min(sol.path) > 10.0 * FLOOR
+        assert sol.floor_sensitivity == 0.0
 
 
 def test_distance_moment_mismatch_rejected(net, feq, tilted):
@@ -147,32 +172,42 @@ def test_distance_moment_mismatch_rejected(net, feq, tilted):
         solve_distance(net, feq, np.zeros_like(feq), K=4)
 
 
-@pytest.mark.parametrize("solver", ["solve_distance", "jko_step"])
-def test_reduced_hessian_matches_gradient_differences(net, tilted, monkeypatch, solver):
-    # capture the objective and the analytic Hessian the Newton solver gets
+@pytest.mark.parametrize(
+    "solver, d",
+    [
+        pytest.param("solve_distance", 2, id="solve_distance"),
+        pytest.param("jko_step", 2, id="jko_step"),
+        pytest.param("solve_distance", 3, id="solve_distance-d3"),
+        pytest.param("jko_step", 3, id="jko_step-d3"),
+    ],
+)
+def test_reduced_hessian_matches_gradient_differences(net, tilted, d3, monkeypatch, solver, d):
+    # capture the path evaluation the Newton solver gets
     module = boltzflow.metric if solver == "solve_distance" else boltzflow.jko
     real = module._minimize_smooth
     seen = {}
 
-    def spy(objective, hessian, y0, opts):
-        y_opt, kkt, iters = real(objective, hessian, y0, opts)
-        seen.update(objective=objective, hessian=hessian, points=(y0, y_opt))
+    def spy(evaluate, y0, opts):
+        y_opt, kkt, iters = real(evaluate, y0, opts)
+        seen.update(evaluate=evaluate, points=(y0, y_opt))
         return y_opt, kkt, iters
 
     monkeypatch.setattr(module, "_minimize_smooth", spy)
+    g, tilt = (net, tilted) if d == 2 else d3
     if solver == "solve_distance":
-        solve_distance(net, tilted(6), tilted(7), K=4)
+        solve_distance(g, tilt(6), tilt(7), K=4)
     else:
-        boltzflow.jko.jko_step(net, tilted(1), 0.1, K=4)
+        boltzflow.jko.jko_step(g, tilt(1), 0.1, K=4)
+    evaluate = seen["evaluate"]
     rng = np.random.default_rng(5)
     h = 1e-8
     for y in seen["points"]:  # the straight or constant start and the minimizer
-        H = seen["hessian"](y)
+        H = evaluate(y, hessian=True)[2]
         assert np.max(np.abs(H - H.T)) <= 1e-13 * np.max(np.abs(H))
         for _ in range(3):
             v = rng.standard_normal(len(y))
             v /= np.linalg.norm(v)
-            fd = (seen["objective"](y + h * v)[1] - seen["objective"](y - h * v)[1]) / (2 * h)
+            fd = (evaluate(y + h * v)[1] - evaluate(y - h * v)[1]) / (2 * h)
             assert np.linalg.norm(H @ v - fd) <= 1e-6 * np.linalg.norm(fd)
 
 

@@ -59,6 +59,15 @@ def test_operators_match_scatter_oracles(net):
         assert np.array_equal(g.invariants, oracles.invariant_basis(g.quad, n))
 
 
+def test_scatter_blocks_matches_add_at(net):
+    # blocks without symmetry, so a swapped slot pair shows
+    rng = np.random.default_rng(12)
+    for g in (net, restrict_quadruples(net, [0, 5, 17, 300])):
+        blocks = rng.standard_normal((g.n_quadruples, 4, 4))
+        ref = oracles.scatter_blocks(g.quad, g.n_nodes, blocks)
+        assert np.max(np.abs(g.scatter_blocks(blocks) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 def test_quadruples_conserve_exactly(net):
     z = net.lattice
     i, j, k, l = net.quad.T
