@@ -45,7 +45,8 @@ class RunConfig:
     threads: int = 1
 
 
-# experiment parameter schema: name -> (default, validator description)
+# experiment parameter schema: name -> default; a value must have the type of
+# its default (a number, or a list of numbers)
 _EXPERIMENT_FIELDS = {
     "forward": {
         "T": 10.0,
@@ -95,8 +96,12 @@ def _take(block: dict, context: str, fields: dict) -> dict:
     return out
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _positive(value, name):
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or value <= 0:
+    if not _is_number(value) or value <= 0:
         raise ConfigError(f"{name} must be a positive number, got {value!r}")
     return value
 
@@ -149,6 +154,13 @@ def parse_config_dict(raw: dict) -> RunConfig:
         )
     body = {k: v for k, v in exp_raw.items() if k != "type"}
     exp = _take(body, f"experiment({etype})", _EXPERIMENT_FIELDS[etype])
+    for key, default in _EXPERIMENT_FIELDS[etype].items():
+        value = exp[key]
+        if isinstance(default, list):
+            if not isinstance(value, list) or not all(map(_is_number, value)):
+                raise ConfigError(f"experiment.{key} must be a list of numbers, got {value!r}")
+        elif not _is_number(value):
+            raise ConfigError(f"experiment.{key} must be a number, got {value!r}")
     exp["type"] = etype
     for key in ("T", "tau", "tol", "dt_init"):
         if key in exp:

@@ -88,10 +88,11 @@ def jko_step(
     prob = _PathProblem(
         net, np.broadcast_to(f_prev, (K + 1, len(f_prev))), K, 1.0 / (2.0 * tau), entropy=True
     )
-    y_opt, kkt, iters = _minimize_smooth(prob, np.zeros(K * prob.N.shape[1]), opts)
+    y_opt, kkt, iters, (_, _, _, actions, _) = _minimize_smooth(
+        prob, np.zeros(K * prob.N.shape[1]), opts
+    )
     path = prob.path(y_opt)
     g = path[K]
-    actions = prob.evaluate(path)[3]
     sq = float(prob.dt * actions.sum())
     H_new = entropy(net, g)
     obj = H_new + sq / (2.0 * tau)

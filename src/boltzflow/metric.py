@@ -120,10 +120,11 @@ class _PathProblem:
         return path
 
     def interval(self, fa: np.ndarray, fb: np.ndarray, hessian: bool = False):
-        """Action, gradient, potential and Hessian of one interval.
+        """Action, gradient, flux and Hessian of one interval.
 
         A = g' L^+ g with g = w (fb - fa) / dt and L = S diag(kappa
-        Lambda(fbar)) S'.  With u = L^+ g (the potential), s = S' u,
+        Lambda(fbar)) S'.  With u = L^+ g (the potential), s = S' u
+        (the optimal flux is J = Lambda s),
         c = kappa s^2, G the Q x n Jacobian of Lambda(fbar) and
         B = S diag(kappa s) G, the gradient in (fa, fb) is
         (-2 (w/dt) u - G'c / 2, 2 (w/dt) u - G'c / 2).  On request the
@@ -155,8 +156,9 @@ class _PathProblem:
         )
         w = net.node_weight / self.dt
         grad = np.concatenate([-2.0 * w * pot + dbar, 2.0 * w * pot + dbar])
+        flux = lam * s
         if not hessian:
-            return act, grad, pot, None
+            return act, grad, flux, None
         B = net.scatter_blocks(SLOT_SIGN[:, None] * ((kappa * s)[:, None] * slot_grad)[:, None])
         BN = B @ N
         BN -= self.C @ (self.C.T @ BN)  # the range of L
@@ -176,24 +178,24 @@ class _PathProblem:
         local[:, 3, 2] += lam_r
         H2 = N.T @ net.scatter_blocks(c[:, None, None] * local) @ N
         H -= 0.25 * np.tile(H2, (2, 2))
-        return act, grad, pot, H
+        return act, grad, flux, H
 
     def evaluate(self, path: np.ndarray, hessian: bool = False):
         """The objective on a whole path, interval by interval.
 
         Returns the value, the gradient in the path (K + 1, n), the
         Hessian in the slice coordinates N' f (K + 1, nfree, K + 1, nfree)
-        or None, and the actions A_m and potentials of the K intervals.
+        or None, and the actions A_m and fluxes (K, Q) of the K intervals.
         """
         K, n = len(path) - 1, self.net.n_nodes
         nfree = self.N.shape[1]
         weight = self.scale * self.dt
         actions = np.zeros(K)
-        pots = np.zeros((K, n))
+        fluxes = np.zeros((K, self.net.n_quadruples))
         grad = np.zeros((K + 1, n))
         H = np.zeros((K + 1, nfree, K + 1, nfree)) if hessian else None
         for m in range(K):
-            actions[m], gm, pots[m], Hm = self.interval(path[m], path[m + 1], hessian)
+            actions[m], gm, fluxes[m], Hm = self.interval(path[m], path[m + 1], hessian)
             grad[m : m + 2] += weight * gm.reshape(2, n)
             if hessian:
                 H[m : m + 2, :, m : m + 2] += weight * Hm.reshape(2, nfree, 2, nfree)
@@ -204,38 +206,40 @@ class _PathProblem:
             grad[K] += w * (np.log(g) + 1.0)
             if hessian:
                 H[K, :, K] += self.N.T @ (w / g[:, None] * self.N)
-        return value, grad, H, actions, pots
+        return value, grad, H, actions, fluxes
 
     def __call__(self, y: np.ndarray, hessian: bool = False):
-        """Value, reduced gradient and, on request, reduced Hessian at y.
+        """Value, reduced gradient, reduced Hessian, actions and fluxes at y.
 
-        Outside the positive cone the value is +inf.
+        The Hessian is None unless requested.  Outside the positive cone
+        the value is +inf and the rest is zero or None.
         """
         path = self.path(y)
         if np.any(path < FLOOR):
-            return np.inf, np.zeros_like(y), None
+            return np.inf, np.zeros_like(y), None, None, None
         try:
-            value, grad, H, _, _ = self.evaluate(path, hessian)
+            value, grad, H, actions, fluxes = self.evaluate(path, hessian)
         except np.linalg.LinAlgError:  # L lost definiteness at the barrier
-            return np.inf, np.zeros_like(y), None
+            return np.inf, np.zeros_like(y), None, None, None
         free = slice(1, self.nslices + 1)
         if hessian:
             H = H[free, :, free].reshape(len(y), -1)
-        return value, (grad[free] @ self.N).ravel(), H
+        return value, (grad[free] @ self.N).ravel(), H, actions, fluxes
 
 
 def _minimize_smooth(evaluate, y0, opts: SolverOptions):
     """Damped Newton iteration on the exact Hessian, started at y0.
 
-    evaluate(y, hessian) returns the value, the gradient and, when
-    hessian is set, the Hessian at y.  Truncated-CG trust regions stall
-    above the target tolerance on this objective, so each step factors
-    the analytic Hessian and backtracks on the full Newton step.  Every
-    candidate is evaluated with its Hessian, so an accepted point is
-    never evaluated twice.
+    evaluate(y, hessian) returns a tuple that starts with the value, the
+    gradient and, when hessian is set, the Hessian at y.  Truncated-CG
+    trust regions stall above the target tolerance on this objective, so
+    each step factors the analytic Hessian and backtracks on the full
+    Newton step.  Every candidate is evaluated with its Hessian, so an
+    accepted point is never evaluated twice.  Returns the minimizer, its
+    KKT residual, the iteration count and its whole evaluation.
     """
-    y = y0
-    val, g, H = evaluate(y, hessian=True)
+    y, point = y0, evaluate(y0, hessian=True)
+    val, g, H = point[:3]
     if not np.isfinite(val):
         raise ConvergenceError("path solver left the positive cone")
     kkt = float(np.max(np.abs(g)))
@@ -258,7 +262,8 @@ def _minimize_smooth(evaluate, y0, opts: SolverOptions):
         damp = 1.0
         while damp > 1e-8:
             cand = y - damp * step
-            val_c, g_c, H_c = evaluate(cand, hessian=True)
+            cand_point = evaluate(cand, hessian=True)
+            val_c, g_c = cand_point[:2]
             if np.isfinite(val_c) and (
                 val_c <= val + 1e-12 * (abs(val) + 1.0) or np.max(np.abs(g_c)) < kkt
             ):
@@ -267,14 +272,15 @@ def _minimize_smooth(evaluate, y0, opts: SolverOptions):
             damp *= 0.5
         if not accepted:
             break
-        y, val, g, H = cand, val_c, g_c, H_c
+        y, point = cand, cand_point
+        val, g, H = point[:3]
         kkt = float(np.max(np.abs(g)))
         iters += 1
     if kkt > opts.tol:
         raise ConvergenceError(
             f"path solver stalled: projected gradient {kkt:.2e} > tol {opts.tol:.2e}"
         )
-    return y, kkt, iters
+    return y, kkt, iters, point
 
 
 def _orthonormal_complement(C: np.ndarray) -> np.ndarray:
@@ -311,19 +317,18 @@ def solve_distance(
 
     base = np.array([(1 - m / K) * f0 + (m / K) * f1 for m in range(K + 1)])
     prob = _PathProblem(net, base, K - 1)
-    y_opt, kkt, iters = _minimize_smooth(prob, np.zeros((K - 1) * prob.N.shape[1]), opts)
-    path = prob.path(y_opt)
-    squared, _, _, actions, pots = prob.evaluate(path)
-    fbar = 0.5 * (path[:-1] + path[1:])
-    flux = np.array(
-        [log_mean(*net.pair_products(f)) * net.grad_bar(u) for f, u in zip(fbar, pots)]
+    y_opt, kkt, iters, (squared, _, _, actions, flux) = _minimize_smooth(
+        prob, np.zeros((K - 1) * prob.N.shape[1]), opts
     )
+    path = prob.path(y_opt)
     value = float(np.sqrt(max(squared, 0.0)))
     # re-evaluate on the path clipped at a 10x larger floor to expose how
-    # much the reported value leans on the positivity barrier; the same
-    # evaluation gives exactly 0 when nothing is clipped
-    sq_hi = prob.evaluate(np.maximum(path, 10.0 * FLOOR))[0]
-    sensitivity = abs(float(np.sqrt(max(sq_hi, 0.0))) - value)
+    # much the reported value leans on the positivity barrier
+    clipped = np.maximum(path, 10.0 * FLOOR)
+    sensitivity = 0.0
+    if not np.array_equal(clipped, path):
+        sq_hi = prob.evaluate(clipped)[0]
+        sensitivity = abs(float(np.sqrt(max(sq_hi, 0.0))) - value)
     return MetricSolution(
         value=value,
         squared=float(squared),
@@ -379,31 +384,18 @@ def single_quadruple_oracle(
     kappa = float(net.W_q[0] * net.B_q[0])
     w = net.node_weight
     m1 = w * (f0[i] - f1[i])
-    consistent = np.allclose(
-        w * (f1 - f0),
-        -(m1) * _signed_indicator(net.n_nodes, net.quad[0]),
-        atol=1e-12,
-    )
-    if not consistent:
+    s_vec = net.div_bar(np.ones(1))  # the reaction's column of S
+    if not np.allclose(w * (f1 - f0), m1 * s_vec, atol=1e-12):
         raise ValueError("endpoints are not connected by the single reaction")
     xs, ws = np.polynomial.legendre.leggauss(n_points)
     m = 0.5 * m1 * (xs + 1.0)
     scale = 0.5 * abs(m1)
-    s_vec = _signed_indicator(net.n_nodes, net.quad[0])
-    f = f0[None, :] - (m[:, None] / w) * s_vec[None, :]
+    f = f0[None, :] + (m[:, None] / w) * s_vec[None, :]
     p = f[:, i] * f[:, j]
     r = f[:, k] * f[:, l]
     lam = log_mean(p, r)
     integrand = 1.0 / np.sqrt(kappa * lam)
     return float(scale * np.sum(ws * integrand))
-
-
-def _signed_indicator(n: int, quad_row: np.ndarray) -> np.ndarray:
-    s = np.zeros(n)
-    i, j, k, l = quad_row
-    s[[i, j]] += 1.0
-    s[[k, l]] -= 1.0
-    return s
 
 
 def w1_distance(net: VelocityNetwork, f0: np.ndarray, f1: np.ndarray) -> float:
@@ -413,21 +405,16 @@ def w1_distance(net: VelocityNetwork, f0: np.ndarray, f1: np.ndarray) -> float:
     nu = w * np.asarray(f1, dtype=float)
     n = net.n_nodes
     cost = np.linalg.norm(net.nodes[:, None, :] - net.nodes[None, :, :], axis=2)
-    # row sums = mu, col sums = nu (drop one redundant constraint)
-    data, rows, cols = [], [], []
-    for a in range(n):
-        for c in range(n):
-            idx = a * n + c
-            rows.append(a)
-            cols.append(idx)
-            data.append(1.0)
-    for c in range(n - 1):
-        for a in range(n):
-            idx = a * n + c
-            rows.append(n + c)
-            cols.append(idx)
-            data.append(1.0)
-    A = scipy.sparse.csr_matrix((data, (rows, cols)), shape=(2 * n - 1, n * n))
+    # row sums = mu, col sums = nu (drop one redundant constraint); the
+    # plan is flattened row-major, entry (a, c) at a * n + c
+    ones = np.ones((1, n))
+    A = scipy.sparse.vstack(
+        [
+            scipy.sparse.kron(scipy.sparse.eye(n), ones),
+            scipy.sparse.kron(ones, scipy.sparse.eye(n), format="csr")[:-1],
+        ],
+        format="csr",
+    )
     rhs = np.concatenate([mu, nu[:-1]])
     res = scipy.optimize.linprog(
         cost.ravel(), A_eq=A, b_eq=rhs, bounds=(0, None), method="highs"

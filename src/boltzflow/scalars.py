@@ -1,9 +1,11 @@
 """Numerically stable scalar kernels and closed-form Gaussian-mixture ops.
 
 The logarithmic mean and the action/dissipation densities are the
-building blocks of the collision metric; they are implemented with a
-sinh-form branch plus a short series at the seam so that values stay
-accurate down to |s - t| / s ~ 1e-16.
+building blocks of the collision metric.  The logarithmic mean and its
+partials share one kernel, psi(x) = sinh(x/2) / (x/2) with
+x = log(s/t): a 12-term Taylor series below |x| = 2 and the closed form
+above, so no branch cancels and values stay accurate to a few ulp for
+every pair of positive arguments.
 """
 
 from __future__ import annotations
@@ -14,16 +16,34 @@ from typing import Sequence
 
 import numpy as np
 
-# below this |log(s/t)| the sinh form loses digits; series error there is < 1e-26
-_SERIES_CUT = 1e-5
+# Taylor coefficients in t = x^2 / 4 of psi(x) = sinh(x/2) / (x/2),
+# psi'(x) / x and chi(x) = psi / 4 - psi''; all positive, so no term
+# cancels.  Twelve terms leave a truncation error below 1e-25 for |x| < 2.
+_K = np.arange(12)
+_FACT = np.array([float(factorial(m)) for m in range(2 * len(_K) + 2)])
+_PSI = 1.0 / _FACT[2 * _K + 1]
+_DPSI = (_K + 1) / (2.0 * _FACT[2 * _K + 3])
+_CHI = 1.0 / (2.0 * _FACT[2 * _K] * (2 * _K + 1) * (2 * _K + 3))
+_PSI_CUT = 2.0
+_polyval = np.polynomial.polynomial.polyval
+
+
+def _psi(x: np.ndarray):
+    """psi(x) = sinh(x/2) / (x/2) and the mask of its series branch."""
+    small = np.abs(x) < _PSI_CUT
+    psi = np.empty_like(x)
+    psi[small] = _polyval(0.25 * x[small] ** 2, _PSI)
+    h = 0.5 * x[~small]
+    psi[~small] = np.sinh(h) / h
+    return psi, small
 
 
 def log_mean(s, t):
     """Logarithmic mean L(s, t) = (s - t) / (log s - log t).
 
     L(s, s) = s and L(s, 0) = L(0, t) = 0.  Vectorized; negative input
-    raises.  Stable form: with r = log(s/t),
-    L = sqrt(s t) * sinh(r/2) / (r/2), series-expanded for small |r|.
+    raises.  For s, t > 0 it is sqrt(s t) psi(log(s/t)) through the same
+    psi kernel as log_mean_and_partials, so both return the same bits.
     """
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -34,27 +54,8 @@ def log_mean(s, t):
     out = np.zeros(s.shape)
     pos = (s > 0) & (t > 0)
     sp, tp = s[pos], t[pos]
-    r = np.log(sp / tp)
-    g = np.sqrt(sp * tp)
-    small = np.abs(r) < _SERIES_CUT
-    val = np.empty_like(g)
-    h = 0.5 * r[~small]
-    val[~small] = g[~small] * np.sinh(h) / h
-    r2 = r[small] ** 2
-    val[small] = g[small] * (1.0 + r2 / 24.0 + r2 * r2 / 1920.0)
-    out[pos] = val
+    out[pos] = np.sqrt(sp * tp) * _psi(np.log(sp / tp))[0]
     return float(out[0]) if scalar else out
-
-
-# Taylor coefficients in t = x^2 / 4 of psi(x) = sinh(x/2) / (x/2),
-# psi'(x) / x and chi(x) = psi / 4 - psi''; all positive, so no term
-# cancels.  Twelve terms leave a truncation error below 1e-25 for |x| < 2.
-_K = np.arange(12)
-_FACT = np.array([float(factorial(m)) for m in range(2 * len(_K) + 2)])
-_PSI = 1.0 / _FACT[2 * _K + 1]
-_DPSI = (_K + 1) / (2.0 * _FACT[2 * _K + 3])
-_CHI = 1.0 / (2.0 * _FACT[2 * _K] * (2 * _K + 1) * (2 * _K + 3))
-_PSI_CUT = 2.0
 
 
 def log_mean_and_partials(p: np.ndarray, r: np.ndarray):
@@ -72,21 +73,17 @@ def log_mean_and_partials(p: np.ndarray, r: np.ndarray):
     """
     x = np.log(p / r)
     E = np.sqrt(p * r)
-    small = np.abs(x) < _PSI_CUT
-    psi = np.empty_like(x)
+    psi, small = _psi(x)
     up = np.empty_like(x)  # psi/2 + psi'
     down = np.empty_like(x)  # psi/2 - psi'
     chi = np.empty_like(x)
     xs = x[small]
     t = 0.25 * xs**2
-    polyval = np.polynomial.polynomial.polyval
-    psi[small] = polyval(t, _PSI)
-    dpsi = xs * polyval(t, _DPSI)
+    dpsi = xs * _polyval(t, _DPSI)
     up[small] = 0.5 * psi[small] + dpsi
     down[small] = 0.5 * psi[small] - dpsi
-    chi[small] = polyval(t, _CHI)
+    chi[small] = _polyval(t, _CHI)
     xl = x[~small]
-    psi[~small] = np.sinh(0.5 * xl) / (0.5 * xl)
     up[~small] = (np.exp(0.5 * xl) - psi[~small]) / xl
     down[~small] = (psi[~small] - np.exp(-0.5 * xl)) / xl
     chi[~small] = 2.0 * (np.cosh(0.5 * xl) - psi[~small]) / xl**2

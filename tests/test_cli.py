@@ -87,10 +87,25 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
 
     assert main(["forward", "--config", str(tmp_path / "none.json")]) == EXIT_CONFIG
 
+    # ill-typed experiment fields: each must have its default's type
+    for etype, key, value in (
+        ("consistency", "Ns", 5),
+        ("forward", "perturbation", "big"),
+        ("jko", "probe_times", 0.5),
+        ("kac", "ou_time", "x"),
+    ):
+        typed = tmp_path / f"typed_{etype}.json"
+        typed.write_text(json.dumps({"experiment": {"type": etype, key: value},
+                                     "out": str(tmp_path / "typed")}))
+        capsys.readouterr()
+        assert main([etype, "--config", str(typed)]) == EXIT_CONFIG
+        assert f"experiment.{key}" in capsys.readouterr().err
+
     # numerical failure: a proximal step worse than staying put
     def ascend(evaluate, y0, opts):
-        _, g, _ = evaluate(y0)
-        return y0 + 1e-4 * g / (g @ g), 0.0, 0
+        g = evaluate(y0)[1]
+        y = y0 + 1e-4 * g / (g @ g)
+        return y, 0.0, 0, evaluate(y)
 
     monkeypatch.setattr(boltzflow.jko, "_minimize_smooth", ascend)
     capsys.readouterr()

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -147,21 +148,56 @@ def test_distance_d3(d3):
     assert gradient_form_residual(net3, a) <= 1e-4
 
 
+def _geodesic_pair(net, feq, seed):
+    """The geodesic benchmark's seeded pair of moment-matched tilts."""
+    rng = np.random.Generator(np.random.Philox(seed).jumped(0))
+    return [
+        tilt_to_moments(
+            net, feq * np.exp(0.25 * rng.standard_normal(net.n_nodes)), net.moments(feq)
+        )
+        for _ in range(2)
+    ]
+
+
 def test_floor_sensitivity_zero_when_nothing_is_clipped(net, feq):
     # the geodesic benchmark's pairs: their paths stay above 4.7e-6, so
-    # clipping at 10 x FLOOR changes nothing and both sums must agree bit
-    # for bit (summing in two orders differs in the last bit on some seeds)
+    # clipping at 10 x FLOOR changes nothing and the sensitivity is 0
     for seed in range(1, 9):
-        rng = np.random.Generator(np.random.Philox(seed).jumped(0))
-        a, b = (
-            tilt_to_moments(
-                net, feq * np.exp(0.25 * rng.standard_normal(net.n_nodes)), net.moments(feq)
-            )
-            for _ in range(2)
-        )
-        sol = solve_distance(net, a, b, K=8)
+        sol = solve_distance(net, *_geodesic_pair(net, feq, seed), K=8)
         assert np.min(sol.path) > 10.0 * FLOOR
         assert sol.floor_sensitivity == 0.0
+
+
+@pytest.mark.parametrize("solver", ["solve_distance", "jko_step"])
+def test_no_path_evaluation_after_newton(net, feq, tilted, monkeypatch, solver):
+    # the Newton loop hands back the evaluation of its minimizer; with
+    # nothing clipped, neither caller evaluates the path again
+    module = boltzflow.metric if solver == "solve_distance" else boltzflow.jko
+    real_minimize = module._minimize_smooth
+    real_evaluate = boltzflow.metric._PathProblem.evaluate
+    calls = {"after": 0, "done": False}
+
+    def minimize(*args):
+        out = real_minimize(*args)
+        calls["done"] = True
+        return out
+
+    def evaluate(self, *args, **kwargs):
+        calls["after"] += calls["done"]
+        return real_evaluate(self, *args, **kwargs)
+
+    monkeypatch.setattr(module, "_minimize_smooth", minimize)
+    monkeypatch.setattr(boltzflow.metric._PathProblem, "evaluate", evaluate)
+    if solver == "solve_distance":
+        for seed in (1, 2, 3):
+            a, b = _geodesic_pair(net, feq, seed)
+            for f0, f1 in ((a, b), (b, a)):
+                calls["done"] = False
+                sol = solve_distance(net, f0, f1, K=8)
+                assert np.min(sol.path) > 10.0 * FLOOR
+    else:
+        boltzflow.jko.jko_step(net, tilted(1), 0.1, K=4)
+    assert calls["done"] and calls["after"] == 0
 
 
 def test_distance_moment_mismatch_rejected(net, feq, tilted):
@@ -188,9 +224,9 @@ def test_reduced_hessian_matches_gradient_differences(net, tilted, d3, monkeypat
     seen = {}
 
     def spy(evaluate, y0, opts):
-        y_opt, kkt, iters = real(evaluate, y0, opts)
-        seen.update(evaluate=evaluate, points=(y0, y_opt))
-        return y_opt, kkt, iters
+        out = real(evaluate, y0, opts)
+        seen.update(evaluate=evaluate, points=(y0, out[0]))
+        return out
 
     monkeypatch.setattr(module, "_minimize_smooth", spy)
     g, tilt = (net, tilted) if d == 2 else d3
@@ -258,7 +294,22 @@ def test_single_quadruple_oracle_points(net):
     s[[i, j]] += 1.0
     s[[k, l]] -= 1.0
     f1 = f0 - 0.02 / sub.node_weight * s
-    ref = single_quadruple_oracle(sub, f0, f1, n_points=4096)
+    # int_0^m1 dm / sqrt(kappa Lambda(f_i f_j, f_k f_l)) along
+    # f = f0 - (m / w) s, to 30 digits; Lambda = sqrt(p r) sinh(x/2) / (x/2)
+    # with x = log(p / r) stays accurate where p and r nearly agree
+    w = float(sub.node_weight)
+    kappa = float(sub.W_q[0] * sub.B_q[0])
+    m1 = float(w * (f0[i] - f1[i]))
+    with mpmath.workdps(30):
+
+        def integrand(m):
+            f = [mpmath.mpf(f0[a]) - m / w * float(s[a]) for a in (i, j, k, l)]
+            p, r = f[0] * f[1], f[2] * f[3]
+            half = (mpmath.log(p) - mpmath.log(r)) / 2
+            lam = mpmath.sqrt(p * r) * (mpmath.sinh(half) / half if half else 1)
+            return 1 / mpmath.sqrt(kappa * lam)
+
+        ref = float(abs(mpmath.quad(integrand, [0, m1])))
     assert abs(single_quadruple_oracle(sub, f0, f1) - ref) <= 1e-14 * ref
 
 

@@ -52,11 +52,22 @@ def test_log_mean_quadrature_oracle():
         s, t = 10.0 ** rng.uniform(-12, 12, 2)
         ref = oracle(s, t)
         assert abs(log_mean(s, t) - ref) <= 1e-12 * ref
-    # seam of the series branch
+    # near the diagonal, deep in the series branch
     for s in (1.0, 1e6, 1e-9):
         t = s * (1 - 1e-9)
         ref = oracle(s, t)
         assert abs(log_mean(s, t) - ref) <= 1e-12 * ref
+
+
+def test_log_mean_is_the_partials_kernel():
+    # one psi kernel: the same bits on both sides of its series cut at
+    # |log(s/t)| = 2, near the diagonal and across decades of scale
+    rng = np.random.default_rng(7)
+    x = rng.choice([-1, 1], 4000) * 10.0 ** rng.uniform(-12, np.log10(30.0), 4000)
+    x = np.concatenate([x, [0.0, 2.0, -2.0, np.nextafter(2.0, 0.0), -np.nextafter(2.0, 0.0)]])
+    t = 10.0 ** rng.uniform(-12, 12, len(x))
+    s = t * np.exp(x)
+    assert np.array_equal(log_mean(s, t), log_mean_and_partials(s, t)[0])
 
 
 def _log_mean_jet_reference(p, r):
