@@ -17,12 +17,12 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, config_to_dict, parse_config
+from .config import ConfigError, RunConfig, config_to_dict, parse_config, parse_config_dict
 from .forward import (
     NumericalError,
     StiffnessError,
@@ -67,17 +67,7 @@ class RunManifest:
     files: dict  # name -> sha256
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "config_hash": self.config_hash,
-                "version": self.version,
-                "wall_clock": self.wall_clock,
-                "tolerances": self.tolerances,
-                "files": self.files,
-            },
-            indent=1,
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), indent=1, sort_keys=True)
 
 
 def _sha256(path: str) -> str:
@@ -438,7 +428,6 @@ def _load_config(args, default_experiment: str) -> RunConfig:
     if args.config is not None:
         cfg = parse_config(args.config)
     else:
-        from .config import parse_config_dict
         cfg = parse_config_dict({"experiment": {"type": default_experiment}})
     if args.out is not None:
         cfg.out = args.out

@@ -8,7 +8,7 @@ well-formed configuration.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 from .kinematics import Kernel
 
@@ -44,6 +44,10 @@ class RunConfig:
     seed: int = 0
     threads: int = 1
 
+
+# block defaults, read once from the dataclasses that hold them
+_NETWORK_FIELDS = asdict(NetworkConfig())
+_KERNEL_FIELDS = asdict(KernelConfig())
 
 # experiment parameter schema: name -> default; a value must have the type of
 # its default (a number, or a list of numbers)
@@ -116,8 +120,7 @@ def parse_config_dict(raw: dict) -> RunConfig:
         raise ConfigError(f"unknown key {sorted(unknown)[0]!r}")
 
     net_raw = raw.get("network", {})
-    net = _take(net_raw if isinstance(net_raw, dict) else {}, "network",
-                {"d": 2, "V": 3.0, "h": 1.0})
+    net = _take(net_raw if isinstance(net_raw, dict) else {}, "network", _NETWORK_FIELDS)
     if net["d"] not in (2, 3):
         raise ConfigError("network.d must be 2 or 3")
     _positive(net["V"], "network.V")
@@ -128,8 +131,7 @@ def parse_config_dict(raw: dict) -> RunConfig:
     network = NetworkConfig(d=int(net["d"]), V=float(net["V"]), h=float(net["h"]))
 
     ker_raw = raw.get("kernel", {})
-    ker = _take(ker_raw if isinstance(ker_raw, dict) else {}, "kernel",
-                {"kind": "constant", "b": 1.0, "lo": 0.5, "hi": 2.0})
+    ker = _take(ker_raw if isinstance(ker_raw, dict) else {}, "kernel", _KERNEL_FIELDS)
     if ker["kind"] not in ("constant", "clamp"):
         raise ConfigError("kernel.kind must be 'constant' or 'clamp'")
     if ker["kind"] == "constant":
@@ -195,12 +197,4 @@ def parse_config(path: str) -> RunConfig:
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    return {
-        "network": {"d": cfg.network.d, "V": cfg.network.V, "h": cfg.network.h},
-        "kernel": {"kind": cfg.kernel.kind, "b": cfg.kernel.b,
-                   "lo": cfg.kernel.lo, "hi": cfg.kernel.hi},
-        "experiment": dict(cfg.experiment),
-        "out": cfg.out,
-        "seed": cfg.seed,
-        "threads": cfg.threads,
-    }
+    return asdict(cfg)

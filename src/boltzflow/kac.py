@@ -9,13 +9,12 @@ generator so runs are independent and reproducible.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .kinematics import SPHERE_SURFACE, Kernel, collide
+from .kinematics import SPHERE_SURFACE, Kernel, _check_unit, _collide
 from .scalars import GaussianMixture
 
 
@@ -72,14 +71,10 @@ class EventLog:
     def to_csv(self) -> str:
         d = self.omegas.shape[1]
         cols = ["t", "i", "j"] + [f"omega{ax}" for ax in "xyz"[:d]] + ["accepted"]
-        buf = io.StringIO()
-        buf.write(",".join(cols) + "\n")
-        for m in range(self.n_events):
-            row = [f"{self.times[m]:.17g}", str(int(self.pairs[m, 0])), str(int(self.pairs[m, 1]))]
-            row += [f"{x:.17g}" for x in self.omegas[m]]
-            row.append("1" if self.accepted[m] else "0")
-            buf.write(",".join(row) + "\n")
-        return buf.getvalue()
+        row = ",".join(["{:.17g}", "{:d}", "{:d}"] + ["{:.17g}"] * d + ["{:d}"]) + "\n"
+        columns = [self.times, *self.pairs.T, *self.omegas.T, self.accepted]
+        body = "".join(row.format(*r) for r in zip(*(c.tolist() for c in columns)))
+        return ",".join(cols) + "\n" + body
 
 
 def stream(seed: int) -> np.random.Generator:
@@ -162,60 +157,43 @@ def simulate(
     rng = seed if isinstance(seed, np.random.Generator) else stream(seed)
     seed_tag = seed if isinstance(seed, (int, np.integer)) else -1
 
-    record = None
+    record = np.sort(np.asarray([] if record_times is None else record_times, dtype=float))
+    if np.any(record < 0) or np.any(record > T + 1e-12):
+        raise ValueError("record times must lie in [0, T]")
     snapshots = []
-    if record_times is not None:
-        record = np.sort(np.asarray(record_times, dtype=float))
-        if np.any(record < 0) or np.any(record > T + 1e-12):
-            raise ValueError("record times must lie in [0, T]")
 
     n_pairs = N * (N - 1) // 2
     v = state.velocities.copy()
     t = 0.0
-    times, prs, oms, accs = [], [], [], []
+    chunks = []
     rec_ptr = 0
     chunk = 4096
-    done = False
-    while not done:
+    while True:
         gaps = rng.exponential(1.0 / rate, chunk)
         pick_i, pick_j = _pair_from_index(N, rng.integers(0, n_pairs, chunk))
-        om = _unit_vectors(rng, chunk, d)
+        om = _check_unit(_unit_vectors(rng, chunk, d))
         u = rng.random(chunk)
-        for e in range(chunk):
-            t_next = t + gaps[e]
-            if record is not None:
-                while rec_ptr < len(record) and record[rec_ptr] <= min(t_next, T):
-                    snapshots.append(ParticleState(v.copy()))
-                    rec_ptr += 1
-            if t_next > T:
-                done = True
-                break
-            t = t_next
+        # sequential sums t + gaps[0] + ... + gaps[e], as the event clock runs
+        times = np.cumsum(np.append(t, gaps))[1:]
+        m = int(np.searchsorted(times, T, side="right"))
+        accepted = np.zeros(m, dtype=bool)
+        for e in range(m):
+            while rec_ptr < len(record) and record[rec_ptr] <= times[e]:
+                snapshots.append(ParticleState(v.copy()))
+                rec_ptr += 1
             i, j = pick_i[e], pick_j[e]
-            b = float(kernel(v[i] - v[j]))
-            acc = u[e] * c2 < b
-            if acc:
-                vi, vj = collide(v[i], v[j], om[e])
-                v[i] = vi
-                v[j] = vj
-            times.append(t)
-            prs.append((i, j))
-            oms.append(om[e])
-            accs.append(acc)
-    if record is not None:
-        while rec_ptr < len(record):
-            snapshots.append(ParticleState(v.copy()))
-            rec_ptr += 1
-    log = EventLog(
-        times=np.array(times),
-        pairs=np.array(prs, dtype=np.int64).reshape(-1, 2),
-        omegas=np.array(oms).reshape(-1, d),
-        accepted=np.array(accs, dtype=bool),
-        seed=int(seed_tag),
-        kernel=kernel,
-    )
+            if u[e] * c2 < float(kernel(v[i] - v[j])):
+                accepted[e] = True
+                v[i], v[j] = _collide(v[i], v[j], om[e])
+        chunks.append((times[:m], np.column_stack([pick_i[:m], pick_j[:m]]), om[:m], accepted))
+        if m < chunk:
+            break
+        t = times[-1]
+    snapshots += [ParticleState(v.copy()) for _ in record[rec_ptr:]]
+    times, pairs, omegas, accepted = (np.concatenate(c) for c in zip(*chunks))
+    log = EventLog(times, pairs, omegas, accepted, seed=int(seed_tag), kernel=kernel)
     final = ParticleState(v)
-    if record is not None:
+    if record_times is not None:
         return final, log, snapshots
     return final, log
 

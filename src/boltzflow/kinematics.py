@@ -39,8 +39,11 @@ def collide(v: np.ndarray, v_star: np.ndarray, omega: np.ndarray):
     notes/decisions.md).  Broadcasts over leading axes.
     """
     omega = _check_unit(omega)
-    v = np.asarray(v, dtype=float)
-    v_star = np.asarray(v_star, dtype=float)
+    return _collide(np.asarray(v, dtype=float), np.asarray(v_star, dtype=float), omega)
+
+
+def _collide(v: np.ndarray, v_star: np.ndarray, omega: np.ndarray):
+    """The arithmetic of collide, for float arrays and checked unit omega."""
     ip = np.sum((v - v_star) * omega, axis=-1, keepdims=True)
     shift = ip * omega
     return v - shift, v_star + shift

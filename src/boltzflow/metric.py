@@ -416,8 +416,11 @@ def w1_distance(net: VelocityNetwork, f0: np.ndarray, f1: np.ndarray) -> float:
         format="csr",
     )
     rhs = np.concatenate([mu, nu[:-1]])
+    # HiGHS's default feasibility tolerance (1e-7) exceeds the smallest node
+    # masses of d = 3 Maxwellians (below 1e-7 at V/h = 3)
     res = scipy.optimize.linprog(
-        cost.ravel(), A_eq=A, b_eq=rhs, bounds=(0, None), method="highs"
+        cost.ravel(), A_eq=A, b_eq=rhs, bounds=(0, None), method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
     )
     if not res.success:
         raise RuntimeError(f"W1 linear program failed: {res.message}")

@@ -10,7 +10,7 @@ node weight w = h^d.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -47,7 +47,6 @@ class VelocityNetwork:
     omega: np.ndarray  # (Q, d) representative collision directions
     B_q: np.ndarray  # (Q,)
     W_q: np.ndarray  # (Q,)
-    invariants: np.ndarray = field(default=None)  # (n, m) orthonormal basis
 
     @property
     def n_nodes(self) -> int:
@@ -95,6 +94,12 @@ class VelocityNetwork:
         cols = np.tile(np.arange(Q), 4)
         vals = np.concatenate([-np.ones(2 * Q), np.ones(2 * Q)])
         return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(self.n_nodes, Q))
+
+    @cached_property
+    def invariants(self) -> np.ndarray:
+        """(n, m) orthonormal basis of node functions conserved by every quadruple."""
+        vals, vecs = np.linalg.eigh(self.laplacian(np.ones(self.n_quadruples)))
+        return vecs[:, vals < 1e-9 * max(vals.max(), 1.0)]
 
     def grad_bar(self, phi: np.ndarray) -> np.ndarray:
         """Discrete collision gradient: phi_k + phi_l - phi_i - phi_j."""
@@ -149,13 +154,6 @@ class VelocityNetwork:
             ],
         }
         return json.dumps(payload, indent=1, sort_keys=True)
-
-
-def _invariant_basis(net: VelocityNetwork) -> np.ndarray:
-    """Orthonormal basis of node functions conserved by every quadruple."""
-    vals, vecs = np.linalg.eigh(net.laplacian(np.ones(net.n_quadruples)))
-    null = vals < 1e-9 * max(vals.max(), 1.0)
-    return vecs[:, null]
 
 
 def _join_quadruples(lattice: np.ndarray, M: int) -> np.ndarray:
@@ -230,7 +228,6 @@ def build_network(d: int, V: float, h: float, kernel: Kernel) -> VelocityNetwork
         B_q=B_q,
         W_q=W_q,
     )
-    net.invariants = _invariant_basis(net)
 
     # every emitted quadruple must reproduce (v_k, v_l) under the collision map
     vp, vp_star = collide(nodes[quad[:, 0]], nodes[quad[:, 1]], omega)
@@ -245,23 +242,12 @@ def build_network(d: int, V: float, h: float, kernel: Kernel) -> VelocityNetwork
 def restrict_quadruples(net: VelocityNetwork, indices) -> VelocityNetwork:
     """Copy of the network keeping only the selected quadruples.
 
-    Useful for single-reaction tests; the invariant basis is recomputed.
+    Useful for single-reaction tests; S and the invariant basis are
+    derived anew from the kept quadruples.
     """
     indices = np.atleast_1d(np.asarray(indices, dtype=np.int64))
-    sub = VelocityNetwork(
-        d=net.d,
-        V=net.V,
-        h=net.h,
-        kernel=net.kernel,
-        lattice=net.lattice,
-        nodes=net.nodes,
-        quad=net.quad[indices],
-        omega=net.omega[indices],
-        B_q=net.B_q[indices],
-        W_q=net.W_q[indices],
-    )
-    sub.invariants = _invariant_basis(sub)
-    return sub
+    return replace(net, quad=net.quad[indices], omega=net.omega[indices],
+                   B_q=net.B_q[indices], W_q=net.W_q[indices])
 
 
 # -- moment-matched densities ----------------------------------------------

@@ -1,13 +1,19 @@
-"""Slow reference implementations that the network operators are tested against.
+"""Slow reference implementations that the fast paths are tested against.
 
 Each function spells out one formula directly: quadruple enumeration by
-brute force or by a dict join over pair keys, and the incidence
-operators as per-slot `np.add.at` scatters.  None of them share code
-with `boltzflow.network`.
+brute force or by a dict join over pair keys, the incidence operators
+as per-slot `np.add.at` scatters, the W1 distance by its
+Kantorovich-Rubinstein dual, and the Kac walk and its CSV log one event
+and one row at a time.  None of them share code with the functions they
+check.
 """
 
 import numpy as np
+import scipy.optimize
+import scipy.sparse
 
+from boltzflow.kac import EventLog, ParticleState, _pair_from_index, _unit_vectors, stream
+from boltzflow.kinematics import SPHERE_SURFACE, collide
 from boltzflow.scalars import log_mean
 
 
@@ -118,3 +124,98 @@ def gradient_form_residual(net, solution) -> float:
         phi = np.linalg.solve(L + np.trace(L) / len(L) * (C @ C.T), d)
         worst = max(worst, np.sqrt(max(norm2 - float(d @ phi), 0.0) / norm2))
     return worst
+
+
+def w1_dual(net, f0: np.ndarray, f1: np.ndarray) -> float:
+    """W1 as max sum phi (mu - nu) over phi_a - phi_c <= |v_a - v_c|, phi_0 = 0."""
+    diff = net.node_weight * (np.asarray(f0, dtype=float) - np.asarray(f1, dtype=float))
+    n = net.n_nodes
+    cost = np.linalg.norm(net.nodes[:, None, :] - net.nodes[None, :, :], axis=2)
+    a, c = np.nonzero(~np.eye(n, dtype=bool))
+    rows = np.tile(np.arange(len(a)), 2)
+    vals = np.concatenate([np.ones(len(a)), -np.ones(len(a))])
+    A = scipy.sparse.csr_matrix((vals, (rows, np.concatenate([a, c]))), shape=(len(a), n))
+    res = scipy.optimize.linprog(
+        -diff, A_ub=A, b_ub=cost[a, c], bounds=[(0, 0)] + [(None, None)] * (n - 1),
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.success, res.message
+    return -float(res.fun)
+
+
+def simulate(state, kernel, T, seed, record_times=None):
+    """The Kac walk one event at a time, appending each event to lists.
+
+    Same draws per 4096-event chunk as `boltzflow.kac.simulate`; each
+    event adds its gap to the clock, snapshots the records it passes,
+    and applies the public `collide` (with its unit check) if accepted.
+    """
+    N, d = state.N, state.d
+    c2 = kernel.upper
+    rate = 0.5 * (N - 1) * c2 * SPHERE_SURFACE[d]
+    rng = seed if isinstance(seed, np.random.Generator) else stream(seed)
+    seed_tag = seed if isinstance(seed, (int, np.integer)) else -1
+    record = None if record_times is None else np.sort(np.asarray(record_times, dtype=float))
+    snapshots = []
+    n_pairs = N * (N - 1) // 2
+    v = state.velocities.copy()
+    t = 0.0
+    times, prs, oms, accs = [], [], [], []
+    rec_ptr = 0
+    chunk = 4096
+    done = False
+    while not done:
+        gaps = rng.exponential(1.0 / rate, chunk)
+        pick_i, pick_j = _pair_from_index(N, rng.integers(0, n_pairs, chunk))
+        om = _unit_vectors(rng, chunk, d)
+        u = rng.random(chunk)
+        for e in range(chunk):
+            t_next = t + gaps[e]
+            if record is not None:
+                while rec_ptr < len(record) and record[rec_ptr] <= min(t_next, T):
+                    snapshots.append(ParticleState(v.copy()))
+                    rec_ptr += 1
+            if t_next > T:
+                done = True
+                break
+            t = t_next
+            i, j = pick_i[e], pick_j[e]
+            b = float(kernel(v[i] - v[j]))
+            acc = u[e] * c2 < b
+            if acc:
+                vi, vj = collide(v[i], v[j], om[e])
+                v[i] = vi
+                v[j] = vj
+            times.append(t)
+            prs.append((i, j))
+            oms.append(om[e])
+            accs.append(acc)
+    if record is not None:
+        while rec_ptr < len(record):
+            snapshots.append(ParticleState(v.copy()))
+            rec_ptr += 1
+    log = EventLog(
+        times=np.array(times),
+        pairs=np.array(prs, dtype=np.int64).reshape(-1, 2),
+        omegas=np.array(oms).reshape(-1, d),
+        accepted=np.array(accs, dtype=bool),
+        seed=int(seed_tag),
+        kernel=kernel,
+    )
+    final = ParticleState(v)
+    if record is not None:
+        return final, log, snapshots
+    return final, log
+
+
+def event_log_csv(log) -> str:
+    """The event log as CSV, written row by row with per-cell f-strings."""
+    d = log.omegas.shape[1]
+    lines = [",".join(["t", "i", "j"] + [f"omega{ax}" for ax in "xyz"[:d]] + ["accepted"])]
+    for m in range(log.n_events):
+        row = [f"{log.times[m]:.17g}", str(int(log.pairs[m, 0])), str(int(log.pairs[m, 1]))]
+        row += [f"{x:.17g}" for x in log.omegas[m]]
+        row.append("1" if log.accepted[m] else "0")
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"

@@ -9,6 +9,7 @@ from boltzflow.cli import (
     EXIT_CONFIG,
     EXIT_DOMAIN,
     EXIT_NUMERICAL,
+    _config_hash,
     main,
     run,
     selftest,
@@ -20,6 +21,34 @@ def _cfg(tmp_path, etype, **kw):
     return parse_config_dict(
         {"experiment": {"type": etype, **kw}, "out": str(tmp_path / "out")}
     )
+
+
+_KAC_THINNED = {
+    "network": {"d": 3, "V": 3.0, "h": 1.0},
+    "kernel": {"kind": "clamp", "lo": 0.5, "hi": 2.0},
+    "experiment": {"type": "kac", "N": 64, "T": 8.0, "replicates": 4,
+                   "bimodal_speed": 1.3, "ou_time": 0.1},
+    "seed": 1,
+    "threads": 1,
+}
+
+
+@pytest.mark.parametrize("raw, digest", [
+    ({"experiment": {"type": "forward"}},
+     "82b77338f97df5e5f419fa8be238c39515cc8863156179e2501f8b41bcbe209d"),
+    ({"experiment": {"type": "distance"}},
+     "5d065b088da26254d4c4074d36447c530ba59530b6f105c7b07c159fb846f101"),
+    ({"experiment": {"type": "jko"}},
+     "aeafdba293b49feae73432f3d1555bb9d96971e69adfe29c46640a88c86ecbef"),
+    ({"experiment": {"type": "kac"}},
+     "179a06707bc323a13e86d1384cfb669db61bbae9bb7e97fc4bb1e8e363bf4e09"),
+    ({"experiment": {"type": "consistency"}},
+     "8e30f42439d4a188239fae674bc46c5abc2a7968113405f43f1e37b9ba475716"),
+    (_KAC_THINNED, "d596a75724561f751c90b8bff0a9cbb2f8952f5a5eddcaf7855d07474867350a"),
+], ids=["forward", "distance", "jko", "kac", "consistency", "kac-clamp-d3"])
+def test_config_hash_is_pinned(raw, digest):
+    # manifests of earlier runs stay comparable: the hash of a config never moves
+    assert _config_hash(parse_config_dict(raw)) == digest
 
 
 def test_selftest_all_pass():

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import boltzflow.kac
+import oracles
 from boltzflow.cli import bimodal_mixture
 from boltzflow.kac import (
     ParticleState,
@@ -16,6 +18,7 @@ from boltzflow.kinematics import SPHERE_SURFACE, Kernel
 from boltzflow.scalars import standard_mixture
 
 K1 = Kernel("constant", b=1.0)
+KC = Kernel("clamp", lo=0.5, hi=2.0)
 
 
 def test_particle_state_validation():
@@ -94,6 +97,77 @@ def test_event_log_csv():
     lines = log.to_csv().strip().split("\n")
     assert lines[0] == "t,i,j,omegax,omegay,accepted"
     assert len(lines) == log.n_events + 1
+
+
+def _expected_T(N, d, kernel, events):
+    return events / (0.5 * (N - 1) * kernel.upper * SPHERE_SURFACE[d])
+
+
+def _assert_bit_identical(got, ref):
+    """Same event log, final state and snapshots, compared bit for bit."""
+    assert len(got) == len(ref)
+    log, ref_log = got[1], ref[1]
+    assert log.pairs.dtype == np.int64 and log.accepted.dtype == bool
+    for name in ("times", "pairs", "omegas", "accepted"):
+        a, b = getattr(log, name), getattr(ref_log, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert log.seed == ref_log.seed and log.kernel == ref_log.kernel
+    states = [got[0], *(got[2] if len(got) == 3 else [])]
+    ref_states = [ref[0], *(ref[2] if len(ref) == 3 else [])]
+    assert len(states) == len(ref_states)
+    for s, r in zip(states, ref_states):
+        assert s.velocities.tobytes() == r.velocities.tobytes()
+
+
+@pytest.mark.parametrize("kernel", [K1, KC], ids=["constant", "clamp"])
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("N", [2, 7, 64, 4096])
+def test_simulate_matches_per_event_oracle(N, d, kernel):
+    # about 5000 proposals: every walk crosses the 4096-event chunk boundary
+    T = _expected_T(N, d, kernel, 5000)
+    s0 = sample_initial(N, standard_mixture(d), 100 + N)
+    ref = oracles.simulate(s0, kernel, T, 21)
+    assert ref[1].n_events > 4097
+    _assert_bit_identical(simulate(s0, kernel, T, 21), ref)
+    # the same walk cut exactly at its last event time, with records at that
+    # end time and at event times on both sides of the chunk boundary
+    times = ref[1].times
+    end = times[-1]
+    records = [end, 0.0, times[100], times[4095], times[4096], end / 3]
+    _assert_bit_identical(
+        simulate(s0, kernel, end, 21, record_times=records),
+        oracles.simulate(s0, kernel, end, 21, record_times=records),
+    )
+
+
+@pytest.mark.parametrize("records", [None, [0.0]])
+def test_simulate_at_time_zero_matches_oracle(records):
+    s0 = sample_initial(7, standard_mixture(3), 5)
+    got = simulate(s0, KC, 0.0, 3, record_times=records)
+    _assert_bit_identical(got, oracles.simulate(s0, KC, 0.0, 3, record_times=records))
+    assert got[1].n_events == 0 and got[1].omegas.shape == (0, 3)
+
+
+def test_simulate_checks_directions_once_per_chunk(monkeypatch):
+    shapes = []
+    check = boltzflow.kac._check_unit
+
+    def spy(omega):
+        shapes.append(np.shape(omega))
+        return check(omega)
+
+    monkeypatch.setattr(boltzflow.kac, "_check_unit", spy)
+    s0 = sample_initial(64, standard_mixture(2), 6)
+    _, log = simulate(s0, K1, _expected_T(64, 2, K1, 9000), 8)
+    assert 8192 < log.n_events
+    assert shapes == [(4096, 2)] * (log.n_events // 4096 + 1)
+
+
+@pytest.mark.parametrize("d, kernel, T", [(2, K1, 0.5), (3, KC, 0.5), (3, KC, 0.0)])
+def test_event_log_csv_matches_row_writer(d, kernel, T):
+    s0 = sample_initial(16, standard_mixture(d), 9)
+    _, log = simulate(s0, kernel, T, 17)
+    assert log.to_csv().encode() == oracles.event_log_csv(log).encode()
 
 
 def test_empirical_moments_hand_formula():

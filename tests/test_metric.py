@@ -350,3 +350,19 @@ def test_w1_distance():
     dist = np.linalg.norm(small.nodes[a] - small.nodes[b])
     assert np.isclose(w1_distance(small, f0, f1), small.node_weight * dist, rtol=1e-9)
     assert w1_distance(small, f0, f0) <= 1e-12
+
+
+def test_w1_distance_d3_small_masses():
+    # d=3, V/h=3: node masses down to 3.5e-8, below HiGHS's default 1e-7
+    # feasibility tolerance, which then calls this feasible LP infeasible
+    from boltzflow.kinematics import Kernel
+    from boltzflow.network import build_network, maxent_project
+
+    net3 = build_network(3, 3.0, 1.0, Kernel("constant", b=1.0))
+    feq3 = maxent_project(net3)
+    rng = np.random.Generator(np.random.Philox(1))
+    g = tilt_to_moments(net3, feq3 * np.exp(0.2 * rng.standard_normal(net3.n_nodes)),
+                        net3.moments(feq3))
+    assert net3.node_weight * g.min() < 1e-7
+    ref = oracles.w1_dual(net3, feq3, g)
+    assert abs(w1_distance(net3, feq3, g) - ref) <= 1e-12 * ref
