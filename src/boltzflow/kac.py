@@ -5,6 +5,11 @@ clock at the dominating rate and accepted by thinning against the
 kernel bound, which realizes per-pair rates (1/N) B(v_i - v_j, omega)
 d omega exactly.  Replicates use jumped streams of a counter-based
 generator so runs are independent and reproducible.
+
+Proposals are drawn in chunks of 4096 and applied by dependency level:
+the proposals of one level touch disjoint particles, so each level is
+one batch (one thinning test, one collision call), and every particle
+sees the operations of the one-at-a-time walk in the same order.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .kinematics import SPHERE_SURFACE, Kernel, _check_unit, _collide
 from .scalars import GaussianMixture
@@ -135,6 +139,71 @@ def _pair_from_index(N: int, pick: np.ndarray):
     return i, pick - starts[i] + i + 1
 
 
+def _levels(pick_i, pick_j, cuts: list, N: int):
+    """Dependency level of each event of a chunk, and the highest level.
+
+    An event's level is one more than the latest level of its two
+    particles in the chunk, and than the highest level reached before the
+    last barrier.  So events of one level touch disjoint particles, and
+    every event after a barrier is levelled above every event before it.
+    `cuts` lists the barrier positions, starting with 0.
+    """
+    last = [0] * N
+    levels, top = [], 0
+    bounds = [*cuts, len(pick_i)]
+    for s, e in zip(bounds, bounds[1:]):
+        floor = top
+        for a, b in zip(pick_i[s:e], pick_j[s:e]):
+            # max(last[a], last[b], floor) + 1, spelled out: a third of the time
+            lv = last[a]
+            if last[b] > lv:
+                lv = last[b]
+            if floor > lv:
+                lv = floor
+            lv += 1
+            last[a] = last[b] = lv
+            levels.append(lv)
+        top = max(levels[s:e], default=top)
+    return np.array(levels, dtype=np.int64), top
+
+
+def _apply_chunk(v, pick_i, pick_j, om, uc, kernel: Kernel, at: list, snapshots: list):
+    """Apply a chunk's proposals to v in place, level by level.
+
+    `uc` is u * c2 per proposal.  A snapshot of v is appended to
+    `snapshots` before the proposal at each position in `at`.  Returns
+    the acceptance flags in chunk order.
+    """
+    # memoryviews yield one Python int at a time, where tolist() would
+    # hold the whole chunk's
+    levels, top = _levels(memoryview(pick_i), memoryview(pick_j), [0, *at], len(v))
+    order = np.argsort(levels, kind="stable")
+    ends = np.searchsorted(levels[order], np.arange(1, top + 1), side="right")
+    # the chunk permuted by level: level n is the slice ends[n-1]:ends[n]
+    I, J, W, uc = pick_i[order], pick_j[order], om[order], uc[order]
+    # exact pre-accept: B >= kernel.lower everywhere
+    acc = uc < kernel.lower
+    undecided = np.flatnonzero(~acc)
+    und_ends = np.searchsorted(undecided, ends)
+    s, k0, r = 0, 0, 0
+    for e, ke in zip(ends.tolist(), und_ends.tolist()):
+        while r < len(at) and at[r] <= s:
+            snapshots.append(ParticleState(v.copy()))
+            r += 1
+        if k0 < ke:
+            k = undecided[k0:ke]
+            acc[k] = uc[k] < kernel(v[I[k]] - v[J[k]])
+            rows = s + acc[s:e].nonzero()[0]
+        else:
+            rows = slice(s, e)
+        a, b = I[rows], J[rows]
+        v[a], v[b] = _collide(v[a], v[b], W[rows])
+        s, k0 = e, ke
+    accepted = np.empty(len(acc), dtype=bool)
+    accepted[order] = acc
+    return accepted
+
+
 def simulate(
     state: ParticleState,
     kernel: Kernel,
@@ -148,6 +217,12 @@ def simulate(
     kernel upper bound; acceptance probability B/c2 per proposal.  If
     record_times is given, state snapshots at those times are returned
     as a third element.
+
+    Each chunk of proposals is applied level by level (`_apply_chunk`).
+    The events of one level touch disjoint particles, so one thinning test
+    for the level's undecided proposals and one `_collide` on its
+    accepted rows give every particle the operations of the sequential
+    walk, in its order, on the same inputs (notes/decisions.md, D7).
     """
     if T < 0:
         raise ValueError("T must be nonnegative")
@@ -176,15 +251,11 @@ def simulate(
         # sequential sums t + gaps[0] + ... + gaps[e], as the event clock runs
         times = np.cumsum(np.append(t, gaps))[1:]
         m = int(np.searchsorted(times, T, side="right"))
-        accepted = np.zeros(m, dtype=bool)
-        for e in range(m):
-            while rec_ptr < len(record) and record[rec_ptr] <= times[e]:
-                snapshots.append(ParticleState(v.copy()))
-                rec_ptr += 1
-            i, j = pick_i[e], pick_j[e]
-            if u[e] * c2 < float(kernel(v[i] - v[j])):
-                accepted[e] = True
-                v[i], v[j] = _collide(v[i], v[j], om[e])
+        # record r is taken before the first event at or after it
+        at = np.searchsorted(times[:m], record[rec_ptr:], side="left")
+        at = at[at < m].tolist()
+        accepted = _apply_chunk(v, pick_i[:m], pick_j[:m], om[:m], u[:m] * c2, kernel, at, snapshots)
+        rec_ptr += len(at)
         chunks.append((times[:m], np.column_stack([pick_i[:m], pick_j[:m]]), om[:m], accepted))
         if m < chunk:
             break
@@ -208,6 +279,21 @@ def empirical_moments(state: ParticleState) -> dict:
         "fourth": float(np.mean(speed2**2)),
         "coord_fourth": np.mean(v**4, axis=0),
     }
+
+
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """log sum_k exp(a[:, k]) per row, by scipy.special.logsumexp's algorithm.
+
+    The row maximum is shifted out and its tied entries are kept out of
+    the sum and counted: log1p(sum exp(a - max) / m) + log(m) + max.
+    Same operations in the same order as scipy's, for finite a.
+    """
+    top = a.max(axis=1, keepdims=True)
+    tied = a == top
+    terms = np.exp(a - top)
+    terms[tied] = 0.0
+    m = np.add.reduce(tied, axis=1, dtype=float)
+    return np.log1p(np.add.reduce(terms, axis=1) / m) + np.log(m) + top[:, 0]
 
 
 def empirical_entropy(
@@ -236,7 +322,7 @@ def empirical_entropy(
         xa = x[a : a + step]
         # |x - m_i|^2 expanded so the inner loop is a single matmul
         q = np.sum(xa**2, axis=1)[:, None] - 2.0 * xa @ means.T + m2[None, :]
-        vals[a : a + step] = logsumexp(-0.5 * q / var, axis=1) + const
+        vals[a : a + step] = _logsumexp_rows(-0.5 * q / var) + const
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_samples))
 
 

@@ -44,7 +44,7 @@ def collide(v: np.ndarray, v_star: np.ndarray, omega: np.ndarray):
 
 def _collide(v: np.ndarray, v_star: np.ndarray, omega: np.ndarray):
     """The arithmetic of collide, for float arrays and checked unit omega."""
-    ip = np.sum((v - v_star) * omega, axis=-1, keepdims=True)
+    ip = np.add.reduce((v - v_star) * omega, axis=-1, keepdims=True)
     shift = ip * omega
     return v - shift, v_star + shift
 
@@ -89,8 +89,9 @@ class Kernel:
         k = np.asarray(k, dtype=float)
         if self.kind == "constant":
             return np.broadcast_to(np.float64(self.b), k.shape[:-1]).copy()
-        speed = np.linalg.norm(k, axis=-1)
-        return np.clip(speed, self.lo, self.hi)
+        # |k| as np.linalg.norm computes it, clipped as np.clip does
+        speed = np.sqrt(np.add.reduce(k * k, axis=-1))
+        return np.minimum(np.maximum(speed, self.lo), self.hi)
 
 
 def angular_integral(kernel: Kernel, k: np.ndarray, d: int = None) -> float:

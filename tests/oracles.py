@@ -3,14 +3,16 @@
 Each function spells out one formula directly: quadruple enumeration by
 brute force or by a dict join over pair keys, the incidence operators
 as per-slot `np.add.at` scatters, the W1 distance by its
-Kantorovich-Rubinstein dual, and the Kac walk and its CSV log one event
-and one row at a time.  None of them share code with the functions they
-check.
+Kantorovich-Rubinstein dual, the Kac walk, its CSV log and its
+dependency levels one event and one row at a time, and the OU entropy
+estimate through scipy's logsumexp.  None of them share code with the
+functions they check.
 """
 
 import numpy as np
 import scipy.optimize
 import scipy.sparse
+import scipy.special
 
 from boltzflow.kac import EventLog, ParticleState, _pair_from_index, _unit_vectors, stream
 from boltzflow.kinematics import SPHERE_SURFACE, collide
@@ -207,6 +209,62 @@ def simulate(state, kernel, T, seed, record_times=None):
     if record is not None:
         return final, log, snapshots
     return final, log
+
+
+def thinning_uniforms(N, d, kernel, seed, n):
+    """The thinning uniforms u of a walk's first n proposals, drawn as `simulate` draws them."""
+    rate = 0.5 * (N - 1) * kernel.upper * SPHERE_SURFACE[d]
+    rng = stream(seed)
+    us = []
+    while 4096 * len(us) < n:
+        rng.exponential(1.0 / rate, 4096)
+        rng.integers(0, N * (N - 1) // 2, 4096)
+        _unit_vectors(rng, 4096, d)
+        us.append(rng.random(4096))
+    return np.concatenate(us)[:n] if us else np.zeros(0)
+
+
+def kac_levels(log, N, record_times=None) -> int:
+    """Number of dependency levels of a walk, counted from its event log.
+
+    The log is cut into the walk's chunks of 4096 proposals, and each chunk
+    again before the first event at or after each record time.  In each
+    piece an event's level is one more than the latest level of either of
+    its particles, and the piece adds its highest level to the count.
+    """
+    record = [] if record_times is None else sorted(record_times)
+    total, top, last, r = 0, 0, [0] * N, 0
+    for e in range(log.n_events):
+        cut = e % 4096 == 0
+        while r < len(record) and record[r] <= log.times[e]:
+            cut = True
+            r += 1
+        if cut:
+            total, top, last = total + top, 0, [0] * N
+        i, j = log.pairs[e]
+        level = 1 + max(last[i], last[j])
+        last[i] = last[j] = level
+        top = max(top, level)
+    return total + top
+
+
+def empirical_entropy(state, ou_time, n_samples=100000, seed=0):
+    """The OU-smoothed entropy estimate with scipy.special.logsumexp per block."""
+    rng = seed if isinstance(seed, np.random.Generator) else stream(seed)
+    N, d = state.N, state.d
+    decay = np.exp(-ou_time)
+    var = 1.0 - decay**2
+    means = decay * state.velocities
+    comp = rng.integers(0, N, n_samples)
+    x = means[comp] + np.sqrt(var) * rng.standard_normal((n_samples, d))
+    const = -0.5 * d * np.log(2.0 * np.pi * var) - np.log(N)
+    m2 = np.sum(means**2, axis=1)
+    vals = np.empty(n_samples)
+    for a in range(0, n_samples, 2000):
+        xa = x[a : a + 2000]
+        q = np.sum(xa**2, axis=1)[:, None] - 2.0 * xa @ means.T + m2[None, :]
+        vals[a : a + 2000] = scipy.special.logsumexp(-0.5 * q / var, axis=1) + const
+    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_samples))
 
 
 def event_log_csv(log) -> str:

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 import boltzflow.kac
 import oracles
 from boltzflow.cli import bimodal_mixture
 from boltzflow.kac import (
     ParticleState,
+    _logsumexp_rows,
     _pair_from_index,
     empirical_entropy,
     empirical_moments,
@@ -148,6 +152,84 @@ def test_simulate_at_time_zero_matches_oracle(records):
     assert got[1].n_events == 0 and got[1].omegas.shape == (0, 3)
 
 
+@pytest.mark.parametrize("kernel", [K1, KC], ids=["constant", "clamp"])
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("N", [64, 4096])
+def test_simulate_record_dense_matches_oracle(N, d, kernel):
+    # 40 records inside the first chunk: at event times, duplicated, and
+    # between two events, so many barriers cut the chunk's levels
+    T = _expected_T(N, d, kernel, 5000)
+    s0 = sample_initial(N, standard_mixture(d), 200 + N)
+    times = oracles.simulate(s0, kernel, T, 23)[1].times
+    pos = np.sort(np.random.default_rng(N + d).choice(np.arange(1, 4095), 25, replace=False))
+    records = [*times[pos], *times[pos[::5]], *(0.5 * (times[pos[:10]] + times[pos[:10] + 1]))]
+    assert len(records) == 40 and max(records) < times[4095]
+    _assert_bit_identical(
+        simulate(s0, kernel, T, 23, record_times=records),
+        oracles.simulate(s0, kernel, T, 23, record_times=records),
+    )
+
+
+@seed(9)
+@settings(max_examples=25, deadline=None)
+@given(
+    N=st.integers(2, 300),
+    d=st.sampled_from([2, 3]),
+    kernel=st.sampled_from([K1, KC]),
+    events=st.floats(0.0, 9000.0),
+    fractions=st.lists(st.floats(0.0, 1.0), max_size=8),
+    walk=st.integers(0, 2**32 - 1),
+)
+def test_simulate_matches_oracle_property(N, d, kernel, events, fractions, walk):
+    T = _expected_T(N, d, kernel, events)
+    s0 = sample_initial(N, standard_mixture(d), walk)
+    records = [f * T for f in fractions]
+    _assert_bit_identical(
+        simulate(s0, kernel, T, walk, record_times=records),
+        oracles.simulate(s0, kernel, T, walk, record_times=records),
+    )
+
+
+@pytest.mark.parametrize("records", [None, [0.5, 0.5, 1.0, 2.0]])
+def test_simulate_applies_one_collide_per_level(monkeypatch, records):
+    # a kac-dense-sized walk: N=4096, constant kernel, about 32k proposals
+    rows = []
+    collide = boltzflow.kac._collide
+
+    def spy(v, v_star, omega):
+        rows.append(len(omega))
+        return collide(v, v_star, omega)
+
+    monkeypatch.setattr(boltzflow.kac, "_collide", spy)
+    s0 = sample_initial(4096, bimodal_mixture(2, 1.3), 7)
+    log = simulate(s0, K1, 2.5, 8, record_times=records)[1]
+    assert 30000 < log.n_events and sum(rows) == log.n_accepted
+    assert len(rows) == oracles.kac_levels(log, 4096, records)
+    assert 100 * len(rows) < log.n_events
+
+
+@pytest.mark.parametrize("kernel", [K1, KC], ids=["constant", "clamp"])
+def test_kernel_sees_only_undecided_proposals(monkeypatch, kernel):
+    s0 = sample_initial(64, standard_mixture(3), 12)
+    T = _expected_T(64, 3, kernel, 9000)
+    ref = oracles.simulate(s0, kernel, T, 14)
+    rows = []
+    call = Kernel.__call__
+
+    def spy(self, k, omega=None):
+        rows.append(len(k))
+        return call(self, k, omega)
+
+    monkeypatch.setattr(Kernel, "__call__", spy)
+    got = simulate(s0, kernel, T, 14)
+    _assert_bit_identical(got, ref)
+    u = oracles.thinning_uniforms(64, 3, kernel, 14, got[1].n_events)
+    undecided = int(np.sum(u * kernel.upper >= kernel.lower))
+    assert len(u) > 8192 and sum(rows) == undecided
+    # the constant kernel is never evaluated: u * b < b for every draw
+    assert (rows == []) == (kernel.kind == "constant")
+
+
 def test_simulate_checks_directions_once_per_chunk(monkeypatch):
     shapes = []
     check = boltzflow.kac._check_unit
@@ -188,6 +270,24 @@ def test_empirical_entropy_gaussian_reference():
     assert se < 0.02
     with pytest.raises(ValueError):
         empirical_entropy(st, 0.0)
+
+
+def test_logsumexp_rows_matches_scipy():
+    rng = stream(3)
+    for scale in (0.1, 1.0, 30.0, 300.0):
+        a = -scale * rng.random((2000, 64))
+        a[::7, 5] = a[::7].max(axis=1)  # a tie with the row maximum
+        a[::11, :4] = 0.25  # four tied maxima
+        a[3] = -1.0  # a row of equal entries
+        got, ref = _logsumexp_rows(a), scipy.special.logsumexp(a, axis=1)
+        assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("N, d", [(64, 2), (64, 3), (500, 3)])
+def test_empirical_entropy_matches_scipy_reference(N, d):
+    state = sample_initial(N, bimodal_mixture(d, 1.3), 40 + N)
+    got = empirical_entropy(state, 0.1, n_samples=9000, seed=5)
+    assert got == oracles.empirical_entropy(state, 0.1, n_samples=9000, seed=5)
 
 
 def test_fourth_moment_of_density(net, feq):
