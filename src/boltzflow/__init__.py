@@ -9,11 +9,10 @@ transport metric, and a Kac N-particle jump process.
 
 __version__ = "0.1.0"
 
-from .config import ConfigError, RunConfig, parse_config, parse_config_dict
+from .config import RunConfig, parse_config, parse_config_dict
+from .errors import ConfigError, DomainError, NumericalError
 from .forward import (
     ForwardTrajectory,
-    NumericalError,
-    StiffnessError,
     collision_operator,
     dissipation,
     energy_identity_report,
@@ -32,7 +31,6 @@ from .kac import (
 )
 from .kinematics import Kernel, angular_integral, collide, povzner_gap
 from .metric import (
-    ConvergenceError,
     MetricSolution,
     SolverOptions,
     cre_residual,
@@ -42,9 +40,6 @@ from .metric import (
     w1_distance,
 )
 from .network import (
-    BuildError,
-    MomentError,
-    NewtonError,
     VelocityNetwork,
     build_network,
     maxent_project,
@@ -55,9 +50,8 @@ from .scalars import GaussianMixture, action_density, log_mean, ou_evolve
 
 __all__ = [
     "__version__",
-    "BuildError",
     "ConfigError",
-    "ConvergenceError",
+    "DomainError",
     "EventLog",
     "ForwardTrajectory",
     "GaussianMixture",
@@ -65,13 +59,10 @@ __all__ = [
     "JkoTrajectory",
     "Kernel",
     "MetricSolution",
-    "MomentError",
-    "NewtonError",
     "NumericalError",
     "ParticleState",
     "RunConfig",
     "SolverOptions",
-    "StiffnessError",
     "VelocityNetwork",
     "action_density",
     "angular_integral",

@@ -5,7 +5,8 @@ the run directory, and finishes with a manifest recording the config
 hash and a checksum inventory of every emitted file.
 
 Exit codes: 0 success, 2 configuration error, 3 domain error,
-4 numerical failure.
+4 numerical failure, one per class in `errors`; any other exception
+propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -22,13 +23,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, config_to_dict, parse_config, parse_config_dict
-from .forward import (
-    NumericalError,
-    StiffnessError,
-    energy_identity_report,
-    solve_forward,
-)
+from .config import RunConfig, config_to_dict, parse_config, parse_config_dict
+from .errors import ConfigError, DomainError, NumericalError
+from .forward import energy_identity_report, solve_forward
 from .jko import compare_to_forward, jko_trajectory
 from .kac import (
     consistency_report,
@@ -38,24 +35,13 @@ from .kac import (
     simulate,
 )
 from .kinematics import Kernel
-from .metric import ConvergenceError, SolverOptions, solve_distance
-from .network import (
-    BuildError,
-    MomentError,
-    NewtonError,
-    VelocityNetwork,
-    build_network,
-    maxent_project,
-    tilt_to_moments,
-)
+from .metric import SolverOptions, solve_distance
+from .network import VelocityNetwork, build_network, maxent_project, tilt_to_moments
 from .scalars import GaussianMixture
 
 EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 EXIT_NUMERICAL = 4
-
-_DOMAIN_ERRORS = (MomentError, BuildError, ValueError)
-_NUMERICAL_ERRORS = (NumericalError, StiffnessError, ConvergenceError, NewtonError)
 
 
 @dataclass
@@ -105,7 +91,7 @@ def bimodal_mixture(d: int, speed: float, sigma2: float = None) -> GaussianMixtu
     """
     if sigma2 is None:
         if speed**2 >= d:
-            raise ValueError(
+            raise DomainError(
                 f"bimodal speed {speed} exceeds the energy budget for d={d}"
             )
         sigma2 = (d - speed**2) / d
@@ -306,7 +292,10 @@ def run(cfg: RunConfig, experiment_kind: str = None) -> RunManifest:
             f"config experiment.type {cfg.experiment['type']!r} does not match "
             f"requested command {kind!r}"
         )
-    os.makedirs(cfg.out, exist_ok=True)
+    try:
+        os.makedirs(cfg.out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {cfg.out}: {exc}") from exc
     written = {}
 
     def write(name: str, text: str):
@@ -464,12 +453,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _NUMERICAL_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except _DOMAIN_ERRORS as exc:
+    except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except NumericalError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -10,11 +10,8 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 
+from .errors import ConfigError
 from .kinematics import Kernel
-
-
-class ConfigError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,10 @@
 The right-hand side is the finite reaction-network form of the collision
 operator; mass, momentum and energy are conserved quadruple by
 quadruple.  The integrator is an embedded Dormand-Prince 4(5) pair with
-a positivity guard and a hard entropy-monotonicity assertion.
+a positivity guard and a hard entropy-monotonicity assertion.  It is
+"first same as last" (FSAL): the last stage of an accepted step is the
+new state, so its rate Q(f5) is the next step's first stage, and each
+step attempt evaluates Q six times.
 """
 
 from __future__ import annotations
@@ -13,23 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError, NumericalError
 from .network import VelocityNetwork
 from .scalars import dissipation_density
-
-
-class StiffnessError(RuntimeError):
-    pass
-
-
-class NumericalError(RuntimeError):
-    pass
 
 
 def collision_operator(net: VelocityNetwork, f: np.ndarray) -> np.ndarray:
     """Rate of change Q(f) per node; sum_v w Q(f)_v = 0 up to roundoff."""
     f = np.asarray(f, dtype=float)
     if np.any(f < 0):
-        raise ValueError("collision_operator requires f >= 0")
+        raise DomainError("collision_operator requires f >= 0")
     p, r = net.pair_products(f)
     return net.div_bar(net.W_q * net.B_q * (p - r)) / net.node_weight
 
@@ -50,18 +46,17 @@ def dissipation(net: VelocityNetwork, f: np.ndarray) -> float:
     return float(np.sum(net.W_q * net.B_q * dens))
 
 
-# Dormand-Prince 4(5) tableau
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+# Dormand-Prince 4(5) tableau; row 6 of _DP_A is the 5th-order weights b5,
+# so the last stage state is the step's solution
+_DP_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
 _DP_B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
@@ -80,7 +75,7 @@ class ForwardTrajectory:
         """State at time t by linear interpolation between accepted steps."""
         t = float(t)
         if t < self.times[0] - 1e-12 or t > self.times[-1] + 1e-12:
-            raise ValueError("time outside trajectory range")
+            raise DomainError("time outside trajectory range")
         idx = np.searchsorted(self.times, t)
         if idx == 0:
             return self.states[0].copy()
@@ -118,7 +113,7 @@ def solve_forward(
     """
     f = np.array(f0, dtype=float)
     if np.any(f <= 0):
-        raise ValueError("solve_forward requires strictly positive f0")
+        raise DomainError("solve_forward requires strictly positive f0")
     t = 0.0
     dt = min(dt_init, max_step, T) if T > 0 else dt_init
     times, states = [0.0], [f.copy()]
@@ -128,23 +123,19 @@ def solve_forward(
     scale_ref = np.abs(f) + 1e-8
     # roundoff-sized remainder after many accumulated steps counts as done
     t_end = T - 1e-12 * max(1.0, T)
+    k = np.empty((7, f.size))
+    k[0] = collision_operator(net, f)
     while t < t_end:
         dt = min(dt, T - t, max_step)
         if dt < 1e-13 * max(1.0, T):
-            raise StiffnessError(f"step size underflow at t = {t:.6g}")
-        k = np.empty((7, f.size))
-        k[0] = collision_operator(net, f)
-        ok = True
+            raise NumericalError(f"step size underflow at t = {t:.6g}")
         for s in range(1, 7):
-            fs = f + dt * (np.array(_DP_A[s]) @ k[:s])
+            fs = f + dt * (_DP_A[s, :s] @ k[:s])
             if np.any(~np.isfinite(fs)):
                 raise NumericalError(f"non-finite state at t = {t:.6g}")
-            fs = np.maximum(fs, 0.0)  # internal stages only
-            k[s] = collision_operator(net, fs)
-        f5 = f + dt * (_DP_B5 @ k)
+            k[s] = collision_operator(net, np.maximum(fs, 0.0))  # clip stages only
+        f5 = fs
         f4 = f + dt * (_DP_B4 @ k)
-        if np.any(~np.isfinite(f5)):
-            raise NumericalError(f"non-finite state at t = {t:.6g}")
         if np.any(f5 < 0):
             dt *= 0.5
             continue
@@ -160,6 +151,7 @@ def solve_forward(
             )
         t += dt
         f = f5
+        k[0] = k[6]  # first same as last: Q(f5) starts the next step
         times.append(t)
         states.append(f.copy())
         Hs.append(H_new)
@@ -205,7 +197,7 @@ def energy_identity_report(traj: ForwardTrajectory) -> dict:
     """
     m = len(traj.times)
     if m < 3:
-        raise ValueError("need at least 3 recorded samples")
+        raise DomainError("need at least 3 recorded samples")
     residuals = []
     total = 0.0
     for i in range(0, m - 2, 2):

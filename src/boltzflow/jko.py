@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import ForwardTrajectory, NumericalError, entropy
+from .errors import DomainError, NumericalError
+from .forward import ForwardTrajectory, entropy
 from .metric import SolverOptions, _minimize_smooth, _PathProblem
 from .network import VelocityNetwork
 
@@ -46,7 +47,7 @@ class JkoTrajectory:
     def interpolant(self, t: float) -> np.ndarray:
         """Piecewise-constant interpolant: f^tau_n on ((n-1) tau, n tau]."""
         if t < -1e-12:
-            raise ValueError("time must be nonnegative")
+            raise DomainError("time must be nonnegative")
         idx = int(np.ceil(max(t, 0.0) / self.tau - 1e-12))
         idx = min(idx, len(self.states) - 1)
         return self.states[idx]
@@ -81,9 +82,9 @@ def jko_step(
     opts = opts or SolverOptions()
     f_prev = np.asarray(f_prev, dtype=float)
     if np.any(f_prev <= 0):
-        raise ValueError("jko_step requires strictly positive f_prev")
+        raise DomainError("jko_step requires strictly positive f_prev")
     if tau <= 0:
-        raise ValueError("tau must be positive")
+        raise DomainError("tau must be positive")
 
     prob = _PathProblem(
         net, np.broadcast_to(f_prev, (K + 1, len(f_prev))), K, 1.0 / (2.0 * tau), entropy=True
@@ -155,7 +156,7 @@ def compare_to_forward(
         or jko.net.n_nodes != fwd.net.n_nodes
         or not np.allclose(jko.net.nodes, fwd.net.nodes)
     ):
-        raise ValueError("trajectories live on different networks")
+        raise DomainError("trajectories live on different networks")
     w = jko.net.node_weight
     rows = []
     for t in probe_times:

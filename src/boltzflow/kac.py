@@ -9,7 +9,8 @@ generator so runs are independent and reproducible.
 Proposals are drawn in chunks of 4096 and applied by dependency level:
 the proposals of one level touch disjoint particles, so each level is
 one batch (one thinning test, one collision call), and every particle
-sees the operations of the one-at-a-time walk in the same order.
+sees the operations of the one-at-a-time walk in the same order.  Record
+times split a chunk into pieces that are levelled one after another.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
 from .kinematics import SPHERE_SURFACE, Kernel, _check_unit, _collide
 from .scalars import GaussianMixture
 
@@ -29,7 +31,7 @@ class ParticleState:
     def __post_init__(self):
         v = np.asarray(self.velocities, dtype=float)
         if v.ndim != 2 or v.shape[0] < 2 or v.shape[1] not in (2, 3):
-            raise ValueError("velocities must be (N >= 2, d in {2, 3})")
+            raise DomainError("velocities must be (N >= 2, d in {2, 3})")
         self.velocities = v
 
     @property
@@ -106,13 +108,13 @@ def sample_initial(N: int, mixture: GaussianMixture, seed) -> ParticleState:
     sum |v_i|^2 = N d; both invariants then hold by construction.
     """
     if N < 2:
-        raise ValueError("need at least 2 particles")
+        raise DomainError("need at least 2 particles")
     rng = seed if isinstance(seed, np.random.Generator) else stream(seed)
     v = _sample_mixture(mixture, N, rng)
     v = v - v.mean(axis=0)
     norm2 = np.sum(v**2)
     if norm2 <= 0:
-        raise ValueError("degenerate sample: zero total energy after centering")
+        raise DomainError("degenerate sample: zero total energy after centering")
     v *= np.sqrt(N * v.shape[1] / norm2)
     return ParticleState(v)
 
@@ -139,44 +141,34 @@ def _pair_from_index(N: int, pick: np.ndarray):
     return i, pick - starts[i] + i + 1
 
 
-def _levels(pick_i, pick_j, cuts: list, N: int):
-    """Dependency level of each event of a chunk, and the highest level.
+def _levels(pick_i, pick_j, N: int):
+    """Dependency level of each event of a chunk piece, and the highest level.
 
     An event's level is one more than the latest level of its two
-    particles in the chunk, and than the highest level reached before the
-    last barrier.  So events of one level touch disjoint particles, and
-    every event after a barrier is levelled above every event before it.
-    `cuts` lists the barrier positions, starting with 0.
+    particles in the piece, so events of one level touch disjoint particles.
     """
     last = [0] * N
-    levels, top = [], 0
-    bounds = [*cuts, len(pick_i)]
-    for s, e in zip(bounds, bounds[1:]):
-        floor = top
-        for a, b in zip(pick_i[s:e], pick_j[s:e]):
-            # max(last[a], last[b], floor) + 1, spelled out: a third of the time
-            lv = last[a]
-            if last[b] > lv:
-                lv = last[b]
-            if floor > lv:
-                lv = floor
-            lv += 1
-            last[a] = last[b] = lv
-            levels.append(lv)
-        top = max(levels[s:e], default=top)
-    return np.array(levels, dtype=np.int64), top
+    levels = []
+    for a, b in zip(pick_i, pick_j):
+        # max(last[a], last[b]) + 1, spelled out: faster than max()
+        lv = last[a]
+        if last[b] > lv:
+            lv = last[b]
+        lv += 1
+        last[a] = last[b] = lv
+        levels.append(lv)
+    return np.array(levels, dtype=np.int64), max(levels, default=0)
 
 
-def _apply_chunk(v, pick_i, pick_j, om, uc, kernel: Kernel, at: list, snapshots: list):
-    """Apply a chunk's proposals to v in place, level by level.
+def _apply_chunk(v, pick_i, pick_j, om, uc, kernel: Kernel):
+    """Apply a chunk piece's proposals to v in place, level by level.
 
-    `uc` is u * c2 per proposal.  A snapshot of v is appended to
-    `snapshots` before the proposal at each position in `at`.  Returns
-    the acceptance flags in chunk order.
+    `uc` is u * c2 per proposal.  Returns the acceptance flags in the
+    piece's order.
     """
     # memoryviews yield one Python int at a time, where tolist() would
-    # hold the whole chunk's
-    levels, top = _levels(memoryview(pick_i), memoryview(pick_j), [0, *at], len(v))
+    # hold the whole piece's
+    levels, top = _levels(memoryview(pick_i), memoryview(pick_j), len(v))
     order = np.argsort(levels, kind="stable")
     ends = np.searchsorted(levels[order], np.arange(1, top + 1), side="right")
     # the chunk permuted by level: level n is the slice ends[n-1]:ends[n]
@@ -185,11 +177,8 @@ def _apply_chunk(v, pick_i, pick_j, om, uc, kernel: Kernel, at: list, snapshots:
     acc = uc < kernel.lower
     undecided = np.flatnonzero(~acc)
     und_ends = np.searchsorted(undecided, ends)
-    s, k0, r = 0, 0, 0
+    s, k0 = 0, 0
     for e, ke in zip(ends.tolist(), und_ends.tolist()):
-        while r < len(at) and at[r] <= s:
-            snapshots.append(ParticleState(v.copy()))
-            r += 1
         if k0 < ke:
             k = undecided[k0:ke]
             acc[k] = uc[k] < kernel(v[I[k]] - v[J[k]])
@@ -218,14 +207,15 @@ def simulate(
     record_times is given, state snapshots at those times are returned
     as a third element.
 
-    Each chunk of proposals is applied level by level (`_apply_chunk`).
+    Each chunk of proposals, split at the record times, is applied piece
+    by piece and level by level (`_apply_chunk`).
     The events of one level touch disjoint particles, so one thinning test
     for the level's undecided proposals and one `_collide` on its
     accepted rows give every particle the operations of the sequential
     walk, in its order, on the same inputs (notes/decisions.md, D7).
     """
     if T < 0:
-        raise ValueError("T must be nonnegative")
+        raise DomainError("T must be nonnegative")
     N, d = state.N, state.d
     c2 = kernel.upper
     rate = 0.5 * (N - 1) * c2 * SPHERE_SURFACE[d]
@@ -234,7 +224,7 @@ def simulate(
 
     record = np.sort(np.asarray([] if record_times is None else record_times, dtype=float))
     if np.any(record < 0) or np.any(record > T + 1e-12):
-        raise ValueError("record times must lie in [0, T]")
+        raise DomainError("record times must lie in [0, T]")
     snapshots = []
 
     n_pairs = N * (N - 1) // 2
@@ -251,12 +241,20 @@ def simulate(
         # sequential sums t + gaps[0] + ... + gaps[e], as the event clock runs
         times = np.cumsum(np.append(t, gaps))[1:]
         m = int(np.searchsorted(times, T, side="right"))
-        # record r is taken before the first event at or after it
+        # record r is taken before the first event at or after it; the
+        # records split the chunk into pieces, applied one after another
         at = np.searchsorted(times[:m], record[rec_ptr:], side="left")
         at = at[at < m].tolist()
-        accepted = _apply_chunk(v, pick_i[:m], pick_j[:m], om[:m], u[:m] * c2, kernel, at, snapshots)
+        uc = u * c2
+        flags, s = [], 0
+        for e in at:
+            flags.append(_apply_chunk(v, pick_i[s:e], pick_j[s:e], om[s:e], uc[s:e], kernel))
+            snapshots.append(ParticleState(v.copy()))
+            s = e
+        flags.append(_apply_chunk(v, pick_i[s:m], pick_j[s:m], om[s:m], uc[s:m], kernel))
         rec_ptr += len(at)
-        chunks.append((times[:m], np.column_stack([pick_i[:m], pick_j[:m]]), om[:m], accepted))
+        chunks.append((times[:m], np.column_stack([pick_i[:m], pick_j[:m]]), om[:m],
+                       np.concatenate(flags)))
         if m < chunk:
             break
         t = times[-1]
@@ -306,7 +304,7 @@ def empirical_entropy(
     under f itself.  Returns (estimate, standard error).
     """
     if ou_time <= 0:
-        raise ValueError("ou_time must be positive")
+        raise DomainError("ou_time must be positive")
     rng = seed if isinstance(seed, np.random.Generator) else stream(seed)
     N, d = state.N, state.d
     decay = np.exp(-ou_time)
@@ -350,9 +348,9 @@ def consistency_report(runs: dict, fwd, probe_times) -> dict:
         reps = runs[N]
         for snaps in reps:
             if len(snaps) != len(probe_times):
-                raise ValueError("snapshot count does not match probe times")
+                raise DomainError("snapshot count does not match probe times")
             if snaps[0].d != fwd.net.d:
-                raise ValueError("dimension mismatch between particles and network")
+                raise DomainError("dimension mismatch between particles and network")
         m4 = np.array(
             [[empirical_moments(s)["fourth"] for s in snaps] for snaps in reps]
         )  # (reps, times)

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
+
 _UNIT_TOL = 1e-12
 
 SPHERE_SURFACE = {2: 2.0 * np.pi, 3: 4.0 * np.pi}
@@ -19,7 +21,7 @@ def _check_unit(omega: np.ndarray) -> np.ndarray:
     omega = np.asarray(omega, dtype=float)
     norm = np.linalg.norm(omega, axis=-1)
     if not np.all(np.abs(norm - 1.0) <= _UNIT_TOL):
-        raise ValueError(f"omega must be a unit vector (|omega| = 1 within {_UNIT_TOL:g})")
+        raise DomainError(f"omega must be a unit vector (|omega| = 1 within {_UNIT_TOL:g})")
     return omega
 
 
@@ -64,13 +66,13 @@ class Kernel:
 
     def __post_init__(self):
         if self.kind not in ("constant", "clamp"):
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
+            raise DomainError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "constant":
             if self.b <= 0:
-                raise ValueError("constant kernel requires b > 0")
+                raise DomainError("constant kernel requires b > 0")
         else:
             if not (0 < self.lo <= self.hi):
-                raise ValueError("clamp kernel requires 0 < lo <= hi")
+                raise DomainError("clamp kernel requires 0 < lo <= hi")
 
     @property
     def lower(self) -> float:
@@ -111,7 +113,7 @@ def povzner_gap(v, v_star, omega, R: float):
     """
     R = np.asarray(R, dtype=float)
     if np.any(R <= 0):
-        raise ValueError("R must be positive")
+        raise DomainError("R must be positive")
     v = np.asarray(v, dtype=float)
     v_star = np.asarray(v_star, dtype=float)
     vp, vp_star = collide(v, v_star, omega)

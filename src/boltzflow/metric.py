@@ -21,12 +21,9 @@ import scipy.linalg
 import scipy.optimize
 import scipy.sparse
 
-from .network import SLOT_SIGN, MomentError, VelocityNetwork
+from .errors import DomainError, NumericalError
+from .network import SLOT_SIGN, VelocityNetwork
 from .scalars import action_density, log_mean, log_mean_and_partials
-
-
-class ConvergenceError(RuntimeError):
-    pass
 
 
 FLOOR = 1e-12  # positivity barrier for densities
@@ -71,7 +68,7 @@ def cre_residual(net: VelocityNetwork, path: np.ndarray, flux: np.ndarray) -> fl
     flux = np.asarray(flux, dtype=float)
     K = flux.shape[0]
     if path.shape != (K + 1, net.n_nodes) or flux.shape[1] != net.n_quadruples:
-        raise ValueError("path/flux shapes are inconsistent")
+        raise DomainError("path/flux shapes are inconsistent")
     dt = 1.0 / K
     worst = 0.0
     for m in range(K):
@@ -241,7 +238,7 @@ def _minimize_smooth(evaluate, y0, opts: SolverOptions):
     y, point = y0, evaluate(y0, hessian=True)
     val, g, H = point[:3]
     if not np.isfinite(val):
-        raise ConvergenceError("path solver left the positive cone")
+        raise NumericalError("path solver left the positive cone")
     kkt = float(np.max(np.abs(g)))
     iters = 0
     for _ in range(60):
@@ -257,7 +254,7 @@ def _minimize_smooth(evaluate, y0, opts: SolverOptions):
             except np.linalg.LinAlgError:
                 jitter = max(4.0 * jitter, 1e-12 * scale)
         else:
-            raise ConvergenceError("path Hessian is numerically indefinite")
+            raise NumericalError("path Hessian is numerically indefinite")
         accepted = False
         damp = 1.0
         while damp > 1e-8:
@@ -277,7 +274,7 @@ def _minimize_smooth(evaluate, y0, opts: SolverOptions):
         kkt = float(np.max(np.abs(g)))
         iters += 1
     if kkt > opts.tol:
-        raise ConvergenceError(
+        raise NumericalError(
             f"path solver stalled: projected gradient {kkt:.2e} > tol {opts.tol:.2e}"
         )
     return y, kkt, iters, point
@@ -293,11 +290,11 @@ def _orthonormal_complement(C: np.ndarray) -> np.ndarray:
 def _check_moment_match(net: VelocityNetwork, f0, f1):
     m0, m1 = net.moments(f0), net.moments(f1)
     if np.max(np.abs(m0 - m1)) > 1e-10 * max(1.0, np.max(np.abs(m0))):
-        raise MomentError(f"endpoint moments differ: {m0} vs {m1}")
+        raise DomainError(f"endpoint moments differ: {m0} vs {m1}")
     extra0 = net.invariants.T @ f0
     extra1 = net.invariants.T @ f1
     if np.max(np.abs(extra0 - extra1)) > 1e-8 * max(1.0, np.max(np.abs(extra0))):
-        raise MomentError("endpoints differ in a conserved network invariant")
+        raise DomainError("endpoints differ in a conserved network invariant")
 
 
 def solve_distance(
@@ -312,7 +309,7 @@ def solve_distance(
     f0 = np.asarray(f0, dtype=float)
     f1 = np.asarray(f1, dtype=float)
     if np.any(f0 <= 0) or np.any(f1 <= 0):
-        raise ValueError("endpoints must be strictly positive")
+        raise DomainError("endpoints must be strictly positive")
     _check_moment_match(net, f0, f1)
 
     base = np.array([(1 - m / K) * f0 + (m / K) * f1 for m in range(K + 1)])
@@ -379,14 +376,14 @@ def single_quadruple_oracle(
     Gauss-Legendre quadrature.
     """
     if net.n_quadruples != 1:
-        raise ValueError("oracle applies to single-quadruple networks only")
+        raise DomainError("oracle applies to single-quadruple networks only")
     i, j, k, l = net.quad[0]
     kappa = float(net.W_q[0] * net.B_q[0])
     w = net.node_weight
     m1 = w * (f0[i] - f1[i])
     s_vec = net.div_bar(np.ones(1))  # the reaction's column of S
     if not np.allclose(w * (f1 - f0), m1 * s_vec, atol=1e-12):
-        raise ValueError("endpoints are not connected by the single reaction")
+        raise DomainError("endpoints are not connected by the single reaction")
     xs, ws = np.polynomial.legendre.leggauss(n_points)
     m = 0.5 * m1 * (xs + 1.0)
     scale = 0.5 * abs(m1)
@@ -423,5 +420,5 @@ def w1_distance(net: VelocityNetwork, f0: np.ndarray, f1: np.ndarray) -> float:
         options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
     )
     if not res.success:
-        raise RuntimeError(f"W1 linear program failed: {res.message}")
+        raise NumericalError(f"W1 linear program failed: {res.message}")
     return float(res.fun)

@@ -16,23 +16,12 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse
 
+from .errors import DomainError, NumericalError
 from .kinematics import Kernel, collide
 
 
 # a quadruple's column of S, in its slots (i, j, k, l)
 SLOT_SIGN = np.array([-1.0, -1.0, 1.0, 1.0])
-
-
-class BuildError(RuntimeError):
-    pass
-
-
-class MomentError(ValueError):
-    pass
-
-
-class NewtonError(RuntimeError):
-    pass
 
 
 @dataclass
@@ -190,10 +179,10 @@ def build_network(d: int, V: float, h: float, kernel: Kernel) -> VelocityNetwork
     reproducible output.
     """
     if d not in (2, 3):
-        raise ValueError("dimension must be 2 or 3")
+        raise DomainError("dimension must be 2 or 3")
     M = V / h
     if abs(M - round(M)) > 1e-9 or round(M) < 1:
-        raise ValueError("V/h must be a positive integer")
+        raise DomainError("V/h must be a positive integer")
     M = int(round(M))
     axes = np.arange(-M, M + 1)
     lattice = np.stack(np.meshgrid(*([axes] * d), indexing="ij"), axis=-1).reshape(-1, d)
@@ -204,7 +193,7 @@ def build_network(d: int, V: float, h: float, kernel: Kernel) -> VelocityNetwork
 
     quad = _join_quadruples(lattice, M)
     if len(quad) == 0:
-        raise BuildError(
+        raise DomainError(
             f"no conservative quadruples on this grid (V/h = {M}); "
             "the smallest usable grid has V/h = 1 in d = 2"
         )
@@ -235,7 +224,7 @@ def build_network(d: int, V: float, h: float, kernel: Kernel) -> VelocityNetwork
         np.max(np.abs(vp - nodes[quad[:, 2]])), np.max(np.abs(vp_star - nodes[quad[:, 3]]))
     )
     if err > 1e-12:
-        raise BuildError(f"quadruple collision-consistency failed (max error {err:.2e})")
+        raise DomainError(f"quadruple collision-consistency failed (max error {err:.2e})")
     return net
 
 
@@ -267,12 +256,12 @@ def _exponential_fit(
     """
     mass_t = targets[0]
     if mass_t <= 0:
-        raise MomentError("target mass must be positive")
+        raise DomainError("target mass must be positive")
     feats = np.column_stack([net.nodes, np.sum(net.nodes**2, axis=1)])  # (n, d+1)
     want = targets[1:] / mass_t  # per-unit-mass momentum and energy
     lo, hi = feats.min(axis=0), feats.max(axis=0)
     if np.any(want <= lo) or np.any(want >= hi):
-        raise MomentError(
+        raise DomainError(
             f"moment targets {targets} are not strictly inside the attainable range"
         )
     theta = np.zeros(net.d + 1)
@@ -289,7 +278,7 @@ def _exponential_fit(
         try:
             step = np.linalg.solve(cov, resid)
         except np.linalg.LinAlgError as exc:
-            raise NewtonError("singular moment covariance") from exc
+            raise NumericalError("singular moment covariance") from exc
         # backtracking on the dual objective log Z - theta . want
         def dual(th):
             z = log_base + feats @ th
@@ -307,7 +296,7 @@ def _exponential_fit(
         else:
             theta = theta - 1e-8 * step
     else:
-        raise NewtonError(
+        raise NumericalError(
             f"moment Newton did not converge in {max_iter} iterations "
             f"(residual {np.max(np.abs(resid)):.2e})"
         )
@@ -341,6 +330,6 @@ def tilt_to_moments(net: VelocityNetwork, f0: np.ndarray, targets: np.ndarray) -
     """Minimal exponential tilt of f0 matching (mass, momentum, energy)."""
     f0 = np.asarray(f0, dtype=float)
     if np.any(f0 <= 0):
-        raise MomentError("tilt_to_moments requires strictly positive f0")
+        raise DomainError("tilt_to_moments requires strictly positive f0")
     targets = np.asarray(targets, dtype=float)
     return _exponential_fit(net, np.log(f0), targets)

@@ -16,6 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import DomainError
+
 # Taylor coefficients in t = x^2 / 4 of psi(x) = sinh(x/2) / (x/2),
 # psi'(x) / x and chi(x) = psi / 4 - psi''; all positive, so no term
 # cancels.  Twelve terms leave a truncation error below 1e-25 for |x| < 2.
@@ -48,7 +50,7 @@ def log_mean(s, t):
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
     if np.any(s < 0) or np.any(t < 0):
-        raise ValueError("log_mean requires nonnegative arguments")
+        raise DomainError("log_mean requires nonnegative arguments")
     scalar = s.ndim == 0 and t.ndim == 0
     s, t = np.broadcast_arrays(np.atleast_1d(s), np.atleast_1d(t))
     out = np.zeros(s.shape)
@@ -125,7 +127,7 @@ def dissipation_density(s, t):
     s = np.asarray(s, dtype=float)
     t = np.asarray(t, dtype=float)
     if np.any(s < 0) or np.any(t < 0):
-        raise ValueError("dissipation_density requires nonnegative arguments")
+        raise DomainError("dissipation_density requires nonnegative arguments")
     scalar = s.ndim == 0 and t.ndim == 0
     s, t = np.broadcast_arrays(np.atleast_1d(s), np.atleast_1d(t))
     out = np.zeros(s.shape)
@@ -150,9 +152,9 @@ class GaussianMixture:
         mu = np.asarray(self.means, dtype=float)
         cov = np.asarray(self.covs, dtype=float)
         if not np.isclose(w.sum(), 1.0, atol=1e-10):
-            raise ValueError("mixture weights must sum to 1")
+            raise DomainError("mixture weights must sum to 1")
         if np.any(w <= 0):
-            raise ValueError("mixture weights must be positive")
+            raise DomainError("mixture weights must be positive")
         for c in cov:
             np.linalg.cholesky(c)  # raises if not SPD
         object.__setattr__(self, "weights", w)
@@ -197,7 +199,7 @@ def ou_evolve(mix: GaussianMixture, time: float) -> GaussianMixture:
     Each component (w, m, S) maps to (w, e^{-t} m, e^{-2t} S + (1 - e^{-2t}) I).
     """
     if time < 0:
-        raise ValueError("time must be nonnegative")
+        raise DomainError("time must be nonnegative")
     decay = np.exp(-float(time))
     d = mix.dim
     covs = decay**2 * mix.covs + (1.0 - decay**2) * np.eye(d)[None]
@@ -224,7 +226,7 @@ def ou_commutation_residual(
     """
     omega = np.asarray(omega, dtype=float)
     if mix.dim != 2 * omega.shape[0]:
-        raise ValueError("mixture must live on the doubled space R^{2d}")
+        raise DomainError("mixture must live on the doubled space R^{2d}")
     T = collision_involution_matrix(omega)
     probes = np.atleast_2d(np.asarray(probes, dtype=float))
     # F o T is the push-forward of the mixture by T (T is an involution

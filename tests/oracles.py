@@ -4,9 +4,10 @@ Each function spells out one formula directly: quadruple enumeration by
 brute force or by a dict join over pair keys, the incidence operators
 as per-slot `np.add.at` scatters, the W1 distance by its
 Kantorovich-Rubinstein dual, the Kac walk, its CSV log and its
-dependency levels one event and one row at a time, and the OU entropy
-estimate through scipy's logsumexp.  None of them share code with the
-functions they check.
+dependency levels one event and one row at a time, the OU entropy
+estimate through scipy's logsumexp, and the Dormand-Prince loop with
+all seven stages evaluated on every step attempt.  None of them share
+code with the functions they check.
 """
 
 import numpy as np
@@ -14,6 +15,8 @@ import scipy.optimize
 import scipy.sparse
 import scipy.special
 
+from boltzflow.forward import collision_operator as forward_rhs
+from boltzflow.forward import dissipation, entropy
 from boltzflow.kac import EventLog, ParticleState, _pair_from_index, _unit_vectors, stream
 from boltzflow.kinematics import SPHERE_SURFACE, collide
 from boltzflow.scalars import log_mean
@@ -277,3 +280,48 @@ def event_log_csv(log) -> str:
         row.append("1" if log.accepted[m] else "0")
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
+
+
+def solve_forward(net, f0, T, dt_init=1e-2, tol=1e-10, max_step=np.inf):
+    """Dormand-Prince 4(5) with all seven stages evaluated on every attempt.
+
+    Returns (times, states, H, D, moments, attempts, rejected for a
+    negative entry).
+    """
+    b = [
+        [1 / 5],
+        [3 / 40, 9 / 40],
+        [44 / 45, -56 / 15, 32 / 9],
+        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+        [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+    ]
+    b5 = np.array(b[-1] + [0.0])
+    b4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
+    f = np.array(f0, dtype=float)
+    t, dt = 0.0, min(dt_init, max_step, T)
+    rows = [(t, f.copy(), entropy(net, f), dissipation(net, f), net.moments(f))]
+    scale_ref = np.abs(f) + 1e-8
+    attempts = negative = 0
+    while t < T - 1e-12 * max(1.0, T):
+        dt = min(dt, T - t, max_step)
+        attempts += 1
+        k = np.empty((7, f.size))
+        k[0] = forward_rhs(net, f)
+        for s in range(1, 7):
+            k[s] = forward_rhs(net, np.maximum(f + dt * (np.array(b[s - 1]) @ k[:s]), 0.0))
+        f5 = f + dt * (b5 @ k)
+        f4 = f + dt * (b4 @ k)
+        if np.any(f5 < 0):
+            negative += 1
+            dt *= 0.5
+            continue
+        err = np.max(np.abs(f5 - f4) / (scale_ref + np.abs(f5)))
+        if err > tol:
+            dt *= max(0.2, 0.9 * (tol / err) ** 0.2)
+            continue
+        t += dt
+        f = f5
+        rows.append((t, f.copy(), entropy(net, f), dissipation(net, f), net.moments(f)))
+        dt *= min(5.0, 0.9 * (tol / err) ** 0.2) if err > 0 else 5.0
+    return (*(np.array(c) for c in zip(*rows)), attempts, negative)

@@ -1,10 +1,14 @@
 import hashlib
 import json
 import os
+import re
+from types import SimpleNamespace
 
 import pytest
 
+import boltzflow.cli
 import boltzflow.jko
+import boltzflow.metric
 from boltzflow.cli import (
     EXIT_CONFIG,
     EXIT_DOMAIN,
@@ -140,6 +144,54 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert main(["jko", "--out", str(tmp_path / "jko")]) == EXIT_NUMERICAL
     assert "exceeds competitor" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw, message", [
+    ({"experiment": {"type": "forward", "T": 0.001}}, "need at least 3 recorded samples"),
+    ({"network": {"V": 1.0}, "experiment": {"type": "forward"}},
+     "not strictly inside the attainable range"),
+    ({"experiment": {"type": "consistency", "probe_times": [0.0, 0.2], "T": 0.1}},
+     r"record times must lie in \[0, T\]"),
+    ({"experiment": {"type": "kac", "N": 1}}, "need at least 2 particles"),
+], ids=["forward-short", "forward-moments", "consistency-probes", "kac-one-particle"])
+def test_domain_errors_exit_3(tmp_path, capsys, raw, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**raw, "out": str(tmp_path / "out")}))
+    assert main([raw["experiment"]["type"], "--config", str(path)]) == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert err.startswith("domain error: ")
+    assert re.search(message, err)
+
+
+def test_w1_failure_exits_4(tmp_path, capsys, monkeypatch):
+    def failed_lp(*args, **kwargs):
+        return SimpleNamespace(success=False, message="forced failure")
+
+    monkeypatch.setattr(boltzflow.metric.scipy.optimize, "linprog", failed_lp)
+    assert main(["jko", "--out", str(tmp_path / "jko")]) == EXIT_NUMERICAL
+    assert "numerical failure: W1 linear program failed: forced failure" in capsys.readouterr().err
+
+
+def test_bug_shows_its_traceback(tmp_path, monkeypatch):
+    # only the three boltzflow error classes map to exit codes
+    def buggy(cfg, write):
+        raise ValueError("a bug")
+
+    monkeypatch.setitem(boltzflow.cli._RUNNERS, "forward", buggy)
+    with pytest.raises(ValueError, match="a bug"):
+        main(["forward", "--out", str(tmp_path / "out")])
+
+
+def test_unusable_out_exits_2(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setitem(boltzflow.cli._RUNNERS, "forward", lambda cfg, write: calls.append(1))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = str(blocker / "sub")
+    assert main(["forward", "--out", out]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"configuration error: cannot create output directory {out}" in err
+    assert calls == []  # rejected before the experiment starts
 
 
 def test_main_flag_overrides(tmp_path):

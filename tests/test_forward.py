@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import boltzflow.forward
 import oracles
 from boltzflow.forward import (
     collision_operator,
@@ -106,6 +107,25 @@ def test_energy_identity_small_run(net, tilted):
     rep = energy_identity_report(traj)
     assert rep["global_residual"] <= 1e-6
     assert rep["max_interval_residual"] <= 1e-6
+
+
+@pytest.mark.parametrize("dt_init", [1e-2, 2.0], ids=["no-rejection", "rejections"])
+def test_forward_reuses_last_stage(net, tilted, monkeypatch, dt_init):
+    # FSAL: bit for bit the seven-stage loop, with six Q(f) calls per attempt
+    *ref, attempts, negative = oracles.solve_forward(net, tilted(2), 2.0, dt_init=dt_init)
+    calls = []
+
+    def spy(g, f):
+        calls.append(1)
+        return collision_operator(g, f)
+
+    monkeypatch.setattr(boltzflow.forward, "collision_operator", spy)
+    traj = solve_forward(net, tilted(2), 2.0, dt_init=dt_init)
+    assert len(calls) == 1 + 6 * attempts
+    if dt_init > 1:  # both rejection branches taken: negative entry and error
+        assert negative >= 1 and attempts - negative > len(traj.times) - 1
+    for got, want in zip((traj.times, traj.states, traj.H, traj.D, traj.moments), ref):
+        assert np.array_equal(got, want)
 
 
 def test_max_step_is_respected(net, tilted):

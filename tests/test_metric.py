@@ -5,6 +5,7 @@ import pytest
 import boltzflow.jko
 import boltzflow.metric
 import oracles
+from boltzflow.errors import DomainError
 from boltzflow.forward import dissipation, solve_forward
 from boltzflow.metric import (
     FLOOR,
@@ -18,7 +19,7 @@ from boltzflow.metric import (
     solve_distance,
     w1_distance,
 )
-from boltzflow.network import MomentError, restrict_quadruples, tilt_to_moments
+from boltzflow.network import restrict_quadruples, tilt_to_moments
 from boltzflow.scalars import action_density
 
 
@@ -202,7 +203,7 @@ def test_no_path_evaluation_after_newton(net, feq, tilted, monkeypatch, solver):
 
 def test_distance_moment_mismatch_rejected(net, feq, tilted):
     bad = feq * 1.01
-    with pytest.raises(MomentError):
+    with pytest.raises(DomainError, match="endpoint moments differ"):
         solve_distance(net, feq, bad, K=4)
     with pytest.raises(ValueError):
         solve_distance(net, feq, np.zeros_like(feq), K=4)

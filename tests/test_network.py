@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import oracles
+from boltzflow.errors import DomainError
 from boltzflow.kinematics import Kernel, collide
 from boltzflow.network import (
-    MomentError,
     build_network,
     maxent_project,
     restrict_quadruples,
@@ -152,9 +152,9 @@ def test_maxent_custom_moments(net):
 
 
 def test_maxent_infeasible(net):
-    with pytest.raises(MomentError):
+    with pytest.raises(DomainError, match="not strictly inside the attainable range"):
         maxent_project(net, energy=100.0)  # beyond max |v|^2 on the grid
-    with pytest.raises(MomentError):
+    with pytest.raises(DomainError, match="target mass must be positive"):
         maxent_project(net, mass=-1.0)
 
 
@@ -169,7 +169,7 @@ def test_tilt_matches_targets(net, feq):
     targets = np.array([1.0, 0.1, -0.2, 2.5])
     f = tilt_to_moments(net, base, targets)
     assert np.allclose(net.moments(f), targets, atol=1e-10)
-    with pytest.raises(MomentError):
+    with pytest.raises(DomainError, match="requires strictly positive f0"):
         tilt_to_moments(net, -base, targets)
 
 
