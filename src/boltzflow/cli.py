@@ -114,6 +114,11 @@ def density_from_mixture(net: VelocityNetwork, mix: GaussianMixture) -> np.ndarr
 # -- experiment runners ------------------------------------------------------
 
 
+def _probe_times(times, T: float) -> list:
+    """The probe times to report at; with none given, the final time T."""
+    return list(times) or [T]
+
+
 def _run_forward(cfg: RunConfig, write) -> dict:
     net = _net(cfg)
     exp = cfg.experiment
@@ -165,7 +170,7 @@ def _run_jko(cfg: RunConfig, write) -> dict:
     traj = jko_trajectory(net, f0, exp["tau"], exp["T"], K=exp["K"], opts=opts)
     write("jko.csv", traj.to_csv())
     fwd = solve_forward(net, f0, exp["T"])
-    probes = [t for t in exp["probe_times"] if t <= exp["T"] + 1e-12] or [exp["T"]]
+    probes = _probe_times([t for t in exp["probe_times"] if t <= exp["T"] + 1e-12], exp["T"])
     comp = compare_to_forward(traj, fwd, probes)
     write("comparison.json", json.dumps({
         "tau": comp["tau"],
@@ -237,7 +242,7 @@ def _run_consistency(cfg: RunConfig, write) -> dict:
     d = cfg.network.d
     ref = build_network(d, cfg.network.V, exp["reference_h"], kernel)
     f0 = density_from_mixture(ref, bimodal_mixture(d, exp["bimodal_speed"]))
-    probes = list(exp["probe_times"])
+    probes = _probe_times(exp["probe_times"], exp["T"])
     fwd = solve_forward(ref, f0, max(max(probes), 1e-6))
     runs = {}
     jump = 0

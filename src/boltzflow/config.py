@@ -168,6 +168,9 @@ def parse_config_dict(raw: dict) -> RunConfig:
         if key in exp:
             if not isinstance(exp[key], int) or exp[key] < 1:
                 raise ConfigError(f"experiment.{key} must be a positive integer")
+    if etype == "distance" and exp["K"] < 2:
+        # W_B needs an interior slice of the path to minimize over
+        raise ConfigError("experiment.K must be at least 2 for distance")
 
     out = raw.get("out", "runs")
     if not isinstance(out, str):

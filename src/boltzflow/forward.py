@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 from .network import VelocityNetwork
-from .scalars import dissipation_density
 
 
 def collision_operator(net: VelocityNetwork, f: np.ndarray) -> np.ndarray:
@@ -27,7 +26,9 @@ def collision_operator(net: VelocityNetwork, f: np.ndarray) -> np.ndarray:
     if np.any(f < 0):
         raise DomainError("collision_operator requires f >= 0")
     p, r = net.pair_products(f)
-    return net.div_bar(net.W_q * net.B_q * (p - r)) / net.node_weight
+    p -= r
+    p *= net.W_q * net.B_q
+    return net.div_bar(p) / net.node_weight
 
 
 def entropy(net: VelocityNetwork, f: np.ndarray) -> float:
@@ -40,9 +41,22 @@ def entropy(net: VelocityNetwork, f: np.ndarray) -> float:
 
 
 def dissipation(net: VelocityNetwork, f: np.ndarray) -> float:
-    """D(f) = sum_q W_q B_q (r - p)(log r - log p) >= 0; may be +inf."""
-    p, r = net.pair_products(np.asarray(f, dtype=float))
-    dens = dissipation_density(p, r)
+    """D(f) = sum_q W_q B_q (r - p)(log r - log p) >= 0; may be +inf.
+
+    One log per velocity pair.  As in `dissipation_density`, a quadruple
+    with both products 0 adds 0 and one with exactly one product 0 adds
+    +inf: log 0 = -inf gives the inf, and r == p the 0.
+    """
+    g = net.pair_values(np.asarray(f, dtype=float))
+    if np.any(g < 0):
+        raise DomainError("dissipation requires nonnegative pair products")
+    fwd, bwd = net.pair_index[1]
+    p, r = np.take(g, fwd), np.take(g, bwd)
+    # log 0 = -inf; where both are 0 the product is 0 * nan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_g = np.log(g)
+        dens = (r - p) * (np.take(log_g, bwd) - np.take(log_g, fwd))
+    dens[r == p] = 0.0
     return float(np.sum(net.W_q * net.B_q * dens))
 
 

@@ -133,11 +133,11 @@ class _PathProblem:
         factored once; it acts as L^+ on the range of L.
         """
         net, kappa, N = self.net, self.kappa, self.N
-        fs = (0.5 * (fa + fb))[net.quad]
+        fbar = 0.5 * (fa + fb)
         # u_a = d(f_i f_j or f_k f_l)/d(f_a): the partner slot's density
-        u = fs[:, [1, 0, 3, 2]]
+        u = fbar[net.quad[:, [1, 0, 3, 2]]]
         lam, lam_p, lam_r, lam_pp, lam_pr, lam_rr = log_mean_and_partials(
-            fs[:, 0] * fs[:, 1], fs[:, 2] * fs[:, 3]
+            *net.pair_products(fbar)
         )
         L = net.laplacian(kappa * lam)
         L += np.trace(L) / len(L) * self.P

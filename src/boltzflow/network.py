@@ -66,10 +66,33 @@ class VelocityNetwork:
             [[self.mass(f)], self.momentum(f), [self.energy(f)]]
         )
 
+    @cached_property
+    def pair_index(self):
+        """The distinct velocity pairs of the quadruples and each one's pair ids.
+
+        Returns (pairs, ids): pairs is (2, m), the rows (i, j) of every
+        pair that is the (i, j) or (k, l) of some quadruple, sorted; ids
+        is (2, Q), the pair ids of each quadruple's (i, j) and (k, l).
+        """
+        n = self.n_nodes
+        keys = self.quad[:, [0, 2]].T * n + self.quad[:, [1, 3]].T
+        uniq, ids = np.unique(keys, return_inverse=True)
+        return np.stack(np.divmod(uniq, n)), ids.reshape(2, -1)
+
+    def pair_values(self, f: np.ndarray) -> np.ndarray:
+        """The product f_i f_j of every pair in `pair_index`, one per pair."""
+        (i, j), _ = self.pair_index
+        return np.take(f, i) * np.take(f, j)
+
     def pair_products(self, f: np.ndarray):
-        """Forward and backward products (f_i f_j, f_k f_l) per quadruple."""
-        i, j, k, l = self.quad.T
-        return f[i] * f[j], f[k] * f[l]
+        """Forward and backward products (f_i f_j, f_k f_l) per quadruple.
+
+        Each distinct pair is multiplied once; a product rounds the same
+        whichever quadruple it is gathered into.
+        """
+        fwd, bwd = self.pair_index[1]
+        g = self.pair_values(f)
+        return np.take(g, fwd), np.take(g, bwd)
 
     @cached_property
     def S(self) -> scipy.sparse.csr_matrix:
@@ -198,11 +221,12 @@ def build_network(d: int, V: float, h: float, kernel: Kernel) -> VelocityNetwork
             "the smallest usable grid has V/h = 1 in d = 2"
         )
 
-    vi, vk = nodes[quad[:, 0]], nodes[quad[:, 2]]
-    diff = vi - vk
+    # each Q x d temporary is made once and dropped when done
+    v, v_star = nodes[quad[:, 0]], nodes[quad[:, 1]]
+    diff = v - nodes[quad[:, 2]]
     omega = diff / np.linalg.norm(diff, axis=1, keepdims=True)
-    rel = nodes[quad[:, 0]] - nodes[quad[:, 1]]
-    B_q = kernel(rel)
+    del diff
+    B_q = kernel(v - v_star)
     W_q = np.full(len(quad), h ** (2 * d))
 
     net = VelocityNetwork(
@@ -219,7 +243,8 @@ def build_network(d: int, V: float, h: float, kernel: Kernel) -> VelocityNetwork
     )
 
     # every emitted quadruple must reproduce (v_k, v_l) under the collision map
-    vp, vp_star = collide(nodes[quad[:, 0]], nodes[quad[:, 1]], omega)
+    vp, vp_star = collide(v, v_star, omega)
+    del v, v_star
     err = max(
         np.max(np.abs(vp - nodes[quad[:, 2]])), np.max(np.abs(vp_star - nodes[quad[:, 3]]))
     )
@@ -231,8 +256,8 @@ def build_network(d: int, V: float, h: float, kernel: Kernel) -> VelocityNetwork
 def restrict_quadruples(net: VelocityNetwork, indices) -> VelocityNetwork:
     """Copy of the network keeping only the selected quadruples.
 
-    Useful for single-reaction tests; S and the invariant basis are
-    derived anew from the kept quadruples.
+    Useful for single-reaction tests; S, the pair index and the
+    invariant basis are derived anew from the kept quadruples.
     """
     indices = np.atleast_1d(np.asarray(indices, dtype=np.int64))
     return replace(net, quad=net.quad[indices], omega=net.omega[indices],

@@ -1,9 +1,10 @@
 """Slow reference implementations that the fast paths are tested against.
 
 Each function spells out one formula directly: quadruple enumeration by
-brute force or by a dict join over pair keys, the incidence operators
-as per-slot `np.add.at` scatters, the W1 distance by its
-Kantorovich-Rubinstein dual, the Kac walk, its CSV log and its
+brute force or by a dict join over pair keys, the pair products by four
+gathers per quadruple and the dissipation quadruple by quadruple, the
+incidence operators as per-slot `np.add.at` scatters, the W1 distance
+by its Kantorovich-Rubinstein dual, the Kac walk, its CSV log and its
 dependency levels one event and one row at a time, the OU entropy
 estimate through scipy's logsumexp, and the Dormand-Prince loop with
 all seven stages evaluated on every step attempt.  None of them share
@@ -19,7 +20,7 @@ from boltzflow.forward import collision_operator as forward_rhs
 from boltzflow.forward import dissipation, entropy
 from boltzflow.kac import EventLog, ParticleState, _pair_from_index, _unit_vectors, stream
 from boltzflow.kinematics import SPHERE_SURFACE, collide
-from boltzflow.scalars import log_mean
+from boltzflow.scalars import dissipation_density, log_mean
 
 
 def lattice(d: int, M: int) -> np.ndarray:
@@ -103,10 +104,21 @@ def invariant_basis(quad: np.ndarray, n: int) -> np.ndarray:
     return vecs[:, vals < 1e-9 * max(vals.max(), 1.0)]
 
 
-def collision_operator(net, f: np.ndarray) -> np.ndarray:
+def quadruple_products(net, f: np.ndarray):
+    """(f_i f_j, f_k f_l) per quadruple, from four gathers."""
     i, j, k, l = net.quad.T
-    flux = net.W_q * net.B_q * (f[i] * f[j] - f[k] * f[l])
-    return div_bar(net.quad, net.n_nodes, flux) / net.node_weight
+    return f[i] * f[j], f[k] * f[l]
+
+
+def quadruple_dissipation(net, f: np.ndarray) -> float:
+    """D(f) with two logs per quadruple, through `dissipation_density`."""
+    p, r = quadruple_products(net, np.asarray(f, dtype=float))
+    return float(np.sum(net.W_q * net.B_q * dissipation_density(p, r)))
+
+
+def collision_operator(net, f: np.ndarray) -> np.ndarray:
+    p, r = quadruple_products(net, f)
+    return div_bar(net.quad, net.n_nodes, net.W_q * net.B_q * (p - r)) / net.node_weight
 
 
 def gradient_form_residual(net, solution) -> float:
@@ -114,8 +126,7 @@ def gradient_form_residual(net, solution) -> float:
     worst = 0.0
     for m in range(solution.flux.shape[0]):
         fbar = 0.5 * (solution.path[m] + solution.path[m + 1])
-        i, j, k, l = net.quad.T
-        lam_q = log_mean(fbar[i] * fbar[j], fbar[k] * fbar[l])
+        lam_q = log_mean(*quadruple_products(net, fbar))
         active = lam_q > 0
         U = np.zeros_like(lam_q)
         U[active] = solution.flux[m][active] / lam_q[active]

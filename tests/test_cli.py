@@ -163,6 +163,32 @@ def test_domain_errors_exit_3(tmp_path, capsys, raw, message):
     assert re.search(message, err)
 
 
+def test_distance_needs_two_slices(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": {"type": "distance", "K": 1},
+                                "out": str(tmp_path / "out")}))
+    assert main(["distance", "--config", str(path)]) == EXIT_CONFIG
+    assert "experiment.K must be at least 2 for distance" in capsys.readouterr().err
+    # one JKO slice is a valid proximal step
+    path.write_text(json.dumps({"experiment": {"type": "jko", "K": 1, "T": 0.1},
+                                "out": str(tmp_path / "jko")}))
+    assert main(["jko", "--config", str(path)]) == 0
+
+
+def test_consistency_without_probe_times_reports_at_T(tmp_path):
+    path = tmp_path / "cfg.json"
+    out = tmp_path / "out"
+    path.write_text(json.dumps({
+        "experiment": {"type": "consistency", "Ns": [4, 8], "replicates": 2,
+                       "T": 0.05, "probe_times": []},
+        "out": str(out),
+    }))
+    assert main(["consistency", "--config", str(path)]) == 0
+    rows = (out / "report.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:2] for row in rows] == [["0.050000000000000003", "4"],
+                                                   ["0.050000000000000003", "8"]]
+
+
 def test_w1_failure_exits_4(tmp_path, capsys, monkeypatch):
     def failed_lp(*args, **kwargs):
         return SimpleNamespace(success=False, message="forced failure")
