@@ -43,9 +43,9 @@ def entropy(net: VelocityNetwork, f: np.ndarray) -> float:
 def dissipation(net: VelocityNetwork, f: np.ndarray) -> float:
     """D(f) = sum_q W_q B_q (r - p)(log r - log p) >= 0; may be +inf.
 
-    One log per velocity pair.  As in `dissipation_density`, a quadruple
-    with both products 0 adds 0 and one with exactly one product 0 adds
-    +inf: log 0 = -inf gives the inf, and r == p the 0.
+    One log per velocity pair.  A quadruple with both products 0 adds 0
+    and one with exactly one product 0 adds +inf: log 0 = -inf gives the
+    inf, and r == p the 0.
     """
     g = net.pair_values(np.asarray(f, dtype=float))
     if np.any(g < 0):

@@ -27,6 +27,9 @@ from .scalars import action_density, log_mean, log_mean_and_partials
 
 
 FLOOR = 1e-12  # positivity barrier for densities
+# quadruple rows per batch of path intervals: a whole d = 2 path in one
+# batch, d = 3, V/h = 3 (Q = 136686) one interval at a time
+BATCH_ROWS = 1 << 15
 
 
 @dataclass
@@ -116,51 +119,92 @@ class _PathProblem:
         path[1 : self.nslices + 1] += y.reshape(self.nslices, -1) @ self.N.T
         return path
 
-    def interval(self, fa: np.ndarray, fb: np.ndarray, hessian: bool = False):
-        """Action, gradient, flux and Hessian of one interval.
+    def evaluate(self, path: np.ndarray, hessian: bool = False):
+        """The objective on a whole path, its intervals in batches.
 
-        A = g' L^+ g with g = w (fb - fa) / dt and L = S diag(kappa
-        Lambda(fbar)) S'.  With u = L^+ g (the potential), s = S' u
-        (the optimal flux is J = Lambda s),
+        Returns the value, the gradient in the path (K + 1, n), the
+        Hessian in the slice coordinates N' f (K + 1, nfree, K + 1, nfree)
+        or None, and the actions A_m and fluxes (K, Q) of the K intervals.
+        A batch holds up to BATCH_ROWS quadruple rows, and at least one
+        interval.  Each slice of the gradient and Hessian takes at most two
+        interval terms onto a zero start, so the result does not depend on
+        how the intervals are batched.
+        """
+        K, n, Q = len(path) - 1, self.net.n_nodes, self.net.n_quadruples
+        nfree = self.N.shape[1]
+        actions = np.zeros(K)
+        fluxes = np.zeros((K, Q))
+        grad = np.zeros((K + 1, n))
+        H = np.zeros((K + 1, nfree, K + 1, nfree)) if hessian else None
+        size = max(1, BATCH_ROWS // Q)
+        for m in range(0, K, size):
+            self._add_intervals(path, m, min(m + size, K), actions, fluxes, grad, H)
+        value = self.scale * self.dt * actions.sum()
+        if self.entropy:
+            w, g = self.net.node_weight, path[K]
+            value += np.sum(w * g * np.log(g))
+            grad[K] += w * (np.log(g) + 1.0)
+            if hessian:
+                H[K, :, K] += self.N.T @ (w / g[:, None] * self.N)
+        return value, grad, H, actions, fluxes
+
+    def _add_intervals(self, path, start, stop, actions, fluxes, grad, H):
+        """Add the terms of intervals start..stop - 1 to the outputs of `evaluate`.
+
+        Per interval, A = g' L^+ g with g = w (fb - fa) / dt and
+        L = S diag(kappa Lambda(fbar)) S'.  With u = L^+ g (the
+        potential), s = S' u (the optimal flux is J = Lambda s),
         c = kappa s^2, G the Q x n Jacobian of Lambda(fbar) and
         B = S diag(kappa s) G, the gradient in (fa, fb) is
-        (-2 (w/dt) u - G'c / 2, 2 (w/dt) u - G'c / 2).  On request the
-        Hessian in the coordinates (N' fa, N' fb) is
-        2 M' L^+ M - (1/4) [[H2, H2], [H2, H2]], where
-        M = [-(w/dt) N - B N / 2, (w/dt) N - B N / 2] is the Jacobian of
-        g - L u at fixed u and H2 = N' (sum_q c_q Hess Lambda_q) N;
-        otherwise None.  The regularized L + tr(L)/n C C' is SPD and is
-        factored once; it acts as L^+ on the range of L.
+        (-2 (w/dt) u - G'c / 2, 2 (w/dt) u - G'c / 2).  The Hessian in the
+        coordinates (N' fa, N' fb) is 2 M' L^+ M - (1/4) [[H2, H2], [H2, H2]],
+        where M = [-(w/dt) N - B N / 2, (w/dt) N - B N / 2] is the Jacobian
+        of g - L u at fixed u and H2 = N' (sum_q c_q Hess Lambda_q) N; it
+        is built only when H is not None.  The regularized
+        L + tr(L)/n C C' is SPD and is factored once; it acts as L^+ on
+        the range of L.  Every array carries a leading interval axis, and
+        the batched LAPACK calls factor and solve one interval at a time.
         """
         net, kappa, N = self.net, self.kappa, self.N
+        k, n, nfree = stop - start, net.n_nodes, N.shape[1]
+        fa, fb = path[start:stop], path[start + 1 : stop + 1]
         fbar = 0.5 * (fa + fb)
+        # slot arrays are (k, 4, Q) and slot blocks (k, 4, 4, Q), so every
+        # elementwise step runs along the quadruples
         # u_a = d(f_i f_j or f_k f_l)/d(f_a): the partner slot's density
-        u = fbar[net.quad[:, [1, 0, 3, 2]]]
+        u = np.take(fbar, net.quad.T[[1, 0, 3, 2]], axis=-1)
         lam, lam_p, lam_r, lam_pp, lam_pr, lam_rr = log_mean_and_partials(
             *net.pair_products(fbar)
         )
         L = net.laplacian(kappa * lam)
-        L += np.trace(L) / len(L) * self.P
-        cho = scipy.linalg.cho_factor(L)
+        L += (np.trace(L, axis1=1, axis2=2) / n)[:, None, None] * self.P
+        # batched, cho_factor returns one `lower` flag per slice
+        cho = scipy.linalg.cho_factor(L)[0], False
         g = net.node_weight * (fb - fa) / self.dt
-        pot = scipy.linalg.cho_solve(cho, g)
-        act = g @ pot
-        s = net.grad_bar(pot)
+        pot = scipy.linalg.cho_solve(cho, g[:, :, None])[:, :, 0]
+        # one dot per interval, as BLAS sums it
+        actions[start:stop] = [gm @ um for gm, um in zip(g, pot)]
+        s = net.grad_bar(pot.T).T
         slot_grad = np.stack([lam_p, lam_p, lam_r, lam_r], axis=1) * u  # dLambda/df_a
         c = kappa * s**2
+        # node sums in quadruple-major order, as the bins run
+        bins = (net.quad.ravel() + n * np.arange(k)[:, None]).ravel()
         dbar = -0.5 * np.bincount(
-            net.quad.ravel(), weights=(c[:, None] * slot_grad).ravel(), minlength=net.n_nodes
-        )
+            bins, weights=(c[:, None] * slot_grad).transpose(0, 2, 1).ravel(), minlength=k * n
+        ).reshape(k, n)
         w = net.node_weight / self.dt
-        grad = np.concatenate([-2.0 * w * pot + dbar, 2.0 * w * pot + dbar])
-        flux = lam * s
-        if not hessian:
-            return act, grad, flux, None
-        B = net.scatter_blocks(SLOT_SIGN[:, None] * ((kappa * s)[:, None] * slot_grad)[:, None])
+        weight = self.scale * self.dt
+        grad[start:stop] += weight * (-2.0 * w * pot + dbar)
+        grad[start + 1 : stop + 1] += weight * (2.0 * w * pot + dbar)
+        fluxes[start:stop] = lam * s
+        if H is None:
+            return
+        B = SLOT_SIGN[:, None, None] * ((kappa * s)[:, None] * slot_grad)[:, None]
+        B = net.scatter_blocks(np.moveaxis(B, 3, 1))
         BN = B @ N
         BN -= self.C @ (self.C.T @ BN)  # the range of L
-        M = np.hstack([-w * N - 0.5 * BN, w * N - 0.5 * BN])
-        H = 2.0 * M.T @ scipy.linalg.cho_solve(cho, M)
+        M = np.concatenate([-w * N - 0.5 * BN, w * N - 0.5 * BN], axis=2)
+        Hm = 2.0 * M.transpose(0, 2, 1) @ scipy.linalg.cho_solve(cho, M)
         # Hess Lambda_q in the slots: Lambda_xy u_a u_b, with x and y the
         # products (p or r) of slots a and b, plus Lambda_p on (i, j), (j, i)
         # and Lambda_r on (k, l), (l, k) from the Hessians of p and r
@@ -173,37 +217,15 @@ class _PathProblem:
         local[:, 1, 0] += lam_p
         local[:, 2, 3] += lam_r
         local[:, 3, 2] += lam_r
-        H2 = N.T @ net.scatter_blocks(c[:, None, None] * local) @ N
-        H -= 0.25 * np.tile(H2, (2, 2))
-        return act, grad, flux, H
-
-    def evaluate(self, path: np.ndarray, hessian: bool = False):
-        """The objective on a whole path, interval by interval.
-
-        Returns the value, the gradient in the path (K + 1, n), the
-        Hessian in the slice coordinates N' f (K + 1, nfree, K + 1, nfree)
-        or None, and the actions A_m and fluxes (K, Q) of the K intervals.
-        """
-        K, n = len(path) - 1, self.net.n_nodes
-        nfree = self.N.shape[1]
-        weight = self.scale * self.dt
-        actions = np.zeros(K)
-        fluxes = np.zeros((K, self.net.n_quadruples))
-        grad = np.zeros((K + 1, n))
-        H = np.zeros((K + 1, nfree, K + 1, nfree)) if hessian else None
-        for m in range(K):
-            actions[m], gm, fluxes[m], Hm = self.interval(path[m], path[m + 1], hessian)
-            grad[m : m + 2] += weight * gm.reshape(2, n)
-            if hessian:
-                H[m : m + 2, :, m : m + 2] += weight * Hm.reshape(2, nfree, 2, nfree)
-        value = weight * actions.sum()
-        if self.entropy:
-            w, g = self.net.node_weight, path[K]
-            value += np.sum(w * g * np.log(g))
-            grad[K] += w * (np.log(g) + 1.0)
-            if hessian:
-                H[K, :, K] += self.N.T @ (w / g[:, None] * self.N)
-        return value, grad, H, actions, fluxes
+        local *= c[:, None, None]
+        H2 = N.T @ net.scatter_blocks(np.moveaxis(local, 3, 1)) @ N
+        Hm = Hm.reshape(k, 2, nfree, 2, nfree)
+        Hm -= 0.25 * H2[:, None, :, None, :]
+        Hm *= weight
+        m = np.arange(start, stop)
+        for a in range(2):
+            for b in range(2):
+                H[m + a, :, m + b] += Hm[:, a, :, b]
 
     def __call__(self, y: np.ndarray, hessian: bool = False):
         """Value, reduced gradient, reduced Hessian, actions and fluxes at y.

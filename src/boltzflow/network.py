@@ -80,32 +80,39 @@ class VelocityNetwork:
         return np.stack(np.divmod(uniq, n)), ids.reshape(2, -1)
 
     def pair_values(self, f: np.ndarray) -> np.ndarray:
-        """The product f_i f_j of every pair in `pair_index`, one per pair."""
+        """The product f_i f_j of every pair in `pair_index`, one per pair.
+
+        f is (..., n); leading axes are kept.
+        """
         (i, j), _ = self.pair_index
-        return np.take(f, i) * np.take(f, j)
+        return np.take(f, i, axis=-1) * np.take(f, j, axis=-1)
 
     def pair_products(self, f: np.ndarray):
         """Forward and backward products (f_i f_j, f_k f_l) per quadruple.
 
         Each distinct pair is multiplied once; a product rounds the same
-        whichever quadruple it is gathered into.
+        whichever quadruple it is gathered into.  f is (..., n) and each
+        product (..., Q).
         """
         fwd, bwd = self.pair_index[1]
         g = self.pair_values(f)
-        return np.take(g, fwd), np.take(g, bwd)
+        return np.take(g, fwd, axis=-1), np.take(g, bwd, axis=-1)
 
     @cached_property
     def S(self) -> scipy.sparse.csr_matrix:
         """Signed (n, Q) incidence: +1 on (k, l), -1 on (i, j) per quadruple.
 
-        Assembled from COO entries in slot order (i, j, k, l); a slot
-        repeated within a quadruple (i == j or k == l) sums to +-2.
+        Column q holds the four slots of quadruple q, so the matrix is
+        written down in CSC form and converted; a slot repeated within a
+        quadruple (i == j or k == l) sums to +-2.
         """
         Q = self.n_quadruples
-        rows = self.quad.T.ravel()
-        cols = np.tile(np.arange(Q), 4)
-        vals = np.concatenate([-np.ones(2 * Q), np.ones(2 * Q)])
-        return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(self.n_nodes, Q))
+        S = scipy.sparse.csc_matrix(
+            (np.tile(SLOT_SIGN, Q), self.quad.ravel(), np.arange(0, 4 * Q + 1, 4)),
+            shape=(self.n_nodes, Q),
+        ).tocsr()
+        S.sum_duplicates()  # a no-op unless a slot repeats
+        return S
 
     @cached_property
     def invariants(self) -> np.ndarray:
@@ -122,24 +129,35 @@ class VelocityNetwork:
         return self.S @ q_values
 
     def scatter_blocks(self, blocks: np.ndarray) -> np.ndarray:
-        """Sum per-quadruple (Q, 4, 4) slot blocks into a dense n x n matrix.
+        """Sum per-quadruple (..., Q, 4, 4) slot blocks into dense (..., n, n).
 
-        Entry (a, b) of block q lands on (quad[q, a], quad[q, b]).  One
-        bincount per slot pair keeps every temporary Q-sized.
+        Entry (a, b) of block q lands on (quad[q, a], quad[q, b]) of its
+        own slice.  One bincount per slot pair, over every slice at once
+        with each slice's bins offset by n^2, keeps every temporary the
+        size of one slot of the blocks; each slice sums in the order of
+        an unbatched call.
         """
         n = self.n_nodes
-        out = np.zeros(n * n)
+        batch = blocks.shape[:-3]
+        offset = n * n * np.arange(int(np.prod(batch))).reshape(batch + (1,))
+        out = np.zeros(n * n * offset.size)
         for a in range(4):
-            rows = self.quad[:, a] * n
+            rows = self.quad[:, a] * n + offset
             for b in range(4):
                 out += np.bincount(
-                    rows + self.quad[:, b], weights=blocks[:, a, b], minlength=n * n
+                    (rows + self.quad[:, b]).ravel(),
+                    weights=blocks[..., a, b].ravel(),
+                    minlength=out.size,
                 )
-        return out.reshape(n, n)
+        return out.reshape(batch + (n, n))
 
     def laplacian(self, weights: np.ndarray) -> np.ndarray:
-        """Dense weighted network Laplacian S diag(weights) S^T."""
-        return self.scatter_blocks(weights[:, None, None] * np.outer(SLOT_SIGN, SLOT_SIGN))
+        """Dense weighted network Laplacian S diag(weights) S^T.
+
+        weights is (..., Q) and the Laplacians (..., n, n).
+        """
+        blocks = np.multiply.outer(np.outer(SLOT_SIGN, SLOT_SIGN), weights)  # (4, 4, ..., Q)
+        return self.scatter_blocks(np.moveaxis(blocks, (0, 1), (-2, -1)))
 
     # -- export --------------------------------------------------------------
 

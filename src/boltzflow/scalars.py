@@ -1,8 +1,8 @@
 """Numerically stable scalar kernels and closed-form Gaussian-mixture ops.
 
-The logarithmic mean and the action/dissipation densities are the
-building blocks of the collision metric.  The logarithmic mean and its
-partials share one kernel, psi(x) = sinh(x/2) / (x/2) with
+The logarithmic mean and the action density are the building blocks
+of the collision metric.  The logarithmic mean and its partials share
+one kernel, psi(x) = sinh(x/2) / (x/2) with
 x = log(s/t): a 12-term Taylor series below |x| = 2 and the closed form
 above, so no branch cancels and values stay accurate to a few ulp for
 every pair of positive arguments.
@@ -115,27 +115,6 @@ def action_density(u, s, t):
     pos = lam > 0
     out[pos] = u[pos] ** 2 / (4.0 * lam[pos])
     out[~pos] = np.where(u[~pos] == 0.0, 0.0, np.inf)
-    return float(out[0]) if scalar else out
-
-
-def dissipation_density(s, t):
-    """Entropy dissipation integrand (t - s)(log t - log s).
-
-    Returns +inf if exactly one argument is zero, 0 if both are.
-    Equal to (log t - log s)^2 * L(s, t); vectorized.
-    """
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if np.any(s < 0) or np.any(t < 0):
-        raise DomainError("dissipation_density requires nonnegative arguments")
-    scalar = s.ndim == 0 and t.ndim == 0
-    s, t = np.broadcast_arrays(np.atleast_1d(s), np.atleast_1d(t))
-    out = np.zeros(s.shape)
-    both = (s > 0) & (t > 0)
-    one = (s > 0) ^ (t > 0)
-    d = np.log(t[both]) - np.log(s[both])
-    out[both] = (t[both] - s[both]) * d
-    out[one] = np.inf
     return float(out[0]) if scalar else out
 
 

@@ -3,7 +3,9 @@
 Each function spells out one formula directly: quadruple enumeration by
 brute force or by a dict join over pair keys, the pair products by four
 gathers per quadruple and the dissipation quadruple by quadruple, the
-incidence operators as per-slot `np.add.at` scatters, the W1 distance
+incidence matrix from COO triplets and the incidence operators as
+per-slot `np.add.at` scatters, the W_B and JKO path objective one
+interval at a time, the W1 distance
 by its Kantorovich-Rubinstein dual, the Kac walk, its CSV log and its
 dependency levels one event and one row at a time, the OU entropy
 estimate through scipy's logsumexp, and the Dormand-Prince loop with
@@ -12,15 +14,18 @@ code with the functions they check.
 """
 
 import numpy as np
+import scipy.linalg
 import scipy.optimize
 import scipy.sparse
 import scipy.special
 
 from boltzflow.forward import collision_operator as forward_rhs
+from boltzflow.errors import DomainError
 from boltzflow.forward import dissipation, entropy
 from boltzflow.kac import EventLog, ParticleState, _pair_from_index, _unit_vectors, stream
 from boltzflow.kinematics import SPHERE_SURFACE, collide
-from boltzflow.scalars import dissipation_density, log_mean
+from boltzflow.network import SLOT_SIGN
+from boltzflow.scalars import log_mean, log_mean_and_partials
 
 
 def lattice(d: int, M: int) -> np.ndarray:
@@ -69,6 +74,15 @@ def dict_join_quadruples(d: int, M: int) -> np.ndarray:
 _SLOTS = ((0, -1.0), (1, -1.0), (2, 1.0), (3, 1.0))
 
 
+def incidence(quad: np.ndarray, n: int) -> scipy.sparse.csr_matrix:
+    """The signed (n, Q) incidence S from COO triplets in slot order (i, j, k, l)."""
+    Q = len(quad)
+    rows = quad.T.ravel()
+    cols = np.tile(np.arange(Q), 4)
+    vals = np.concatenate([-np.ones(2 * Q), np.ones(2 * Q)])
+    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(n, Q))
+
+
 def div_bar(quad: np.ndarray, n: int, q_values: np.ndarray) -> np.ndarray:
     out = np.zeros(n)
     for a, sa in _SLOTS:
@@ -110,6 +124,27 @@ def quadruple_products(net, f: np.ndarray):
     return f[i] * f[j], f[k] * f[l]
 
 
+def dissipation_density(s, t):
+    """Entropy dissipation integrand (t - s)(log t - log s).
+
+    Returns +inf if exactly one argument is zero, 0 if both are.
+    Equal to (log t - log s)^2 * L(s, t); vectorized.
+    """
+    s = np.asarray(s, dtype=float)
+    t = np.asarray(t, dtype=float)
+    if np.any(s < 0) or np.any(t < 0):
+        raise DomainError("dissipation_density requires nonnegative arguments")
+    scalar = s.ndim == 0 and t.ndim == 0
+    s, t = np.broadcast_arrays(np.atleast_1d(s), np.atleast_1d(t))
+    out = np.zeros(s.shape)
+    both = (s > 0) & (t > 0)
+    one = (s > 0) ^ (t > 0)
+    d = np.log(t[both]) - np.log(s[both])
+    out[both] = (t[both] - s[both]) * d
+    out[one] = np.inf
+    return float(out[0]) if scalar else out
+
+
 def quadruple_dissipation(net, f: np.ndarray) -> float:
     """D(f) with two logs per quadruple, through `dissipation_density`."""
     p, r = quadruple_products(net, np.asarray(f, dtype=float))
@@ -119,6 +154,78 @@ def quadruple_dissipation(net, f: np.ndarray) -> float:
 def collision_operator(net, f: np.ndarray) -> np.ndarray:
     p, r = quadruple_products(net, f)
     return div_bar(net.quad, net.n_nodes, net.W_q * net.B_q * (p - r)) / net.node_weight
+
+
+def path_interval(prob, fa: np.ndarray, fb: np.ndarray, hessian: bool = False):
+    """Action, gradient, flux and Hessian (or None) of one interval of `prob`.
+
+    The formulas of `boltzflow.metric._PathProblem._add_intervals` for a
+    single interval, each array without an interval axis.
+    """
+    net, kappa, N = prob.net, prob.kappa, prob.N
+    fbar = 0.5 * (fa + fb)
+    u = fbar[net.quad[:, [1, 0, 3, 2]]]
+    lam, lam_p, lam_r, lam_pp, lam_pr, lam_rr = log_mean_and_partials(
+        *quadruple_products(net, fbar)
+    )
+    L = net.laplacian(kappa * lam)
+    L += np.trace(L) / len(L) * prob.P
+    cho = scipy.linalg.cho_factor(L)
+    g = net.node_weight * (fb - fa) / prob.dt
+    pot = scipy.linalg.cho_solve(cho, g)
+    act = g @ pot
+    s = net.grad_bar(pot)
+    slot_grad = np.stack([lam_p, lam_p, lam_r, lam_r], axis=1) * u
+    c = kappa * s**2
+    dbar = -0.5 * np.bincount(
+        net.quad.ravel(), weights=(c[:, None] * slot_grad).ravel(), minlength=net.n_nodes
+    )
+    w = net.node_weight / prob.dt
+    grad = np.concatenate([-2.0 * w * pot + dbar, 2.0 * w * pot + dbar])
+    flux = lam * s
+    if not hessian:
+        return act, grad, flux, None
+    B = net.scatter_blocks(SLOT_SIGN[:, None] * ((kappa * s)[:, None] * slot_grad)[:, None])
+    BN = B @ N
+    BN -= prob.C @ (prob.C.T @ BN)
+    M = np.hstack([-w * N - 0.5 * BN, w * N - 0.5 * BN])
+    H = 2.0 * M.T @ scipy.linalg.cho_solve(cho, M)
+    local = u[:, :, None] * u[:, None, :]
+    local[:, :2, :2] *= lam_pp[:, None, None]
+    local[:, :2, 2:] *= lam_pr[:, None, None]
+    local[:, 2:, :2] *= lam_pr[:, None, None]
+    local[:, 2:, 2:] *= lam_rr[:, None, None]
+    local[:, 0, 1] += lam_p
+    local[:, 1, 0] += lam_p
+    local[:, 2, 3] += lam_r
+    local[:, 3, 2] += lam_r
+    H2 = N.T @ net.scatter_blocks(c[:, None, None] * local) @ N
+    H -= 0.25 * np.tile(H2, (2, 2))
+    return act, grad, flux, H
+
+
+def path_evaluate(prob, path: np.ndarray, hessian: bool = False):
+    """`_PathProblem.evaluate` by a loop over the intervals, one `path_interval` each."""
+    K, n = len(path) - 1, prob.net.n_nodes
+    nfree = prob.N.shape[1]
+    weight = prob.scale * prob.dt
+    actions = np.zeros(K)
+    fluxes = np.zeros((K, prob.net.n_quadruples))
+    grad = np.zeros((K + 1, n))
+    H = np.zeros((K + 1, nfree, K + 1, nfree)) if hessian else None
+    for m in range(K):
+        actions[m], gm, fluxes[m], Hm = path_interval(prob, path[m], path[m + 1], hessian)
+        grad[m : m + 2] += weight * gm.reshape(2, n)
+        if hessian:
+            H[m : m + 2, :, m : m + 2] += weight * Hm.reshape(2, nfree, 2, nfree)
+    value = weight * actions.sum()
+    if prob.entropy:
+        w, g = prob.net.node_weight, path[K]
+        value += np.sum(w * g * np.log(g))
+        grad[K] += w * (np.log(g) + 1.0)
+        if hessian:
+            H[K, :, K] += prob.N.T @ (w / g[:, None] * prob.N)
+    return value, grad, H, actions, fluxes
 
 
 def gradient_form_residual(net, solution) -> float:

@@ -66,6 +66,16 @@ def test_scatter_blocks_matches_add_at(net):
         blocks = rng.standard_normal((g.n_quadruples, 4, 4))
         ref = oracles.scatter_blocks(g.quad, g.n_nodes, blocks)
         assert np.max(np.abs(g.scatter_blocks(blocks) - ref)) <= 1e-14 * np.max(np.abs(ref))
+        # leading axes: each slice sums as an unbatched call does
+        batch = rng.standard_normal((2, 3, g.n_quadruples, 4, 4))
+        out = g.scatter_blocks(batch)
+        weights = rng.random((3, g.n_quadruples))
+        lap = g.laplacian(weights)
+        assert out.shape == (2, 3, g.n_nodes, g.n_nodes) and lap.shape == (3, g.n_nodes, g.n_nodes)
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(out[idx], g.scatter_blocks(batch[idx]))
+        for m in range(3):
+            assert np.array_equal(lap[m], g.laplacian(weights[m]))
 
 
 def test_quadruples_conserve_exactly(net):

@@ -1,9 +1,9 @@
-"""The velocity-pair index and the kernels that multiply once per pair.
+"""The incidence matrix, the velocity-pair index and the per-pair kernels.
 
-`pair_products`, `collision_operator` and `dissipation` must return the
-same bits as the quadruple-wise formulas in `oracles`: a product
-f_i f_j rounds the same whichever array it sits in, and the sums keep
-their order.
+`S` must equal its COO build, and `pair_products`, `collision_operator`
+and `dissipation` must return the same bits as the quadruple-wise
+formulas in `oracles`: a product f_i f_j rounds the same whichever
+array it sits in, and the sums keep their order.
 """
 
 from dataclasses import replace
@@ -71,6 +71,17 @@ def _states(net):
     one = out[1].copy()
     one[i] = 0.0  # quadruple 0 has exactly one product 0
     return out + [both, one]
+
+
+def test_incidence_matches_coo_build(network):
+    S = network.S
+    ref = oracles.incidence(network.quad, network.n_nodes)
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(S, part), getattr(ref, part))
+    # a repeated slot sums to -2 or +2
+    quad = network.quad
+    repeated = (quad[:, 0] == quad[:, 1]) | (quad[:, 2] == quad[:, 3])
+    assert (2.0 in np.abs(S.data)) == repeated.any()
 
 
 def test_pair_products_match_four_gathers(network):

@@ -1,0 +1,121 @@
+"""The batched path objective against the interval-by-interval oracle.
+
+`_PathProblem.evaluate` handles up to BATCH_ROWS quadruple rows of
+intervals at a time.  It must return the same bits as
+`oracles.path_evaluate`, which evaluates one interval at a time, however
+the intervals are split into batches: each slice of the gradient and
+Hessian takes at most two interval terms onto a zero start.
+"""
+
+import numpy as np
+import pytest
+
+import boltzflow.metric
+import oracles
+from boltzflow.kinematics import Kernel
+from boltzflow.metric import BATCH_ROWS, FLOOR, _PathProblem
+from boltzflow.network import build_network, maxent_project, restrict_quadruples, tilt_to_moments
+
+K1 = Kernel("constant", b=1.0)
+K = 8
+
+
+@pytest.fixture(scope="module", params=["d2", "d3", "clamp", "restricted"])
+def network(request):
+    if request.param == "d3":
+        return build_network(3, 2.0, 1.0, K1)
+    if request.param == "clamp":
+        return build_network(2, 3.0, 1.0, Kernel("clamp", lo=0.5, hi=2.0))
+    net = build_network(2, 3.0, 1.0, K1)
+    return restrict_quadruples(net, np.arange(0, net.n_quadruples, 5)) if (
+        request.param == "restricted"
+    ) else net
+
+
+def _tilts(net, seed):
+    """Two moment-matched tilts of the Maxwellian, as the geodesic benchmark draws them."""
+    feq = maxent_project(net)
+    rng = np.random.Generator(np.random.Philox(seed).jumped(0))
+    return [
+        tilt_to_moments(
+            net, feq * np.exp(0.25 * rng.standard_normal(net.n_nodes)), net.moments(feq)
+        )
+        for _ in range(2)
+    ]
+
+
+def _problems(net):
+    """The W_B problem on a straight path and the JKO problem from a tilt, each at a point y."""
+    a, b = _tilts(net, 1)
+    base = np.array([(1 - m / K) * a + (m / K) * b for m in range(K + 1)])
+    distance = _PathProblem(net, base, K - 1)
+    step = _PathProblem(net, np.broadcast_to(a, (K + 1, net.n_nodes)), K, 1.0 / (2.0 * 0.01), True)
+    rng = np.random.default_rng(3)
+    out = []
+    for prob in (distance, step):
+        # a bent path: moves of a few percent of the smallest density
+        y = 0.05 * np.min(prob.base) * rng.standard_normal(prob.nslices * prob.N.shape[1])
+        path = prob.path(y)
+        assert np.min(path) > FLOOR
+        out.append((prob, path))
+    return out
+
+
+def _assert_same(new, ref):
+    for x, r in zip(new, ref):
+        assert (x is None and r is None) or np.array_equal(x, r)
+
+
+@pytest.mark.parametrize("batch", ["default", "one", "three"])
+def test_evaluate_matches_interval_loop(network, monkeypatch, batch):
+    rows = {"default": BATCH_ROWS, "one": 1, "three": 3 * network.n_quadruples}[batch]
+    monkeypatch.setattr(boltzflow.metric, "BATCH_ROWS", rows)
+    for prob, path in _problems(network):
+        for hessian in (False, True):
+            _assert_same(prob.evaluate(path, hessian), oracles.path_evaluate(prob, path, hessian))
+
+
+def test_batch_sizes(net, monkeypatch):
+    # the geodesic benchmark's path (Q = 640, K = 8) is one batch, and
+    # d = 3, V/h = 3 (Q = 136686) goes one interval at a time
+    assert BATCH_ROWS // net.n_quadruples >= K
+    assert max(1, BATCH_ROWS // 136686) == 1
+    calls = []
+    real = _PathProblem._add_intervals
+
+    def spy(self, path, start, stop, *args):
+        calls.append((start, stop))
+        return real(self, path, start, stop, *args)
+
+    monkeypatch.setattr(_PathProblem, "_add_intervals", spy)
+    prob, path = _problems(net)[0]
+    prob.evaluate(path, True)
+    assert calls == [(0, K)]
+    calls.clear()
+    monkeypatch.setattr(boltzflow.metric, "BATCH_ROWS", 3 * net.n_quadruples)
+    prob.evaluate(path, True)
+    assert calls == [(0, 3), (3, 6), (6, 8)]
+
+
+@pytest.mark.parametrize("rows", [BATCH_ROWS, 1])
+def test_indefinite_interval_gives_inf(net, monkeypatch, rows):
+    # the last two slices sit at the floor but for one quadruple's nodes:
+    # the last interval's Laplacian spans 36 orders of magnitude and loses
+    # definiteness in the Cholesky factorization; the others are fine
+    monkeypatch.setattr(boltzflow.metric, "BATCH_ROWS", rows)
+    a = _tilts(net, 1)[0]
+    base = np.tile(a, (K + 1, 1))
+    base[K - 1 :] = FLOOR
+    base[K - 1 :, net.quad[0]] = 1e6
+    prob = _PathProblem(net, base, K, 1.0, entropy=True)
+    for hessian in (False, True):
+        with pytest.raises(np.linalg.LinAlgError):
+            oracles.path_interval(prob, base[K - 1], base[K], hessian)
+        with pytest.raises(np.linalg.LinAlgError):
+            prob.evaluate(base, hessian)
+        y = np.zeros(K * prob.N.shape[1])
+        value, grad, H, actions, fluxes = prob(y, hessian)
+        assert value == np.inf and not np.any(grad)
+        assert H is None and actions is None and fluxes is None
+    for m in range(K - 1):
+        oracles.path_interval(prob, base[m], base[m + 1], True)

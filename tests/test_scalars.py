@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import dissipation_density
 from boltzflow.scalars import (
     GaussianMixture,
     action_density,
     collision_involution_matrix,
-    dissipation_density,
     log_mean,
     log_mean_and_partials,
     ou_commutation_residual,
