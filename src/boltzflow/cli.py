@@ -115,8 +115,8 @@ def density_from_mixture(net: VelocityNetwork, mix: GaussianMixture) -> np.ndarr
 
 
 def _probe_times(times, T: float) -> list:
-    """The probe times to report at; with none given, the final time T."""
-    return list(times) or [T]
+    """The probe times in [0, T] to report at; with none left, the final time T."""
+    return [t for t in times if t <= T + 1e-12] or [T]
 
 
 def _run_forward(cfg: RunConfig, write) -> dict:
@@ -170,7 +170,7 @@ def _run_jko(cfg: RunConfig, write) -> dict:
     traj = jko_trajectory(net, f0, exp["tau"], exp["T"], K=exp["K"], opts=opts)
     write("jko.csv", traj.to_csv())
     fwd = solve_forward(net, f0, exp["T"])
-    probes = _probe_times([t for t in exp["probe_times"] if t <= exp["T"] + 1e-12], exp["T"])
+    probes = _probe_times(exp["probe_times"], exp["T"])
     comp = compare_to_forward(traj, fwd, probes)
     write("comparison.json", json.dumps({
         "tau": comp["tau"],

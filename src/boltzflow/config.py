@@ -107,6 +107,12 @@ def _positive(value, name):
     return value
 
 
+def _lattice_ratio(V, h, name):
+    ratio = V / h
+    if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
+        raise ConfigError(f"{name} must be a positive integer")
+
+
 def parse_config_dict(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("top-level config must be a JSON object")
@@ -122,9 +128,7 @@ def parse_config_dict(raw: dict) -> RunConfig:
         raise ConfigError("network.d must be 2 or 3")
     _positive(net["V"], "network.V")
     _positive(net["h"], "network.h")
-    ratio = net["V"] / net["h"]
-    if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-        raise ConfigError("network.V / network.h must be a positive integer")
+    _lattice_ratio(net["V"], net["h"], "network.V / network.h")
     network = NetworkConfig(d=int(net["d"]), V=float(net["V"]), h=float(net["h"]))
 
     ker_raw = raw.get("kernel", {})
@@ -171,6 +175,21 @@ def parse_config_dict(raw: dict) -> RunConfig:
     if etype == "distance" and exp["K"] < 2:
         # W_B needs an interior slice of the path to minimize over
         raise ConfigError("experiment.K must be at least 2 for distance")
+    # a Kac walk needs a pair of particles; max_step 0 means no step limit
+    # and ou_time 0 no entropy estimate
+    for key, least in (("N", 2), ("max_step", 0), ("ou_time", 0)):
+        if exp.get(key, least) < least:
+            raise ConfigError(f"experiment.{key} must be at least {least}, got {exp[key]!r}")
+    if any(t < 0 for t in exp.get("probe_times", ())):
+        raise ConfigError("experiment.probe_times must be nonnegative")
+    if etype == "consistency":
+        # a confidence interval needs two replicates
+        if exp["replicates"] < 2:
+            raise ConfigError("experiment.replicates must be at least 2 for consistency")
+        if not all(isinstance(N, int) and N >= 2 for N in exp["Ns"]):
+            raise ConfigError(f"experiment.Ns must hold integers of at least 2, got {exp['Ns']!r}")
+        _positive(exp["reference_h"], "experiment.reference_h")
+        _lattice_ratio(network.V, exp["reference_h"], "network.V / experiment.reference_h")
 
     out = raw.get("out", "runs")
     if not isinstance(out, str):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 from .forward import ForwardTrajectory, entropy
-from .metric import SolverOptions, _minimize_smooth, _PathProblem
+from .metric import SolverOptions, _PathProblem, w1_distance
 from .network import VelocityNetwork
 
 
@@ -89,10 +89,7 @@ def jko_step(
     prob = _PathProblem(
         net, np.broadcast_to(f_prev, (K + 1, len(f_prev))), K, 1.0 / (2.0 * tau), entropy=True
     )
-    y_opt, kkt, iters, (_, _, _, actions, _) = _minimize_smooth(
-        prob, np.zeros(K * prob.N.shape[1]), opts
-    )
-    path = prob.path(y_opt)
+    path, kkt, iters, (_, _, _, actions, _) = prob.solve(opts)
     g = path[K]
     sq = float(prob.dt * actions.sum())
     H_new = entropy(net, g)
@@ -149,8 +146,6 @@ def compare_to_forward(
     jko: JkoTrajectory, fwd: ForwardTrajectory, probe_times
 ) -> dict:
     """L1 and network-W1 gaps between the interpolant and the forward flow."""
-    from .metric import w1_distance
-
     if jko.net is not fwd.net and (
         jko.net.d != fwd.net.d
         or jko.net.n_nodes != fwd.net.n_nodes

@@ -73,12 +73,9 @@ def cre_residual(net: VelocityNetwork, path: np.ndarray, flux: np.ndarray) -> fl
     if path.shape != (K + 1, net.n_nodes) or flux.shape[1] != net.n_quadruples:
         raise DomainError("path/flux shapes are inconsistent")
     dt = 1.0 / K
-    worst = 0.0
-    for m in range(K):
-        lhs = net.node_weight * (path[m + 1] - path[m]) / dt
-        rhs = net.div_bar(net.W_q * net.B_q * flux[m])
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+    lhs = net.node_weight * (path[1:] - path[:-1]) / dt
+    rhs = net.div_bar((net.W_q * net.B_q * flux).T).T
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def boltzmann_flux(net: VelocityNetwork, f: np.ndarray) -> np.ndarray:
@@ -200,7 +197,7 @@ class _PathProblem:
         if H is None:
             return
         B = SLOT_SIGN[:, None, None] * ((kappa * s)[:, None] * slot_grad)[:, None]
-        B = net.scatter_blocks(np.moveaxis(B, 3, 1))
+        B = net.scatter_blocks(B)
         BN = B @ N
         BN -= self.C @ (self.C.T @ BN)  # the range of L
         M = np.concatenate([-w * N - 0.5 * BN, w * N - 0.5 * BN], axis=2)
@@ -218,7 +215,7 @@ class _PathProblem:
         local[:, 2, 3] += lam_r
         local[:, 3, 2] += lam_r
         local *= c[:, None, None]
-        H2 = N.T @ net.scatter_blocks(np.moveaxis(local, 3, 1)) @ N
+        H2 = N.T @ net.scatter_blocks(local) @ N
         Hm = Hm.reshape(k, 2, nfree, 2, nfree)
         Hm -= 0.25 * H2[:, None, :, None, :]
         Hm *= weight
@@ -227,79 +224,77 @@ class _PathProblem:
             for b in range(2):
                 H[m + a, :, m + b] += Hm[:, a, :, b]
 
-    def __call__(self, y: np.ndarray, hessian: bool = False):
+    def __call__(self, y: np.ndarray):
         """Value, reduced gradient, reduced Hessian, actions and fluxes at y.
 
-        The Hessian is None unless requested.  Outside the positive cone
-        the value is +inf and the rest is zero or None.
+        Outside the positive cone the value is +inf and the rest is zero or
+        None.
         """
         path = self.path(y)
         if np.any(path < FLOOR):
             return np.inf, np.zeros_like(y), None, None, None
         try:
-            value, grad, H, actions, fluxes = self.evaluate(path, hessian)
+            value, grad, H, actions, fluxes = self.evaluate(path, hessian=True)
         except np.linalg.LinAlgError:  # L lost definiteness at the barrier
             return np.inf, np.zeros_like(y), None, None, None
         free = slice(1, self.nslices + 1)
-        if hessian:
-            H = H[free, :, free].reshape(len(y), -1)
+        H = H[free, :, free].reshape(len(y), -1)
         return value, (grad[free] @ self.N).ravel(), H, actions, fluxes
 
+    def solve(self, opts: SolverOptions):
+        """Damped Newton iteration on the exact Hessian, started at y = 0.
 
-def _minimize_smooth(evaluate, y0, opts: SolverOptions):
-    """Damped Newton iteration on the exact Hessian, started at y0.
-
-    evaluate(y, hessian) returns a tuple that starts with the value, the
-    gradient and, when hessian is set, the Hessian at y.  Truncated-CG
-    trust regions stall above the target tolerance on this objective, so
-    each step factors the analytic Hessian and backtracks on the full
-    Newton step.  Every candidate is evaluated with its Hessian, so an
-    accepted point is never evaluated twice.  Returns the minimizer, its
-    KKT residual, the iteration count and its whole evaluation.
-    """
-    y, point = y0, evaluate(y0, hessian=True)
-    val, g, H = point[:3]
-    if not np.isfinite(val):
-        raise NumericalError("path solver left the positive cone")
-    kkt = float(np.max(np.abs(g)))
-    iters = 0
-    for _ in range(60):
-        if kkt <= 0.3 * opts.tol:
-            break
-        scale = np.trace(H) / len(H)
-        jitter = 0.0
-        for _ in range(16):
-            try:
-                cho = scipy.linalg.cho_factor(H + jitter * np.eye(len(H)))
-                step = scipy.linalg.cho_solve(cho, g)
-                break
-            except np.linalg.LinAlgError:
-                jitter = max(4.0 * jitter, 1e-12 * scale)
-        else:
-            raise NumericalError("path Hessian is numerically indefinite")
-        accepted = False
-        damp = 1.0
-        while damp > 1e-8:
-            cand = y - damp * step
-            cand_point = evaluate(cand, hessian=True)
-            val_c, g_c = cand_point[:2]
-            if np.isfinite(val_c) and (
-                val_c <= val + 1e-12 * (abs(val) + 1.0) or np.max(np.abs(g_c)) < kkt
-            ):
-                accepted = True
-                break
-            damp *= 0.5
-        if not accepted:
-            break
-        y, point = cand, cand_point
+        Truncated-CG trust regions stall above the target tolerance on this
+        objective, so each step factors the analytic Hessian and backtracks
+        on the full Newton step.  Every candidate is evaluated with its
+        Hessian, so an accepted point is never evaluated twice.  Returns the
+        minimizing path, its KKT residual, the iteration count and its whole
+        evaluation `self(y)`.
+        """
+        y = np.zeros(self.nslices * self.N.shape[1])
+        point = self(y)
         val, g, H = point[:3]
+        if not np.isfinite(val):
+            raise NumericalError("path solver left the positive cone")
         kkt = float(np.max(np.abs(g)))
-        iters += 1
-    if kkt > opts.tol:
-        raise NumericalError(
-            f"path solver stalled: projected gradient {kkt:.2e} > tol {opts.tol:.2e}"
-        )
-    return y, kkt, iters, point
+        iters = 0
+        for _ in range(60):
+            if kkt <= 0.3 * opts.tol:
+                break
+            scale = np.trace(H) / len(H)
+            jitter = 0.0
+            for _ in range(16):
+                try:
+                    cho = scipy.linalg.cho_factor(H + jitter * np.eye(len(H)))
+                    step = scipy.linalg.cho_solve(cho, g)
+                    break
+                except np.linalg.LinAlgError:
+                    jitter = max(4.0 * jitter, 1e-12 * scale)
+            else:
+                raise NumericalError("path Hessian is numerically indefinite")
+            accepted = False
+            damp = 1.0
+            while damp > 1e-8:
+                cand = y - damp * step
+                cand_point = self(cand)
+                val_c, g_c = cand_point[:2]
+                if np.isfinite(val_c) and (
+                    val_c <= val + 1e-12 * (abs(val) + 1.0) or np.max(np.abs(g_c)) < kkt
+                ):
+                    accepted = True
+                    break
+                damp *= 0.5
+            if not accepted:
+                break
+            y, point = cand, cand_point
+            val, g, H = point[:3]
+            kkt = float(np.max(np.abs(g)))
+            iters += 1
+        if kkt > opts.tol:
+            raise NumericalError(
+                f"path solver stalled: projected gradient {kkt:.2e} > tol {opts.tol:.2e}"
+            )
+        return self.path(y), kkt, iters, point
 
 
 def _orthonormal_complement(C: np.ndarray) -> np.ndarray:
@@ -336,10 +331,7 @@ def solve_distance(
 
     base = np.array([(1 - m / K) * f0 + (m / K) * f1 for m in range(K + 1)])
     prob = _PathProblem(net, base, K - 1)
-    y_opt, kkt, iters, (squared, _, _, actions, flux) = _minimize_smooth(
-        prob, np.zeros((K - 1) * prob.N.shape[1]), opts
-    )
-    path = prob.path(y_opt)
+    path, kkt, iters, (squared, _, _, actions, flux) = prob.solve(opts)
     value = float(np.sqrt(max(squared, 0.0)))
     # re-evaluate on the path clipped at a 10x larger floor to expose how
     # much the reported value leans on the positivity barrier

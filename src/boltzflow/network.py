@@ -129,7 +129,7 @@ class VelocityNetwork:
         return self.S @ q_values
 
     def scatter_blocks(self, blocks: np.ndarray) -> np.ndarray:
-        """Sum per-quadruple (..., Q, 4, 4) slot blocks into dense (..., n, n).
+        """Sum per-quadruple (..., 4, 4, Q) slot blocks into dense (..., n, n).
 
         Entry (a, b) of block q lands on (quad[q, a], quad[q, b]) of its
         own slice.  One bincount per slot pair, over every slice at once
@@ -146,7 +146,7 @@ class VelocityNetwork:
             for b in range(4):
                 out += np.bincount(
                     (rows + self.quad[:, b]).ravel(),
-                    weights=blocks[..., a, b].ravel(),
+                    weights=blocks[..., a, b, :].ravel(),
                     minlength=out.size,
                 )
         return out.reshape(batch + (n, n))
@@ -156,8 +156,8 @@ class VelocityNetwork:
 
         weights is (..., Q) and the Laplacians (..., n, n).
         """
-        blocks = np.multiply.outer(np.outer(SLOT_SIGN, SLOT_SIGN), weights)  # (4, 4, ..., Q)
-        return self.scatter_blocks(np.moveaxis(blocks, (0, 1), (-2, -1)))
+        signs = np.outer(SLOT_SIGN, SLOT_SIGN)[:, :, None]
+        return self.scatter_blocks(signs * np.expand_dims(weights, (-3, -2)))
 
     # -- export --------------------------------------------------------------
 

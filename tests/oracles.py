@@ -105,11 +105,11 @@ def laplacian(quad: np.ndarray, n: int, weights: np.ndarray) -> np.ndarray:
 
 
 def scatter_blocks(quad: np.ndarray, n: int, blocks: np.ndarray) -> np.ndarray:
-    """sum_q of block q's entry (a, b) on (quad[q, a], quad[q, b]), by np.add.at."""
+    """sum_q of entry (a, b, q) of (4, 4, Q) blocks on (quad[q, a], quad[q, b]), by np.add.at."""
     out = np.zeros((n, n))
     for a in range(4):
         for b in range(4):
-            np.add.at(out, (quad[:, a], quad[:, b]), blocks[:, a, b])
+            np.add.at(out, (quad[:, a], quad[:, b]), blocks[a, b])
     return out
 
 
@@ -185,7 +185,9 @@ def path_interval(prob, fa: np.ndarray, fb: np.ndarray, hessian: bool = False):
     flux = lam * s
     if not hessian:
         return act, grad, flux, None
-    B = net.scatter_blocks(SLOT_SIGN[:, None] * ((kappa * s)[:, None] * slot_grad)[:, None])
+    # quadruple-major blocks (Q, 4, 4), handed over slot-major (4, 4, Q)
+    B = SLOT_SIGN[:, None] * ((kappa * s)[:, None] * slot_grad)[:, None]
+    B = net.scatter_blocks(B.transpose(1, 2, 0))
     BN = B @ N
     BN -= prob.C @ (prob.C.T @ BN)
     M = np.hstack([-w * N - 0.5 * BN, w * N - 0.5 * BN])
@@ -199,7 +201,7 @@ def path_interval(prob, fa: np.ndarray, fb: np.ndarray, hessian: bool = False):
     local[:, 1, 0] += lam_p
     local[:, 2, 3] += lam_r
     local[:, 3, 2] += lam_r
-    H2 = N.T @ net.scatter_blocks(c[:, None, None] * local) @ N
+    H2 = N.T @ net.scatter_blocks((c[:, None, None] * local).transpose(1, 2, 0)) @ N
     H -= 0.25 * np.tile(H2, (2, 2))
     return act, grad, flux, H
 

@@ -4,16 +4,17 @@ import os
 import re
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import boltzflow.cli
-import boltzflow.jko
 import boltzflow.metric
 from boltzflow.cli import (
     EXIT_CONFIG,
     EXIT_DOMAIN,
     EXIT_NUMERICAL,
     _config_hash,
+    _probe_times,
     main,
     run,
     selftest,
@@ -135,12 +136,13 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
         assert f"experiment.{key}" in capsys.readouterr().err
 
     # numerical failure: a proximal step worse than staying put
-    def ascend(evaluate, y0, opts):
-        g = evaluate(y0)[1]
+    def ascend(prob, opts):
+        y0 = np.zeros(prob.nslices * prob.N.shape[1])
+        g = prob(y0)[1]
         y = y0 + 1e-4 * g / (g @ g)
-        return y, 0.0, 0, evaluate(y)
+        return prob.path(y), 0.0, 0, prob(y)
 
-    monkeypatch.setattr(boltzflow.jko, "_minimize_smooth", ascend)
+    monkeypatch.setattr(boltzflow.metric._PathProblem, "solve", ascend)
     capsys.readouterr()
     assert main(["jko", "--out", str(tmp_path / "jko")]) == EXIT_NUMERICAL
     assert "exceeds competitor" in capsys.readouterr().err
@@ -150,10 +152,9 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
     ({"experiment": {"type": "forward", "T": 0.001}}, "need at least 3 recorded samples"),
     ({"network": {"V": 1.0}, "experiment": {"type": "forward"}},
      "not strictly inside the attainable range"),
-    ({"experiment": {"type": "consistency", "probe_times": [0.0, 0.2], "T": 0.1}},
-     r"record times must lie in \[0, T\]"),
-    ({"experiment": {"type": "kac", "N": 1}}, "need at least 2 particles"),
-], ids=["forward-short", "forward-moments", "consistency-probes", "kac-one-particle"])
+    ({"experiment": {"type": "consistency", "bimodal_speed": 1.5}},
+     "exceeds the energy budget"),
+], ids=["forward-short", "forward-moments", "consistency-speed"])
 def test_domain_errors_exit_3(tmp_path, capsys, raw, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**raw, "out": str(tmp_path / "out")}))
@@ -161,6 +162,49 @@ def test_domain_errors_exit_3(tmp_path, capsys, raw, message):
     err = capsys.readouterr().err
     assert err.startswith("domain error: ")
     assert re.search(message, err)
+
+
+@pytest.mark.parametrize("etype, fields", [
+    ("kac", {"ou_time": -1}),
+    ("forward", {"max_step": -1}),
+    ("kac", {"N": 1}),
+    ("consistency", {"Ns": [16.7, 64]}),
+    ("consistency", {"Ns": [1, 64]}),
+    ("consistency", {"replicates": 1}),
+    ("consistency", {"reference_h": 0.7}),
+    ("consistency", {"reference_h": 0}),
+    ("jko", {"probe_times": [-0.1, 0.5]}),
+    ("consistency", {"probe_times": [-0.05, 0.05]}),
+], ids=["kac-ou-time", "forward-max-step", "kac-one-particle", "consistency-fractional-N",
+        "consistency-one-particle", "consistency-one-replicate", "consistency-reference-h",
+        "consistency-zero-reference-h", "jko-negative-probe", "consistency-negative-probe"])
+def test_config_ranges_exit_2(tmp_path, capsys, etype, fields):
+    # every range is checked at parse time, before the experiment starts
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": {"type": etype, **fields},
+                                "out": str(tmp_path / "out")}))
+    assert main([etype, "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and f"experiment.{next(iter(fields))}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_probes_past_T_are_dropped(tmp_path):
+    # both runners report at the probes in [0, T], or at T when none is left
+    assert _probe_times([0.25, 0.5, 1.0], 0.3) == [0.25]
+    assert _probe_times([0.5], 0.3) == _probe_times([], 0.3) == [0.3]
+    # the default consistency probes [0, 0.05, 0.1] against T = 0.05
+    path = tmp_path / "cfg.json"
+    out = tmp_path / "out"
+    path.write_text(json.dumps({
+        "experiment": {"type": "consistency", "Ns": [4, 8], "replicates": 2, "T": 0.05},
+        "out": str(out),
+    }))
+    assert main(["consistency", "--config", str(path)]) == 0
+    rows = (out / "report.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:2] for row in rows] == [
+        ["0", "4"], ["0.050000000000000003", "4"], ["0", "8"], ["0.050000000000000003", "8"]
+    ]
 
 
 def test_distance_needs_two_slices(tmp_path, capsys):

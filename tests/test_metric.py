@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 import boltzflow.jko
-import boltzflow.metric
 import oracles
 from boltzflow.errors import DomainError
 from boltzflow.forward import dissipation, solve_forward
@@ -11,6 +10,7 @@ from boltzflow.metric import (
     FLOOR,
     MetricSolution,
     SolverOptions,
+    _PathProblem,
     boltzmann_flux,
     cre_residual,
     discrete_action,
@@ -173,13 +173,12 @@ def test_floor_sensitivity_zero_when_nothing_is_clipped(net, feq):
 def test_no_path_evaluation_after_newton(net, feq, tilted, monkeypatch, solver):
     # the Newton loop hands back the evaluation of its minimizer; with
     # nothing clipped, neither caller evaluates the path again
-    module = boltzflow.metric if solver == "solve_distance" else boltzflow.jko
-    real_minimize = module._minimize_smooth
-    real_evaluate = boltzflow.metric._PathProblem.evaluate
+    real_solve = _PathProblem.solve
+    real_evaluate = _PathProblem.evaluate
     calls = {"after": 0, "done": False}
 
-    def minimize(*args):
-        out = real_minimize(*args)
+    def solve(self, opts):
+        out = real_solve(self, opts)
         calls["done"] = True
         return out
 
@@ -187,8 +186,8 @@ def test_no_path_evaluation_after_newton(net, feq, tilted, monkeypatch, solver):
         calls["after"] += calls["done"]
         return real_evaluate(self, *args, **kwargs)
 
-    monkeypatch.setattr(module, "_minimize_smooth", minimize)
-    monkeypatch.setattr(boltzflow.metric._PathProblem, "evaluate", evaluate)
+    monkeypatch.setattr(_PathProblem, "solve", solve)
+    monkeypatch.setattr(_PathProblem, "evaluate", evaluate)
     if solver == "solve_distance":
         for seed in (1, 2, 3):
             a, b = _geodesic_pair(net, feq, seed)
@@ -219,32 +218,33 @@ def test_distance_moment_mismatch_rejected(net, feq, tilted):
     ],
 )
 def test_reduced_hessian_matches_gradient_differences(net, tilted, d3, monkeypatch, solver, d):
-    # capture the path evaluation the Newton solver gets
-    module = boltzflow.metric if solver == "solve_distance" else boltzflow.jko
-    real = module._minimize_smooth
+    # capture the path problem the Newton solver runs on
+    real = _PathProblem.solve
     seen = {}
 
-    def spy(evaluate, y0, opts):
-        out = real(evaluate, y0, opts)
-        seen.update(evaluate=evaluate, points=(y0, out[0]))
+    def spy(self, opts):
+        out = real(self, opts)
+        free = slice(1, self.nslices + 1)
+        y_opt = ((out[0][free] - self.base[free]) @ self.N).ravel()
+        seen.update(prob=self, points=(np.zeros_like(y_opt), y_opt))
         return out
 
-    monkeypatch.setattr(module, "_minimize_smooth", spy)
+    monkeypatch.setattr(_PathProblem, "solve", spy)
     g, tilt = (net, tilted) if d == 2 else d3
     if solver == "solve_distance":
         solve_distance(g, tilt(6), tilt(7), K=4)
     else:
         boltzflow.jko.jko_step(g, tilt(1), 0.1, K=4)
-    evaluate = seen["evaluate"]
+    prob = seen["prob"]
     rng = np.random.default_rng(5)
     h = 1e-8
     for y in seen["points"]:  # the straight or constant start and the minimizer
-        H = evaluate(y, hessian=True)[2]
+        H = prob(y)[2]
         assert np.max(np.abs(H - H.T)) <= 1e-13 * np.max(np.abs(H))
         for _ in range(3):
             v = rng.standard_normal(len(y))
             v /= np.linalg.norm(v)
-            fd = (evaluate(y + h * v)[1] - evaluate(y - h * v)[1]) / (2 * h)
+            fd = (prob(y + h * v)[1] - prob(y - h * v)[1]) / (2 * h)
             assert np.linalg.norm(H @ v - fd) <= 1e-6 * np.linalg.norm(fd)
 
 

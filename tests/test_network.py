@@ -63,11 +63,11 @@ def test_scatter_blocks_matches_add_at(net):
     # blocks without symmetry, so a swapped slot pair shows
     rng = np.random.default_rng(12)
     for g in (net, restrict_quadruples(net, [0, 5, 17, 300])):
-        blocks = rng.standard_normal((g.n_quadruples, 4, 4))
+        blocks = rng.standard_normal((4, 4, g.n_quadruples))
         ref = oracles.scatter_blocks(g.quad, g.n_nodes, blocks)
         assert np.max(np.abs(g.scatter_blocks(blocks) - ref)) <= 1e-14 * np.max(np.abs(ref))
         # leading axes: each slice sums as an unbatched call does
-        batch = rng.standard_normal((2, 3, g.n_quadruples, 4, 4))
+        batch = rng.standard_normal((2, 3, 4, 4, g.n_quadruples))
         out = g.scatter_blocks(batch)
         weights = rng.random((3, g.n_quadruples))
         lap = g.laplacian(weights)

@@ -113,9 +113,8 @@ def test_indefinite_interval_gives_inf(net, monkeypatch, rows):
             oracles.path_interval(prob, base[K - 1], base[K], hessian)
         with pytest.raises(np.linalg.LinAlgError):
             prob.evaluate(base, hessian)
-        y = np.zeros(K * prob.N.shape[1])
-        value, grad, H, actions, fluxes = prob(y, hessian)
-        assert value == np.inf and not np.any(grad)
-        assert H is None and actions is None and fluxes is None
+    value, grad, H, actions, fluxes = prob(np.zeros(K * prob.N.shape[1]))
+    assert value == np.inf and not np.any(grad)
+    assert H is None and actions is None and fluxes is None
     for m in range(K - 1):
         oracles.path_interval(prob, base[m], base[m + 1], True)
