@@ -56,14 +56,6 @@ class RunManifest:
         return json.dumps(asdict(self), indent=1, sort_keys=True)
 
 
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _config_hash(cfg: RunConfig) -> str:
     canon = json.dumps(config_to_dict(cfg), sort_keys=True)
     return hashlib.sha256(canon.encode()).hexdigest()
@@ -181,12 +173,20 @@ def _run_jko(cfg: RunConfig, write) -> dict:
     return {"jko.tol": exp["tol"]}
 
 
-def _kac_replicate(args):
-    d, speed, N, T, kernel, seed, jump, ou_time = args
+def _bimodal_walk(d, speed, N, T, kernel, seed, jump, record_times=None):
+    """N particles drawn from the bimodal mixture and walked to T.
+
+    The draw and the walk use Philox(seed) jumped `jump` times; returns
+    that stream and what `simulate` returns.
+    """
     rng = np.random.Generator(np.random.Philox(seed).jumped(jump))
-    mix = bimodal_mixture(d, speed)
-    state = sample_initial(N, mix, rng)
-    final, log = simulate(state, kernel, T, rng)
+    state = sample_initial(N, bimodal_mixture(d, speed), rng)
+    return rng, simulate(state, kernel, T, rng, record_times=record_times)
+
+
+def _kac_replicate(args):
+    *walk, ou_time = args
+    rng, (final, log) = _bimodal_walk(*walk)
     est, se = empirical_entropy(final, ou_time, seed=rng) if ou_time > 0 else (0.0, 0.0)
     mom = empirical_moments(final)
     return {
@@ -228,11 +228,7 @@ def _run_kac(cfg: RunConfig, write) -> dict:
 
 
 def _consistency_replicate(args):
-    d, speed, N, T, kernel, seed, jump, probes = args
-    rng = np.random.Generator(np.random.Philox(seed).jumped(jump))
-    mix = bimodal_mixture(d, speed)
-    state = sample_initial(N, mix, rng)
-    _, _, snaps = simulate(state, kernel, T, rng, record_times=probes)
+    _, (_, _, snaps) = _bimodal_walk(*args)
     return snaps
 
 
@@ -244,15 +240,12 @@ def _run_consistency(cfg: RunConfig, write) -> dict:
     f0 = density_from_mixture(ref, bimodal_mixture(d, exp["bimodal_speed"]))
     probes = _probe_times(exp["probe_times"], exp["T"])
     fwd = solve_forward(ref, f0, max(max(probes), 1e-6))
+    R = exp["replicates"]
     runs = {}
-    jump = 0
-    for N in exp["Ns"]:
-        jobs = []
-        for _ in range(exp["replicates"]):
-            jobs.append((d, exp["bimodal_speed"], int(N), exp["T"], kernel,
-                         cfg.seed, jump, probes))
-            jump += 1
-        runs[int(N)] = _parallel_map(_consistency_replicate, jobs, cfg.threads)
+    for a, N in enumerate(exp["Ns"]):
+        jobs = [(d, exp["bimodal_speed"], N, exp["T"], kernel, cfg.seed, a * R + r, probes)
+                for r in range(R)]
+        runs[N] = _parallel_map(_consistency_replicate, jobs, cfg.threads)
     report = consistency_report(runs, fwd, probes)
     lines = ["time,N,kac_mean,kac_ci,fwd_value"]
     for row in report["rows"]:
@@ -301,13 +294,13 @@ def run(cfg: RunConfig, experiment_kind: str = None) -> RunManifest:
         os.makedirs(cfg.out, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {cfg.out}: {exc}") from exc
-    written = {}
+    files = {}
 
     def write(name: str, text: str):
-        path = os.path.join(cfg.out, name)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        written[name] = path
+        data = text.encode("utf-8")
+        with open(os.path.join(cfg.out, name), "wb") as fh:
+            fh.write(data)
+        files[name] = hashlib.sha256(data).hexdigest()
 
     start = time.monotonic()
     tolerances = _RUNNERS[kind](cfg, write)
@@ -318,7 +311,7 @@ def run(cfg: RunConfig, experiment_kind: str = None) -> RunManifest:
         version=__version__,
         wall_clock=wall,
         tolerances=tolerances,
-        files={name: _sha256(path) for name, path in sorted(written.items())},
+        files=files,
     )
     with open(os.path.join(cfg.out, "manifest.json"), "w", encoding="utf-8") as fh:
         fh.write(manifest.to_json())
@@ -419,21 +412,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args, default_experiment: str) -> RunConfig:
+    """The config file (or the default experiment) with the flags laid over it."""
     if args.config is not None:
-        cfg = parse_config(args.config)
+        raw = config_to_dict(parse_config(args.config))
     else:
-        cfg = parse_config_dict({"experiment": {"type": default_experiment}})
-    if args.out is not None:
-        cfg.out = args.out
-    if args.seed is not None:
-        if args.seed < 0 or args.seed >= 2**64:
-            raise ConfigError("--seed must be an unsigned 64-bit integer")
-        cfg.seed = args.seed
-    if args.threads is not None:
-        if args.threads < 1:
-            raise ConfigError("--threads must be a positive integer")
-        cfg.threads = args.threads
-    return cfg
+        raw = {"experiment": {"type": default_experiment}}
+    for key in ("out", "seed", "threads"):
+        if getattr(args, key) is not None:
+            raw[key] = getattr(args, key)
+    return parse_config_dict(raw)
 
 
 def main(argv=None) -> int:

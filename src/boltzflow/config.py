@@ -8,6 +8,7 @@ well-formed configuration.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 from .errors import ConfigError
@@ -46,55 +47,71 @@ class RunConfig:
 _NETWORK_FIELDS = asdict(NetworkConfig())
 _KERNEL_FIELDS = asdict(KernelConfig())
 
-# experiment parameter schema: name -> default; a value must have the type of
-# its default (a number, or a list of numbers)
+# lower bounds: x >= _POSITIVE holds exactly when x > 0 (it is the least
+# positive float), and every number is at least _ANY
+_POSITIVE = math.ulp(0.0)
+_ANY = -math.inf
+
+# experiment parameter schema: name -> (default, least).  A value must have
+# its default's type (an int default takes only ints, a float default any
+# number, a list default a list checked entry by entry) and each value or
+# entry must be at least `least`
 _EXPERIMENT_FIELDS = {
     "forward": {
-        "T": 10.0,
-        "tol": 1e-10,
-        "dt_init": 1e-2,
-        "max_step": 0.0,  # 0 means unlimited
-        "perturbation": 0.3,
+        "T": (10.0, _POSITIVE),
+        "tol": (1e-10, _POSITIVE),
+        "dt_init": (1e-2, _POSITIVE),
+        "max_step": (0.0, 0),  # 0 means unlimited
+        "perturbation": (0.3, _ANY),
     },
     "distance": {
-        "K": 16,
-        "tol": 1e-8,
-        "perturbation": 0.3,
+        "K": (16, 2),  # W_B needs an interior slice of the path to minimize over
+        "tol": (1e-8, _POSITIVE),
+        "perturbation": (0.3, _ANY),
     },
     "jko": {
-        "tau": 0.1,
-        "T": 1.0,
-        "K": 8,
-        "tol": 1e-8,
-        "bimodal_speed": 1.2,
-        "probe_times": [0.25, 0.5, 1.0],
+        "tau": (0.1, _POSITIVE),
+        "T": (1.0, _POSITIVE),
+        "K": (8, 1),
+        "tol": (1e-8, _POSITIVE),
+        "bimodal_speed": (1.2, _ANY),
+        "probe_times": ([0.25, 0.5, 1.0], 0),
     },
     "kac": {
-        "N": 64,
-        "T": 1.0,
-        "replicates": 1,
-        "bimodal_speed": 1.3,
-        "ou_time": 0.1,
+        "N": (64, 2),  # a Kac walk needs a pair of particles
+        "T": (1.0, _POSITIVE),
+        "replicates": (1, 1),
+        "bimodal_speed": (1.3, _ANY),
+        "ou_time": (0.1, 0),  # 0 means no entropy estimate
     },
     "consistency": {
-        "Ns": [16, 64, 256],
-        "T": 0.1,
-        "replicates": 32,
-        "probe_times": [0.0, 0.05, 0.1],
-        "bimodal_speed": 1.3,
-        "reference_h": 0.5,
+        "Ns": ([16, 64, 256], 2),
+        "T": (0.1, _POSITIVE),
+        "replicates": (32, 2),  # a confidence interval needs two replicates
+        "probe_times": ([0.0, 0.05, 0.1], 0),
+        "bimodal_speed": (1.3, _ANY),
+        "reference_h": (0.5, _POSITIVE),
     },
+}
+_EXPERIMENT_DEFAULTS = {
+    etype: {key: default for key, (default, _) in fields.items()}
+    for etype, fields in _EXPERIMENT_FIELDS.items()
 }
 
 
-def _take(block: dict, context: str, fields: dict) -> dict:
+def _take(block, context: str, fields: dict) -> dict:
+    """The JSON object `block` with each key of `fields` it omits set to its default."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{context} must be a JSON object, got {block!r}")
     unknown = set(block) - set(fields)
     if unknown:
         name = sorted(unknown)[0]
         raise ConfigError(f"unknown key {context}.{name!r}")
-    out = dict(fields)
-    out.update(block)
-    return out
+    return {**fields, **block}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_number(value) -> bool:
@@ -122,8 +139,7 @@ def parse_config_dict(raw: dict) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown key {sorted(unknown)[0]!r}")
 
-    net_raw = raw.get("network", {})
-    net = _take(net_raw if isinstance(net_raw, dict) else {}, "network", _NETWORK_FIELDS)
+    net = _take(raw.get("network", {}), "network", _NETWORK_FIELDS)
     if net["d"] not in (2, 3):
         raise ConfigError("network.d must be 2 or 3")
     _positive(net["V"], "network.V")
@@ -131,8 +147,7 @@ def parse_config_dict(raw: dict) -> RunConfig:
     _lattice_ratio(net["V"], net["h"], "network.V / network.h")
     network = NetworkConfig(d=int(net["d"]), V=float(net["V"]), h=float(net["h"]))
 
-    ker_raw = raw.get("kernel", {})
-    ker = _take(ker_raw if isinstance(ker_raw, dict) else {}, "kernel", _KERNEL_FIELDS)
+    ker = _take(raw.get("kernel", {}), "kernel", _KERNEL_FIELDS)
     if ker["kind"] not in ("constant", "clamp"):
         raise ConfigError("kernel.kind must be 'constant' or 'clamp'")
     if ker["kind"] == "constant":
@@ -156,50 +171,37 @@ def parse_config_dict(raw: dict) -> RunConfig:
             f"experiment.type must be one of {sorted(_EXPERIMENT_FIELDS)}, got {etype!r}"
         )
     body = {k: v for k, v in exp_raw.items() if k != "type"}
-    exp = _take(body, f"experiment({etype})", _EXPERIMENT_FIELDS[etype])
-    for key, default in _EXPERIMENT_FIELDS[etype].items():
+    exp = _take(body, f"experiment({etype})", _EXPERIMENT_DEFAULTS[etype])
+    for key, (default, least) in _EXPERIMENT_FIELDS[etype].items():
         value = exp[key]
-        if isinstance(default, list):
-            if not isinstance(value, list) or not all(map(_is_number, value)):
-                raise ConfigError(f"experiment.{key} must be a list of numbers, got {value!r}")
-        elif not _is_number(value):
-            raise ConfigError(f"experiment.{key} must be a number, got {value!r}")
+        listed = isinstance(default, list)
+        if listed and not isinstance(value, list):
+            raise ConfigError(f"experiment.{key} must be a list, got {value!r}")
+        integer = _is_int(default[0] if listed else default)
+        for x in value if listed else (value,):
+            if not (_is_int(x) if integer else _is_number(x)):
+                want = "an integer" if integer else "a number"
+            elif x < least:
+                want = "positive" if least == _POSITIVE else f"at least {least} for {etype}"
+            else:
+                continue
+            name = f"each entry of experiment.{key}" if listed else f"experiment.{key}"
+            raise ConfigError(f"{name} must be {want}, got {value!r}")
     exp["type"] = etype
-    for key in ("T", "tau", "tol", "dt_init"):
-        if key in exp:
-            _positive(exp[key], f"experiment.{key}")
-    for key in ("K", "N", "replicates"):
-        if key in exp:
-            if not isinstance(exp[key], int) or exp[key] < 1:
-                raise ConfigError(f"experiment.{key} must be a positive integer")
-    if etype == "distance" and exp["K"] < 2:
-        # W_B needs an interior slice of the path to minimize over
-        raise ConfigError("experiment.K must be at least 2 for distance")
-    # a Kac walk needs a pair of particles; max_step 0 means no step limit
-    # and ou_time 0 no entropy estimate
-    for key, least in (("N", 2), ("max_step", 0), ("ou_time", 0)):
-        if exp.get(key, least) < least:
-            raise ConfigError(f"experiment.{key} must be at least {least}, got {exp[key]!r}")
-    if any(t < 0 for t in exp.get("probe_times", ())):
-        raise ConfigError("experiment.probe_times must be nonnegative")
     if etype == "consistency":
-        # a confidence interval needs two replicates
-        if exp["replicates"] < 2:
-            raise ConfigError("experiment.replicates must be at least 2 for consistency")
-        if not all(isinstance(N, int) and N >= 2 for N in exp["Ns"]):
-            raise ConfigError(f"experiment.Ns must hold integers of at least 2, got {exp['Ns']!r}")
-        _positive(exp["reference_h"], "experiment.reference_h")
+        if len(set(exp["Ns"])) < len(exp["Ns"]):
+            raise ConfigError(f"experiment.Ns must not repeat an entry, got {exp['Ns']!r}")
         _lattice_ratio(network.V, exp["reference_h"], "network.V / experiment.reference_h")
 
     out = raw.get("out", "runs")
     if not isinstance(out, str):
         raise ConfigError("out must be a string path")
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0 or seed >= 2**64:
-        raise ConfigError("seed must be an unsigned 64-bit integer")
+    if not _is_int(seed) or seed < 0 or seed >= 2**64:
+        raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
     threads = raw.get("threads", 1)
-    if not isinstance(threads, int) or threads < 1:
-        raise ConfigError("threads must be a positive integer")
+    if not _is_int(threads) or threads < 1:
+        raise ConfigError(f"threads must be a positive integer, got {threads!r}")
     return RunConfig(network=network, kernel=kernel, experiment=exp,
                      out=out, seed=seed, threads=threads)
 

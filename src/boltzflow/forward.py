@@ -27,7 +27,7 @@ def collision_operator(net: VelocityNetwork, f: np.ndarray) -> np.ndarray:
         raise DomainError("collision_operator requires f >= 0")
     p, r = net.pair_products(f)
     p -= r
-    p *= net.W_q * net.B_q
+    p *= net.kappa
     return net.div_bar(p) / net.node_weight
 
 
@@ -57,7 +57,7 @@ def dissipation(net: VelocityNetwork, f: np.ndarray) -> float:
         log_g = np.log(g)
         dens = (r - p) * (np.take(log_g, bwd) - np.take(log_g, fwd))
     dens[r == p] = 0.0
-    return float(np.sum(net.W_q * net.B_q * dens))
+    return float(np.sum(net.kappa * dens))
 
 
 # Dormand-Prince 4(5) tableau; row 6 of _DP_A is the 5th-order weights b5,

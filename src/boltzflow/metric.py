@@ -59,7 +59,7 @@ def discrete_action(net: VelocityNetwork, f: np.ndarray, J: np.ndarray) -> float
     """
     p, r = net.pair_products(np.asarray(f, dtype=float))
     dens = action_density(np.asarray(J, dtype=float), p, r)
-    return float(np.sum(4.0 * net.W_q * net.B_q * dens))
+    return float(np.sum(4.0 * net.kappa * dens))
 
 
 def cre_residual(net: VelocityNetwork, path: np.ndarray, flux: np.ndarray) -> float:
@@ -74,7 +74,7 @@ def cre_residual(net: VelocityNetwork, path: np.ndarray, flux: np.ndarray) -> fl
         raise DomainError("path/flux shapes are inconsistent")
     dt = 1.0 / K
     lhs = net.node_weight * (path[1:] - path[:-1]) / dt
-    rhs = net.div_bar((net.W_q * net.B_q * flux).T).T
+    rhs = net.div_bar((net.kappa * flux).T).T
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -105,7 +105,6 @@ class _PathProblem:
         self.scale = scale
         self.entropy = entropy
         self.dt = 1.0 / (len(self.base) - 1)
-        self.kappa = net.W_q * net.B_q
         self.C = net.invariants
         self.N = _orthonormal_complement(self.C)
         # kernel regularizer; exact on moment-conserving differences
@@ -162,7 +161,7 @@ class _PathProblem:
         the range of L.  Every array carries a leading interval axis, and
         the batched LAPACK calls factor and solve one interval at a time.
         """
-        net, kappa, N = self.net, self.kappa, self.N
+        net, kappa, N = self.net, self.net.kappa, self.N
         k, n, nfree = stop - start, net.n_nodes, N.shape[1]
         fa, fb = path[start:stop], path[start + 1 : stop + 1]
         fbar = 0.5 * (fa + fb)
@@ -367,7 +366,7 @@ def gradient_form_residual(net: VelocityNetwork, solution: MetricSolution) -> fl
         active = lam_q > 0
         U = np.zeros_like(lam_q)
         U[active] = solution.flux[m][active] / lam_q[active]
-        wts = net.W_q * net.B_q * lam_q
+        wts = net.kappa * lam_q
         norm2 = float(np.sum(wts * U**2))
         if norm2 <= 1e-30:
             continue
@@ -392,7 +391,7 @@ def single_quadruple_oracle(
     if net.n_quadruples != 1:
         raise DomainError("oracle applies to single-quadruple networks only")
     i, j, k, l = net.quad[0]
-    kappa = float(net.W_q[0] * net.B_q[0])
+    kappa = float(net.kappa[0])
     w = net.node_weight
     m1 = w * (f0[i] - f1[i])
     s_vec = net.div_bar(np.ones(1))  # the reaction's column of S

@@ -67,6 +67,11 @@ class VelocityNetwork:
         )
 
     @cached_property
+    def kappa(self) -> np.ndarray:
+        """The rate W_q B_q of every quadruple."""
+        return self.W_q * self.B_q
+
+    @cached_property
     def pair_index(self):
         """The distinct velocity pairs of the quadruples and each one's pair ids.
 
@@ -274,7 +279,7 @@ def build_network(d: int, V: float, h: float, kernel: Kernel) -> VelocityNetwork
 def restrict_quadruples(net: VelocityNetwork, indices) -> VelocityNetwork:
     """Copy of the network keeping only the selected quadruples.
 
-    Useful for single-reaction tests; S, the pair index and the
+    Useful for single-reaction tests; kappa, S, the pair index and the
     invariant basis are derived anew from the kept quadruples.
     """
     indices = np.atleast_1d(np.asarray(indices, dtype=np.int64))

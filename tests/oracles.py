@@ -162,7 +162,7 @@ def path_interval(prob, fa: np.ndarray, fb: np.ndarray, hessian: bool = False):
     The formulas of `boltzflow.metric._PathProblem._add_intervals` for a
     single interval, each array without an interval axis.
     """
-    net, kappa, N = prob.net, prob.kappa, prob.N
+    net, kappa, N = prob.net, prob.net.W_q * prob.net.B_q, prob.N
     fbar = 0.5 * (fa + fb)
     u = fbar[net.quad[:, [1, 0, 3, 2]]]
     lam, lam_p, lam_r, lam_pp, lam_pr, lam_rr = log_mean_and_partials(

@@ -61,20 +61,33 @@ def test_selftest_all_pass():
     assert all(ok for _, ok, _ in checks)
 
 
-def test_run_forward_writes_manifest(tmp_path):
-    cfg = _cfg(tmp_path, "forward", T=0.5)
-    manifest = run(cfg)
+@pytest.mark.parametrize("command, etype, fields, files", [
+    ("network", "forward", {}, {"network.json"}),
+    ("forward", "forward", {"T": 0.5}, {"trajectory.csv", "report.json"}),
+    ("distance", "distance", {"K": 4}, {"path.csv", "solution.json"}),
+    ("jko", "jko", {"T": 0.2, "K": 2}, {"jko.csv", "comparison.json"}),
+    ("kac", "kac", {"N": 8, "T": 0.2, "replicates": 2},
+     {"events_000.csv", "events_001.csv", "summary.json"}),
+    ("consistency", "consistency", {"Ns": [4, 8], "replicates": 2, "T": 0.05},
+     {"report.csv", "report.json"}),
+], ids=["network", "forward", "distance", "jko", "kac", "consistency"])
+def test_run_forward_writes_manifest(tmp_path, command, etype, fields, files):
+    # each manifest digest is the sha256 of the bytes on disk
+    cfg = _cfg(tmp_path, etype, **fields)
+    manifest = run(cfg, experiment_kind=command)
     out = cfg.out
-    assert set(manifest.files) == {"trajectory.csv", "report.json"}
+    assert set(manifest.files) == files
     for name, digest in manifest.files.items():
         with open(os.path.join(out, name), "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == digest
     with open(os.path.join(out, "manifest.json")) as fh:
         on_disk = json.load(fh)
     assert on_disk["config_hash"] == manifest.config_hash
+    assert on_disk["files"] == manifest.files
     assert on_disk["version"]
-    report = json.load(open(os.path.join(out, "report.json")))
-    assert report["H_final"] <= report["H_initial"]
+    if command == "forward":
+        report = json.load(open(os.path.join(out, "report.json")))
+        assert report["H_final"] <= report["H_initial"]
 
 
 def test_run_is_reproducible(tmp_path):
@@ -175,9 +188,11 @@ def test_domain_errors_exit_3(tmp_path, capsys, raw, message):
     ("consistency", {"reference_h": 0}),
     ("jko", {"probe_times": [-0.1, 0.5]}),
     ("consistency", {"probe_times": [-0.05, 0.05]}),
+    ("consistency", {"Ns": [8, 8]}),
 ], ids=["kac-ou-time", "forward-max-step", "kac-one-particle", "consistency-fractional-N",
         "consistency-one-particle", "consistency-one-replicate", "consistency-reference-h",
-        "consistency-zero-reference-h", "jko-negative-probe", "consistency-negative-probe"])
+        "consistency-zero-reference-h", "jko-negative-probe", "consistency-negative-probe",
+        "consistency-repeated-N"])
 def test_config_ranges_exit_2(tmp_path, capsys, etype, fields):
     # every range is checked at parse time, before the experiment starts
     path = tmp_path / "cfg.json"
@@ -273,6 +288,23 @@ def test_main_flag_overrides(tmp_path):
     assert (out / "manifest.json").exists()
     assert main(["kac", "--config", str(cfgfile), "--seed", "-3"]) == EXIT_CONFIG
     assert main(["kac", "--config", str(cfgfile), "--threads", "0"]) == EXIT_CONFIG
+
+
+def test_flags_hash_like_file_values(tmp_path):
+    # --out, --seed and --threads are parsed as the config values they replace
+    base = {"experiment": {"type": "kac", "N": 8, "T": 0.1}}
+    bare, full = tmp_path / "bare.json", tmp_path / "full.json"
+    bare.write_text(json.dumps(base))
+    out = str(tmp_path / "o")
+    full.write_text(json.dumps({**base, "out": out, "seed": 5, "threads": 2}))
+    assert main(["kac", "--config", str(bare), "--out", out, "--seed", "5",
+                 "--threads", "2"]) == 0
+    flagged = json.load(open(os.path.join(out, "manifest.json")))
+    assert main(["kac", "--config", str(full)]) == 0
+    from_file = json.load(open(os.path.join(out, "manifest.json")))
+    assert flagged["config_hash"] == from_file["config_hash"]
+    assert flagged["config_hash"] == _config_hash(parse_config_dict(json.loads(full.read_text())))
+    assert flagged["files"] == from_file["files"]
 
 
 def test_network_build(tmp_path):

@@ -58,6 +58,20 @@ def test_range_validation():
         parse_config_dict({**minimal(), "seed": 2**64})
     with pytest.raises(ConfigError, match="threads"):
         parse_config_dict({**minimal(), "threads": 0})
+    # bool is an int subclass, but a JSON true is no seed or thread count
+    with pytest.raises(ConfigError, match="seed"):
+        parse_config_dict({**minimal(), "seed": True})
+    with pytest.raises(ConfigError, match="threads"):
+        parse_config_dict({**minimal(), "threads": True})
+
+
+@pytest.mark.parametrize("block, value", [
+    ("kernel", "clamp"), ("network", []), ("network", 3),
+], ids=["kernel-string", "network-list", "network-number"])
+def test_blocks_must_be_objects(block, value):
+    # a block that is not an object is rejected, not replaced by the defaults
+    with pytest.raises(ConfigError, match=f"{block} must be a JSON object"):
+        parse_config_dict({**minimal(), block: value})
 
 
 def test_kernel_validation():
@@ -84,7 +98,17 @@ def test_parse_file(tmp_path):
         parse_config(str(tmp_path / "missing.json"))
 
 
-def test_roundtrip():
-    cfg = parse_config_dict(minimal("jko", tau=0.05))
+@pytest.mark.parametrize("raw", [
+    minimal("forward", max_step=0.5),
+    minimal("distance", K=4),
+    minimal("jko", tau=0.05),
+    minimal("kac", N=8),
+    minimal("consistency", Ns=[4, 8]),
+    {**minimal("kac"), "kernel": {"kind": "clamp", "lo": 0.25, "hi": 4.0},
+     "network": {"d": 3}, "seed": 7, "threads": 2, "out": "elsewhere"},
+], ids=["forward", "distance", "jko", "kac", "consistency", "kac-clamp"])
+def test_roundtrip(raw):
+    # the CLI re-parses config_to_dict of a file's config under its flags
+    cfg = parse_config_dict(raw)
     again = parse_config_dict(config_to_dict(cfg))
     assert config_to_dict(cfg) == config_to_dict(again)

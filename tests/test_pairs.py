@@ -165,3 +165,12 @@ def test_pair_index_is_lazy_and_per_copy():
     assert np.array_equal(pairs[:, ids[0]].T, sub.quad[:, :2])
     assert np.array_equal(pairs[:, ids[1]].T, sub.quad[:, 2:])
     assert net.pair_index is full
+
+
+def test_kappa_is_per_copy():
+    # one rate W_q B_q per quadruple; a restricted copy derives its own
+    net = build_network(2, 3.0, 1.0, Kernel("clamp", lo=0.5, hi=2.0))
+    assert np.array_equal(net.kappa, net.W_q * net.B_q)
+    assert len(np.unique(net.kappa)) > 1
+    sub = restrict_quadruples(net, [0, 5, 17, 300])
+    assert np.array_equal(sub.kappa, net.kappa[[0, 5, 17, 300]])
