@@ -119,8 +119,9 @@ def _is_number(value) -> bool:
 
 
 def _positive(value, name):
-    if not _is_number(value) or value <= 0:
-        raise ConfigError(f"{name} must be a positive number, got {value!r}")
+    # JSON's NaN and Infinity parse to floats; neither passes `0 < value < inf`
+    if not _is_number(value) or not 0 < value < math.inf:
+        raise ConfigError(f"{name} must be a finite positive number, got {value!r}")
     return value
 
 
@@ -181,6 +182,8 @@ def parse_config_dict(raw: dict) -> RunConfig:
         for x in value if listed else (value,):
             if not (_is_int(x) if integer else _is_number(x)):
                 want = "an integer" if integer else "a number"
+            elif not -math.inf < x < math.inf:  # NaN or an infinity
+                want = "finite"
             elif x < least:
                 want = "positive" if least == _POSITIVE else f"at least {least} for {etype}"
             else:

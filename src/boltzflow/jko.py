@@ -86,9 +86,7 @@ def jko_step(
     if tau <= 0:
         raise DomainError("tau must be positive")
 
-    prob = _PathProblem(
-        net, np.broadcast_to(f_prev, (K + 1, len(f_prev))), K, 1.0 / (2.0 * tau), entropy=True
-    )
+    prob = _PathProblem(net, np.broadcast_to(f_prev, (K + 1, len(f_prev))), tau)
     path, kkt, iters, (_, _, _, actions, _) = prob.solve(opts)
     g = path[K]
     sq = float(prob.dt * actions.sum())

@@ -14,6 +14,7 @@ moment-preserving coordinates.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,18 +94,19 @@ class _PathProblem:
 
     Slices 1..nslices of the path are base[m] + N y_{m-1}, the others stay
     at base.  The objective is scale * sum_m dt A_m, plus the entropy
-    sum w g log g of the last slice g when `entropy` is set: scale 1 and
-    nslices = K - 1 give W_B^2, scale 1/(2 tau), nslices = K and the
-    entropy give the JKO step.
+    sum w g log g of the last slice g for a JKO step.  Without `tau` it is
+    W_B^2: scale 1 and nslices = K - 1.  With `tau` it is the JKO step:
+    scale 1/(2 tau), nslices = K and the entropy.
     """
 
-    def __init__(self, net, base, nslices, scale=1.0, entropy=False):
+    def __init__(self, net, base, tau=None):
         self.net = net
         self.base = np.array(base, dtype=float)
-        self.nslices = nslices
-        self.scale = scale
-        self.entropy = entropy
-        self.dt = 1.0 / (len(self.base) - 1)
+        K = len(self.base) - 1
+        self.entropy = tau is not None
+        self.nslices = K if self.entropy else K - 1
+        self.scale = 1.0 / (2.0 * tau) if self.entropy else 1.0
+        self.dt = 1.0 / K
         self.C = net.invariants
         self.N = _orthonormal_complement(self.C)
         # kernel regularizer; exact on moment-conserving differences
@@ -119,8 +121,8 @@ class _PathProblem:
         """The objective on a whole path, its intervals in batches.
 
         Returns the value, the gradient in the path (K + 1, n), the
-        Hessian in the slice coordinates N' f (K + 1, nfree, K + 1, nfree)
-        or None, and the actions A_m and fluxes (K, Q) of the K intervals.
+        Hessian in the slice coordinates N' f as a LAPACK lower band (entry
+        (i, j) at H[i - j, j]) or None, and the actions A_m and fluxes (K, Q).
         A batch holds up to BATCH_ROWS quadruple rows, and at least one
         interval.  Each slice of the gradient and Hessian takes at most two
         interval terms onto a zero start, so the result does not depend on
@@ -131,7 +133,7 @@ class _PathProblem:
         actions = np.zeros(K)
         fluxes = np.zeros((K, Q))
         grad = np.zeros((K + 1, n))
-        H = np.zeros((K + 1, nfree, K + 1, nfree)) if hessian else None
+        H = np.zeros((2 * nfree, (K + 1) * nfree)) if hessian else None
         size = max(1, BATCH_ROWS // Q)
         for m in range(0, K, size):
             self._add_intervals(path, m, min(m + size, K), actions, fluxes, grad, H)
@@ -141,7 +143,8 @@ class _PathProblem:
             value += np.sum(w * g * np.log(g))
             grad[K] += w * (np.log(g) + 1.0)
             if hessian:
-                H[K, :, K] += self.N.T @ (w / g[:, None] * self.N)
+                r, c = np.tril_indices(nfree)
+                H[r - c, K * nfree + c] += (self.N.T @ (w / g[:, None] * self.N))[r, c]
         return value, grad, H, actions, fluxes
 
     def _add_intervals(self, path, start, stop, actions, fluxes, grad, H):
@@ -218,10 +221,10 @@ class _PathProblem:
         Hm = Hm.reshape(k, 2, nfree, 2, nfree)
         Hm -= 0.25 * H2[:, None, :, None, :]
         Hm *= weight
-        m = np.arange(start, stop)
-        for a in range(2):
-            for b in range(2):
-                H[m + a, :, m + b] += Hm[:, a, :, b]
+        r, c = np.tril_indices(2 * nfree)  # each block's lower triangle goes into the band
+        band, block = (r - c) * H.shape[1] + c, r * 2 * nfree + c
+        for m in range(start, stop):
+            H.reshape(-1)[band + m * nfree] += Hm[m - start].reshape(-1)[block]
 
     def __call__(self, y: np.ndarray):
         """Value, reduced gradient, reduced Hessian, actions and fluxes at y.
@@ -237,7 +240,7 @@ class _PathProblem:
         except np.linalg.LinAlgError:  # L lost definiteness at the barrier
             return np.inf, np.zeros_like(y), None, None, None
         free = slice(1, self.nslices + 1)
-        H = H[free, :, free].reshape(len(y), -1)
+        H = H[:, self.N.shape[1] : len(y) + self.N.shape[1]]  # LAPACK reads none past the end
         return value, (grad[free] @ self.N).ravel(), H, actions, fluxes
 
     def solve(self, opts: SolverOptions):
@@ -260,17 +263,7 @@ class _PathProblem:
         for _ in range(60):
             if kkt <= 0.3 * opts.tol:
                 break
-            scale = np.trace(H) / len(H)
-            jitter = 0.0
-            for _ in range(16):
-                try:
-                    cho = scipy.linalg.cho_factor(H + jitter * np.eye(len(H)))
-                    step = scipy.linalg.cho_solve(cho, g)
-                    break
-                except np.linalg.LinAlgError:
-                    jitter = max(4.0 * jitter, 1e-12 * scale)
-            else:
-                raise NumericalError("path Hessian is numerically indefinite")
+            step = _newton_step(H, g)
             accepted = False
             damp = 1.0
             while damp > 1e-8:
@@ -294,6 +287,14 @@ class _PathProblem:
                 f"path solver stalled: projected gradient {kkt:.2e} > tol {opts.tol:.2e}"
             )
         return self.path(y), kkt, iters, point
+
+
+def _newton_step(H, g):
+    """H^-1 g for the lower band H, its diagonal (row 0) jittered until H factors."""
+    for jitter in 1e-12 * np.mean(H[0]) * np.array([0.0] + [4.0**k for k in range(15)]):
+        with contextlib.suppress(np.linalg.LinAlgError):
+            return scipy.linalg.solveh_banded(np.vstack([H[:1] + jitter, H[1:]]), g, lower=True)
+    raise NumericalError("path Hessian is numerically indefinite")
 
 
 def _orthonormal_complement(C: np.ndarray) -> np.ndarray:
@@ -329,7 +330,7 @@ def solve_distance(
     _check_moment_match(net, f0, f1)
 
     base = np.array([(1 - m / K) * f0 + (m / K) * f1 for m in range(K + 1)])
-    prob = _PathProblem(net, base, K - 1)
+    prob = _PathProblem(net, base)
     path, kkt, iters, (squared, _, _, actions, flux) = prob.solve(opts)
     value = float(np.sqrt(max(squared, 0.0)))
     # re-evaluate on the path clipped at a 10x larger floor to expose how

@@ -291,16 +291,13 @@ def restrict_quadruples(net: VelocityNetwork, indices) -> VelocityNetwork:
 
 
 def _exponential_fit(
-    net: VelocityNetwork,
-    log_base: np.ndarray,
-    targets: np.ndarray,
-    max_iter: int = 200,
-    tol: float = 1e-12,
+    net: VelocityNetwork, log_base: np.ndarray, targets: np.ndarray
 ) -> np.ndarray:
     """Fit f = base * exp(a.v + b|v|^2) to (mass, momentum, energy) targets.
 
     Damped Newton on the normalized moment map; the Hessian is the
-    feature covariance, positive definite on feasible interiors.
+    feature covariance, positive definite on feasible interiors.  Stops
+    when every moment residual is below 1e-12, within 200 iterations.
     """
     mass_t = targets[0]
     if mass_t <= 0:
@@ -312,47 +309,43 @@ def _exponential_fit(
         raise DomainError(
             f"moment targets {targets} are not strictly inside the attainable range"
         )
+
+    def dual(th):
+        """The dual objective log Z - th . want and the normalized weights at th."""
+        z = log_base + feats @ th
+        m = z.max()
+        e = np.exp(z - m)
+        total = e.sum()
+        return m + np.log(total) - th @ want, e / total
+
     theta = np.zeros(net.d + 1)
-    for _ in range(max_iter):
-        logits = log_base + feats @ theta
-        logits = logits - logits.max()
-        p = np.exp(logits)
-        p /= p.sum()
+    val, p = dual(theta)
+    for _ in range(200):
         mean = p @ feats
         resid = mean - want
-        if np.max(np.abs(resid)) < tol:
-            break
+        if np.max(np.abs(resid)) < 1e-12:
+            return mass_t * p / net.node_weight
         cov = feats.T @ (p[:, None] * feats) - np.outer(mean, mean)
         try:
             step = np.linalg.solve(cov, resid)
         except np.linalg.LinAlgError as exc:
             raise NumericalError("singular moment covariance") from exc
-        # backtracking on the dual objective log Z - theta . want
-        def dual(th):
-            z = log_base + feats @ th
-            m = z.max()
-            return m + np.log(np.sum(np.exp(z - m))) - th @ want
-
-        base_val = dual(theta)
+        # backtracking on the dual objective
         scale = 1.0
         while scale > 1e-8:
             cand = theta - scale * step
-            if dual(cand) < base_val + 1e-12:
-                theta = cand
+            val_c, p_c = dual(cand)
+            if val_c < val + 1e-12:
                 break
             scale *= 0.5
         else:
-            theta = theta - 1e-8 * step
-    else:
-        raise NumericalError(
-            f"moment Newton did not converge in {max_iter} iterations "
-            f"(residual {np.max(np.abs(resid)):.2e})"
-        )
-    logits = log_base + feats @ theta
-    logits = logits - logits.max()
-    p = np.exp(logits)
-    p /= p.sum()
-    return mass_t * p / net.node_weight
+            cand = theta - 1e-8 * step
+            val_c, p_c = dual(cand)
+        theta, val, p = cand, val_c, p_c
+    raise NumericalError(
+        "moment Newton did not converge in 200 iterations "
+        f"(residual {np.max(np.abs(resid)):.2e})"
+    )
 
 
 def maxent_project(

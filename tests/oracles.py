@@ -5,7 +5,8 @@ brute force or by a dict join over pair keys, the pair products by four
 gathers per quadruple and the dissipation quadruple by quadruple, the
 incidence matrix from COO triplets and the incidence operators as
 per-slot `np.add.at` scatters, the W_B and JKO path objective one
-interval at a time, the W1 distance
+interval at a time with a dense Hessian, the Newton step by a dense
+Cholesky factorization, the W1 distance
 by its Kantorovich-Rubinstein dual, the Kac walk, its CSV log and its
 dependency levels one event and one row at a time, the OU entropy
 estimate through scipy's logsumexp, and the Dormand-Prince loop with
@@ -228,6 +229,36 @@ def path_evaluate(prob, path: np.ndarray, hessian: bool = False):
         if hessian:
             H[K, :, K] += prob.N.T @ (w / g[:, None] * prob.N)
     return value, grad, H, actions, fluxes
+
+
+def band_to_dense(band: np.ndarray) -> np.ndarray:
+    """The symmetric matrix whose lower band, in LAPACK storage, is `band`.
+
+    band[i - j, j] is entry (i, j), i >= j; entries that would lie past the
+    last row are not read, as LAPACK does not read them.
+    """
+    n = band.shape[1]
+    H = np.zeros((n, n))
+    for d in range(min(len(band), n)):
+        j = np.arange(n - d)
+        H[j + d, j] = H[j, j + d] = band[d, : n - d]
+    return H
+
+
+def newton_step(H: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """H^-1 g by a dense Cholesky factorization of H + jitter I.
+
+    The jitter starts at 0 and grows to 1e-12 trace(H) / N, then 4x per
+    failed factorization, for at most 16 tries.
+    """
+    scale = np.trace(H) / len(H)
+    jitter = 0.0
+    for _ in range(16):
+        try:
+            return scipy.linalg.cho_solve(scipy.linalg.cho_factor(H + jitter * np.eye(len(H))), g)
+        except np.linalg.LinAlgError:
+            jitter = max(4.0 * jitter, 1e-12 * scale)
+    raise np.linalg.LinAlgError("path Hessian is numerically indefinite")
 
 
 def gradient_form_residual(net, solution) -> float:

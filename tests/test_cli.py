@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -59,6 +61,16 @@ def test_config_hash_is_pinned(raw, digest):
 def test_selftest_all_pass():
     checks = selftest()
     assert all(ok for _, ok, _ in checks)
+
+
+@pytest.mark.parametrize("flag", ["--config", "--out", "--seed", "--threads"])
+def test_selftest_takes_no_run_flags(capsys, flag):
+    # the battery reads no config and writes nothing, so argparse rejects
+    # the run flags with its usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", flag, "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, etype, fields, files", [
@@ -189,18 +201,25 @@ def test_domain_errors_exit_3(tmp_path, capsys, raw, message):
     ("jko", {"probe_times": [-0.1, 0.5]}),
     ("consistency", {"probe_times": [-0.05, 0.05]}),
     ("consistency", {"Ns": [8, 8]}),
+    # json.dumps writes NaN and Infinity, and json.load reads them back
+    ("forward", {"network.V": float("nan")}),
+    ("distance", {"tol": float("nan")}),
+    ("jko", {"tau": float("inf")}),
 ], ids=["kac-ou-time", "forward-max-step", "kac-one-particle", "consistency-fractional-N",
         "consistency-one-particle", "consistency-one-replicate", "consistency-reference-h",
         "consistency-zero-reference-h", "jko-negative-probe", "consistency-negative-probe",
-        "consistency-repeated-N"])
+        "consistency-repeated-N", "network-V-nan", "distance-tol-nan", "jko-tau-infinity"])
 def test_config_ranges_exit_2(tmp_path, capsys, etype, fields):
     # every range is checked at parse time, before the experiment starts
+    (key, value), = fields.items()
+    block, name = key.split(".") if "." in key else ("experiment", key)
+    raw = {"experiment": {"type": etype}, "out": str(tmp_path / "out")}
+    raw.setdefault(block, {})[name] = value
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"experiment": {"type": etype, **fields},
-                                "out": str(tmp_path / "out")}))
+    path.write_text(json.dumps(raw))
     assert main([etype, "--config", str(path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("configuration error: ") and f"experiment.{next(iter(fields))}" in err
+    assert err.startswith("configuration error: ") and f"{block}.{name}" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -320,3 +339,20 @@ def test_threads_do_not_change_results(tmp_path):
     cfg.threads = 3
     m2 = run(cfg)
     assert m1.files == m2.files
+
+
+def test_blas_threads_do_not_change_files(tmp_path):
+    # default distance and jko runs write the same files on one and on two
+    # OpenBLAS threads.  On a one-CPU machine OpenBLAS runs one thread
+    # either way, and this test passes without showing anything
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    files = {"1": {}, "2": {}}
+    for threads, written in files.items():
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": src}
+        for command in ("distance", "jko"):
+            out = tmp_path / threads / command
+            subprocess.run([sys.executable, "-m", "boltzflow", command, "--out", str(out)],
+                           env=env, check=True, capture_output=True)
+            written[command] = json.loads((out / "manifest.json").read_text())["files"]
+    assert files["1"] == files["2"]

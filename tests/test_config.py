@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -63,6 +64,24 @@ def test_range_validation():
         parse_config_dict({**minimal(), "seed": True})
     with pytest.raises(ConfigError, match="threads"):
         parse_config_dict({**minimal(), "threads": True})
+    # JSON's NaN and Infinity parse to floats, and no range test is false
+    # for NaN: each is rejected by name
+    for text, field in (
+        ('{"network": {"V": NaN}}', "network.V"),
+        ('{"network": {"h": Infinity}}', "network.h"),
+        ('{"kernel": {"b": NaN}}', "kernel.b"),
+        ('{"kernel": {"kind": "clamp", "hi": Infinity}}', "kernel.hi"),
+        ('{"experiment": {"type": "forward", "T": NaN}}', "experiment.T"),
+        ('{"experiment": {"type": "forward", "perturbation": -Infinity}}',
+         "experiment.perturbation"),
+        ('{"experiment": {"type": "distance", "tol": NaN}}', "experiment.tol"),
+        ('{"experiment": {"type": "jko", "tau": Infinity}}', "experiment.tau"),
+        ('{"experiment": {"type": "jko", "probe_times": [0.5, NaN]}}', "experiment.probe_times"),
+        ('{"experiment": {"type": "kac", "T": Infinity}}', "experiment.T"),
+    ):
+        raw = {**minimal(), **json.loads(text)}
+        with pytest.raises(ConfigError, match=re.escape(field) + ".* must be"):
+            parse_config_dict(raw)
 
 
 @pytest.mark.parametrize("block, value", [

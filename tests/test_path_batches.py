@@ -4,16 +4,19 @@
 intervals at a time.  It must return the same bits as
 `oracles.path_evaluate`, which evaluates one interval at a time, however
 the intervals are split into batches: each slice of the gradient and
-Hessian takes at most two interval terms onto a zero start.
+Hessian takes at most two interval terms onto a zero start.  The
+Hessian is a LAPACK lower band, and the Newton step solved from it must
+match a dense Cholesky solve of the expanded matrix.
 """
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import boltzflow.metric
 import oracles
 from boltzflow.kinematics import Kernel
-from boltzflow.metric import BATCH_ROWS, FLOOR, _PathProblem
+from boltzflow.metric import BATCH_ROWS, FLOOR, _newton_step, _PathProblem
 from boltzflow.network import build_network, maxent_project, restrict_quadruples, tilt_to_moments
 
 K1 = Kernel("constant", b=1.0)
@@ -48,8 +51,8 @@ def _problems(net):
     """The W_B problem on a straight path and the JKO problem from a tilt, each at a point y."""
     a, b = _tilts(net, 1)
     base = np.array([(1 - m / K) * a + (m / K) * b for m in range(K + 1)])
-    distance = _PathProblem(net, base, K - 1)
-    step = _PathProblem(net, np.broadcast_to(a, (K + 1, net.n_nodes)), K, 1.0 / (2.0 * 0.01), True)
+    distance = _PathProblem(net, base)
+    step = _PathProblem(net, np.broadcast_to(a, (K + 1, net.n_nodes)), 0.01)
     rng = np.random.default_rng(3)
     out = []
     for prob in (distance, step):
@@ -62,6 +65,11 @@ def _problems(net):
 
 
 def _assert_same(new, ref):
+    new, ref = list(new), list(ref)
+    if ref[2] is not None:
+        # the band holds the lower triangle of the oracle's dense Hessian
+        new[2] = np.tril(oracles.band_to_dense(new[2]))
+        ref[2] = np.tril(ref[2].reshape(len(new[2]), -1))
     for x, r in zip(new, ref):
         assert (x is None and r is None) or np.array_equal(x, r)
 
@@ -107,7 +115,7 @@ def test_indefinite_interval_gives_inf(net, monkeypatch, rows):
     base = np.tile(a, (K + 1, 1))
     base[K - 1 :] = FLOOR
     base[K - 1 :, net.quad[0]] = 1e6
-    prob = _PathProblem(net, base, K, 1.0, entropy=True)
+    prob = _PathProblem(net, base, tau=0.5)  # scale 1 with the entropy
     for hessian in (False, True):
         with pytest.raises(np.linalg.LinAlgError):
             oracles.path_interval(prob, base[K - 1], base[K], hessian)
@@ -118,3 +126,28 @@ def test_indefinite_interval_gives_inf(net, monkeypatch, rows):
     assert H is None and actions is None and fluxes is None
     for m in range(K - 1):
         oracles.path_interval(prob, base[m], base[m + 1], True)
+
+
+@pytest.mark.parametrize("jitter", [False, True], ids=["no-jitter", "forced-jitter"])
+def test_banded_step_matches_dense_solve(network, jitter):
+    # the step from the band equals the dense Cholesky solve of the expanded
+    # matrix.  With the diagonal shifted to a smallest eigenvalue of
+    # -1e-4 trace / N, both factorizations fail until the jitter reaches
+    # 4^14 1e-12 trace / N = 2.7e-4 trace / N, and both solve that system
+    for prob, _ in _problems(network):
+        _, g, H = prob(np.zeros(prob.nslices * prob.N.shape[1]))[:3]
+        dense = oracles.band_to_dense(H)
+        used = 0.0
+        if jitter:
+            H = H.copy()
+            H[0] -= np.linalg.eigvalsh(dense)[0] + 1e-4 * np.trace(dense) / len(dense)
+            dense = oracles.band_to_dense(H)
+            with pytest.raises(np.linalg.LinAlgError):
+                scipy.linalg.cho_factor(dense)
+            used = 4.0**14 * 1e-12 * np.trace(dense) / len(dense)
+        ref = oracles.newton_step(dense, g)
+        step = _newton_step(H, g)
+        # a backward-stable solve is accurate to about N eps cond
+        cond = np.linalg.cond(dense + used * np.eye(len(dense)))
+        bound = 10 * len(g) * np.finfo(float).eps * cond
+        assert np.linalg.norm(step - ref) <= bound * np.linalg.norm(ref)
