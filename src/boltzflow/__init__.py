@@ -34,7 +34,6 @@ from .metric import (
     MetricSolution,
     SolverOptions,
     cre_residual,
-    gradient_form_residual,
     single_quadruple_oracle,
     solve_distance,
     w1_distance,
@@ -77,7 +76,6 @@ __all__ = [
     "empirical_moments",
     "energy_identity_report",
     "entropy",
-    "gradient_form_residual",
     "jko_step",
     "jko_trajectory",
     "log_mean",

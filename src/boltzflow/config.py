@@ -9,25 +9,27 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .kinematics import Kernel
+from .network import lattice_ratio
 
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    d: int = 2
-    V: float = 3.0
-    h: float = 1.0
+    d: int
+    V: float
+    h: float
 
 
 @dataclass(frozen=True)
 class KernelConfig:
-    kind: str = "constant"
-    b: float = 1.0
-    lo: float = 0.5
-    hi: float = 2.0
+    kind: str
+    b: float
+    lo: float
+    hi: float
 
     def build(self) -> Kernel:
         return Kernel(kind=self.kind, b=self.b, lo=self.lo, hi=self.hi)
@@ -43,19 +45,22 @@ class RunConfig:
     threads: int = 1
 
 
-# block defaults, read once from the dataclasses that hold them
-_NETWORK_FIELDS = asdict(NetworkConfig())
-_KERNEL_FIELDS = asdict(KernelConfig())
-
 # lower bounds: x >= _POSITIVE holds exactly when x > 0 (it is the least
 # positive float), and every number is at least _ANY
 _POSITIVE = math.ulp(0.0)
 _ANY = -math.inf
 
-# experiment parameter schema: name -> (default, least).  A value must have
-# its default's type (an int default takes only ints, a float default any
-# number, a list default a list checked entry by entry) and each value or
-# entry must be at least `least`
+# block schemas: name -> (default, least).  A value must have its default's
+# type (a str default takes only strings, an int default only ints, a float
+# default any number, a list default a list checked entry by entry), and
+# each number or entry must be finite and at least `least`
+_NETWORK_FIELDS = {"d": (2, 2), "V": (3.0, _POSITIVE), "h": (1.0, _POSITIVE)}
+_KERNEL_FIELDS = {
+    "kind": ("constant", None),
+    "b": (1.0, _POSITIVE),
+    "lo": (0.5, _POSITIVE),
+    "hi": (2.0, _POSITIVE),
+}
 _EXPERIMENT_FIELDS = {
     "forward": {
         "T": (10.0, _POSITIVE),
@@ -93,42 +98,52 @@ _EXPERIMENT_FIELDS = {
         "reference_h": (0.5, _POSITIVE),
     },
 }
-_EXPERIMENT_DEFAULTS = {
-    etype: {key: default for key, (default, _) in fields.items()}
-    for etype, fields in _EXPERIMENT_FIELDS.items()
-}
+# what a value of each default's type must be, and the types that qualify
+_TYPES = {str: ("a string", str), int: ("an integer", int), float: ("a number", (int, float))}
+_MAX = sys.float_info.max
 
 
-def _take(block, context: str, fields: dict) -> dict:
-    """The JSON object `block` with each key of `fields` it omits set to its default."""
+def _check_block(block, name: str, fields: dict, etype: str = "") -> dict:
+    """The JSON object `block` checked against `fields`, omitted keys set to their defaults.
+
+    Values are named `name.key`; an experiment block names its `etype`.
+    """
+    context = f"{name}({etype})" if etype else name
     if not isinstance(block, dict):
         raise ConfigError(f"{context} must be a JSON object, got {block!r}")
     unknown = set(block) - set(fields)
     if unknown:
-        name = sorted(unknown)[0]
-        raise ConfigError(f"unknown key {context}.{name!r}")
-    return {**fields, **block}
+        raise ConfigError(f"unknown key {context}.{sorted(unknown)[0]!r}")
+    values = {}
+    suffix = f" for {etype}" if etype else ""
+    for key, (default, least) in fields.items():
+        value = values[key] = block.get(key, default)
+        listed = isinstance(default, list)
+        if listed and not isinstance(value, list):
+            raise ConfigError(f"{name}.{key} must be a list, got {value!r}")
+        noun, types = _TYPES[type(default[0] if listed else default)]
+        for x in value if listed else (value,):
+            # bool is an int subclass, but a JSON true is no number
+            if not isinstance(x, types) or isinstance(x, bool):
+                want = noun
+            elif isinstance(x, str):
+                continue
+            elif not -_MAX <= x <= _MAX:  # NaN, an infinity or an int past every float
+                want = "finite"
+            elif x < least:
+                want = "positive" if least == _POSITIVE else f"at least {least}{suffix}"
+            else:
+                continue
+            entry = f"each entry of {name}.{key}" if listed else f"{name}.{key}"
+            raise ConfigError(f"{entry} must be {want}, got {value!r}")
+    return values
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _positive(value, name):
-    # JSON's NaN and Infinity parse to floats; neither passes `0 < value < inf`
-    if not _is_number(value) or not 0 < value < math.inf:
-        raise ConfigError(f"{name} must be a finite positive number, got {value!r}")
-    return value
-
-
-def _lattice_ratio(V, h, name):
-    ratio = V / h
-    if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-        raise ConfigError(f"{name} must be a positive integer")
+def _check_lattice(d, V, h, name: str):
+    try:
+        lattice_ratio(d, V, h)
+    except DomainError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def parse_config_dict(raw: dict) -> RunConfig:
@@ -140,24 +155,17 @@ def parse_config_dict(raw: dict) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown key {sorted(unknown)[0]!r}")
 
-    net = _take(raw.get("network", {}), "network", _NETWORK_FIELDS)
-    if net["d"] not in (2, 3):
-        raise ConfigError("network.d must be 2 or 3")
-    _positive(net["V"], "network.V")
-    _positive(net["h"], "network.h")
-    _lattice_ratio(net["V"], net["h"], "network.V / network.h")
-    network = NetworkConfig(d=int(net["d"]), V=float(net["V"]), h=float(net["h"]))
+    net = _check_block(raw.get("network", {}), "network", _NETWORK_FIELDS)
+    if net["d"] > 3:
+        raise ConfigError(f"network.d must be 2 or 3, got {net['d']!r}")
+    _check_lattice(net["d"], net["V"], net["h"], "network.V / network.h")
+    network = NetworkConfig(d=net["d"], V=float(net["V"]), h=float(net["h"]))
 
-    ker = _take(raw.get("kernel", {}), "kernel", _KERNEL_FIELDS)
+    ker = _check_block(raw.get("kernel", {}), "kernel", _KERNEL_FIELDS)
     if ker["kind"] not in ("constant", "clamp"):
-        raise ConfigError("kernel.kind must be 'constant' or 'clamp'")
-    if ker["kind"] == "constant":
-        _positive(ker["b"], "kernel.b")
-    else:
-        _positive(ker["lo"], "kernel.lo")
-        _positive(ker["hi"], "kernel.hi")
-        if ker["lo"] > ker["hi"]:
-            raise ConfigError("kernel.lo must not exceed kernel.hi")
+        raise ConfigError(f"kernel.kind must be 'constant' or 'clamp', got {ker['kind']!r}")
+    if ker["lo"] > ker["hi"]:
+        raise ConfigError("kernel.lo must not exceed kernel.hi")
     kernel = KernelConfig(kind=ker["kind"], b=float(ker["b"]),
                           lo=float(ker["lo"]), hi=float(ker["hi"]))
 
@@ -167,43 +175,27 @@ def parse_config_dict(raw: dict) -> RunConfig:
     if not isinstance(exp_raw, dict) or "type" not in exp_raw:
         raise ConfigError("experiment.type is required")
     etype = exp_raw["type"]
-    if etype not in _EXPERIMENT_FIELDS:
+    if not isinstance(etype, str) or etype not in _EXPERIMENT_FIELDS:
         raise ConfigError(
             f"experiment.type must be one of {sorted(_EXPERIMENT_FIELDS)}, got {etype!r}"
         )
     body = {k: v for k, v in exp_raw.items() if k != "type"}
-    exp = _take(body, f"experiment({etype})", _EXPERIMENT_DEFAULTS[etype])
-    for key, (default, least) in _EXPERIMENT_FIELDS[etype].items():
-        value = exp[key]
-        listed = isinstance(default, list)
-        if listed and not isinstance(value, list):
-            raise ConfigError(f"experiment.{key} must be a list, got {value!r}")
-        integer = _is_int(default[0] if listed else default)
-        for x in value if listed else (value,):
-            if not (_is_int(x) if integer else _is_number(x)):
-                want = "an integer" if integer else "a number"
-            elif not -math.inf < x < math.inf:  # NaN or an infinity
-                want = "finite"
-            elif x < least:
-                want = "positive" if least == _POSITIVE else f"at least {least} for {etype}"
-            else:
-                continue
-            name = f"each entry of experiment.{key}" if listed else f"experiment.{key}"
-            raise ConfigError(f"{name} must be {want}, got {value!r}")
+    exp = _check_block(body, "experiment", _EXPERIMENT_FIELDS[etype], etype)
     exp["type"] = etype
     if etype == "consistency":
         if len(set(exp["Ns"])) < len(exp["Ns"]):
             raise ConfigError(f"experiment.Ns must not repeat an entry, got {exp['Ns']!r}")
-        _lattice_ratio(network.V, exp["reference_h"], "network.V / experiment.reference_h")
+        _check_lattice(network.d, network.V, exp["reference_h"],
+                       "network.V / experiment.reference_h")
 
     out = raw.get("out", "runs")
     if not isinstance(out, str):
         raise ConfigError("out must be a string path")
     seed = raw.get("seed", 0)
-    if not _is_int(seed) or seed < 0 or seed >= 2**64:
+    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
         raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
     threads = raw.get("threads", 1)
-    if not _is_int(threads) or threads < 1:
+    if not isinstance(threads, int) or isinstance(threads, bool) or threads < 1:
         raise ConfigError(f"threads must be a positive integer, got {threads!r}")
     return RunConfig(network=network, kernel=kernel, experiment=exp,
                      out=out, seed=seed, threads=threads)

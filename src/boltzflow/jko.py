@@ -86,7 +86,7 @@ def jko_step(
     if tau <= 0:
         raise DomainError("tau must be positive")
 
-    prob = _PathProblem(net, np.broadcast_to(f_prev, (K + 1, len(f_prev))), tau)
+    prob = _PathProblem(net, K, f_prev, tau=tau)
     path, kkt, iters, (_, _, _, actions, _) = prob.solve(opts)
     g = path[K]
     sq = float(prob.dt * actions.sum())

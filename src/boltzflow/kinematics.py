@@ -67,6 +67,10 @@ class Kernel:
     def __post_init__(self):
         if self.kind not in ("constant", "clamp"):
             raise DomainError(f"unknown kernel kind {self.kind!r}")
+        if not all(-np.inf < x < np.inf for x in (self.b, self.lo, self.hi)):
+            raise DomainError(
+                f"kernel parameters must be finite, got b={self.b!r}, lo={self.lo!r}, hi={self.hi!r}"
+            )
         if self.kind == "constant":
             if self.b <= 0:
                 raise DomainError("constant kernel requires b > 0")

@@ -15,6 +15,7 @@ moment-preserving coordinates.
 from __future__ import annotations
 
 import contextlib
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ import scipy.sparse
 
 from .errors import DomainError, NumericalError
 from .network import SLOT_SIGN, VelocityNetwork
-from .scalars import action_density, log_mean, log_mean_and_partials
+from .scalars import log_mean, log_mean_and_partials
 
 
 FLOOR = 1e-12  # positivity barrier for densities
@@ -50,19 +51,6 @@ class MetricSolution:
     floor_sensitivity: float = 0.0  # |value - value at 10x floor shift|
 
 
-def discrete_action(net: VelocityNetwork, f: np.ndarray, J: np.ndarray) -> float:
-    """Action A(f, J) = sum_q W_q B_q J_q^2 / Lambda(f_i f_j, f_k f_l).
-
-    Boundary conventions come from the convex integrand: zero flux over a
-    dead quadruple costs nothing, nonzero flux costs +inf.  Each
-    canonical quadruple carries multiplicity 4 in the collision manifold,
-    hence the prefactor 4 on the integrand.
-    """
-    p, r = net.pair_products(np.asarray(f, dtype=float))
-    dens = action_density(np.asarray(J, dtype=float), p, r)
-    return float(np.sum(4.0 * net.kappa * dens))
-
-
 def cre_residual(net: VelocityNetwork, path: np.ndarray, flux: np.ndarray) -> float:
     """Max node residual of the discrete collision rate equation.
 
@@ -79,31 +67,29 @@ def cre_residual(net: VelocityNetwork, path: np.ndarray, flux: np.ndarray) -> fl
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def boltzmann_flux(net: VelocityNetwork, f: np.ndarray) -> np.ndarray:
-    """The flux carried by the forward dynamics: J_q = f_i f_j - f_k f_l.
-
-    Equals Lambda * grad_bar(-log f) and satisfies the CRE against
-    df/dt = Q(f) exactly; its action equals the dissipation D(f).
-    """
-    p, r = net.pair_products(np.asarray(f, dtype=float))
-    return p - r
-
-
 class _PathProblem:
     """Reduced path objective, the flux eliminated.
 
     Slices 1..nslices of the path are base[m] + N y_{m-1}, the others stay
     at base.  The objective is scale * sum_m dt A_m, plus the entropy
     sum w g log g of the last slice g for a JKO step.  Without `tau` it is
-    W_B^2: scale 1 and nslices = K - 1.  With `tau` it is the JKO step:
-    scale 1/(2 tau), nslices = K and the entropy.
+    W_B^2 between f0 and f1: base is the straight path, scale 1 and
+    nslices = K - 1.  With `tau` it is the JKO step from f0: base is the
+    constant path, scale 1/(2 tau), nslices = K and the entropy.  K must
+    be an integer, at least 2 for a distance (an interior slice to move)
+    and at least 1 for a JKO step.
     """
 
-    def __init__(self, net, base, tau=None):
-        self.net = net
-        self.base = np.array(base, dtype=float)
-        K = len(self.base) - 1
+    def __init__(self, net, K, f0, f1=None, tau=None):
         self.entropy = tau is not None
+        least = 1 if self.entropy else 2
+        if not isinstance(K, numbers.Integral) or isinstance(K, bool) or K < least:
+            raise DomainError(f"K must be an integer of at least {least}, got {K!r}")
+        self.net = net
+        if self.entropy:
+            self.base = np.tile(f0, (K + 1, 1))
+        else:
+            self.base = np.array([(1 - m / K) * f0 + (m / K) * f1 for m in range(K + 1)])
         self.nslices = K if self.entropy else K - 1
         self.scale = 1.0 / (2.0 * tau) if self.entropy else 1.0
         self.dt = 1.0 / K
@@ -329,8 +315,7 @@ def solve_distance(
         raise DomainError("endpoints must be strictly positive")
     _check_moment_match(net, f0, f1)
 
-    base = np.array([(1 - m / K) * f0 + (m / K) * f1 for m in range(K + 1)])
-    prob = _PathProblem(net, base)
+    prob = _PathProblem(net, K, f0, f1)
     path, kkt, iters, (squared, _, _, actions, flux) = prob.solve(opts)
     value = float(np.sqrt(max(squared, 0.0)))
     # re-evaluate on the path clipped at a 10x larger floor to expose how
@@ -350,34 +335,6 @@ def solve_distance(
         iterations=iters,
         floor_sensitivity=sensitivity,
     )
-
-
-def gradient_form_residual(net: VelocityNetwork, solution: MetricSolution) -> float:
-    """Max relative defect of U = J / Lambda from potential-gradient form.
-
-    Projects U onto span{grad_bar(phi)} in the (W B Lambda)-weighted inner
-    product, per slice; slices with vanishing flux norm are skipped.
-    """
-    K = solution.flux.shape[0]
-    worst = 0.0
-    for m in range(K):
-        fbar = 0.5 * (solution.path[m] + solution.path[m + 1])
-        p, r = net.pair_products(fbar)
-        lam_q = log_mean(p, r)
-        active = lam_q > 0
-        U = np.zeros_like(lam_q)
-        U[active] = solution.flux[m][active] / lam_q[active]
-        wts = net.kappa * lam_q
-        norm2 = float(np.sum(wts * U**2))
-        if norm2 <= 1e-30:
-            continue
-        L = net.laplacian(wts)
-        d = net.div_bar(wts * U)
-        C = net.invariants
-        phi = np.linalg.solve(L + np.trace(L) / len(L) * (C @ C.T), d)
-        resid2 = max(norm2 - float(d @ phi), 0.0)
-        worst = max(worst, np.sqrt(resid2 / norm2))
-    return worst
 
 
 def single_quadruple_oracle(

@@ -10,6 +10,7 @@ node weight w = h^d.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -22,6 +23,11 @@ from .kinematics import Kernel, collide
 
 # a quadruple's column of S, in its slots (i, j, k, l)
 SLOT_SIGN = np.array([-1.0, -1.0, 1.0, 1.0])
+
+# the most lattice nodes a network may have, 11^3: a d = 3, V/h = 5 build
+# already has 3.4 million quadruples and peaks at about 730 MiB, and the
+# count grows about as (V/h)^6.3
+MAX_NODES = 1331
 
 
 @dataclass
@@ -216,6 +222,28 @@ def _join_quadruples(lattice: np.ndarray, M: int) -> np.ndarray:
     return quad[np.lexsort(quad.T[::-1])]
 
 
+def lattice_ratio(d: int, V: float, h: float) -> int:
+    """The lattice half-width M = V/h, checked for a network of dimension d.
+
+    V and h must be finite and positive, and V/h a whole number (within
+    1e-9) of at least 1.  The lattice has (2M + 1)^d nodes, at most
+    MAX_NODES: V/h <= 17 at d = 2 and V/h <= 5 at d = 3.
+    """
+    if not (0 < V < math.inf and 0 < h < math.inf):
+        raise DomainError(f"V and h must be finite and positive, got V = {V!r}, h = {h!r}")
+    ratio = V / h  # inf if the quotient overflows
+    # (the first test keeps round() finite; any such ratio has too many nodes)
+    if not ratio < MAX_NODES or (2 * round(ratio) + 1) ** d > MAX_NODES:
+        raise DomainError(
+            f"V/h must be at most 17 at d = 2 and 5 at d = 3 (at most {MAX_NODES} "
+            f"lattice nodes), got {ratio:.17g} at d = {d}"
+        )
+    M = int(round(ratio))
+    if abs(ratio - M) > 1e-9 or M < 1:
+        raise DomainError(f"V/h must be a positive integer, got {ratio:.17g}")
+    return M
+
+
 def build_network(d: int, V: float, h: float, kernel: Kernel) -> VelocityNetwork:
     """Enumerate lattice nodes and all conservative collision quadruples.
 
@@ -226,10 +254,7 @@ def build_network(d: int, V: float, h: float, kernel: Kernel) -> VelocityNetwork
     """
     if d not in (2, 3):
         raise DomainError("dimension must be 2 or 3")
-    M = V / h
-    if abs(M - round(M)) > 1e-9 or round(M) < 1:
-        raise DomainError("V/h must be a positive integer")
-    M = int(round(M))
+    M = lattice_ratio(d, V, h)
     axes = np.arange(-M, M + 1)
     lattice = np.stack(np.meshgrid(*([axes] * d), indexing="ij"), axis=-1).reshape(-1, d)
     # deterministic node order: lexicographic in lattice coordinates

@@ -168,10 +168,6 @@ class GaussianMixture:
         )
 
 
-def standard_mixture(d: int) -> GaussianMixture:
-    return GaussianMixture(np.array([1.0]), np.zeros((1, d)), np.eye(d)[None])
-
-
 def ou_evolve(mix: GaussianMixture, time: float) -> GaussianMixture:
     """Ornstein-Uhlenbeck flow toward the standard Gaussian, in closed form.
 

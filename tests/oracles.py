@@ -12,6 +12,11 @@ dependency levels one event and one row at a time, the OU entropy
 estimate through scipy's logsumexp, and the Dormand-Prince loop with
 all seven stages evaluated on every step attempt.  None of them share
 code with the functions they check.
+
+It also holds the test-only diagnostics that no run calls: the action
+A(f, J) of a flux, the Boltzmann flux f_i f_j - f_k f_l, the
+gradient-form residual of a W_B solution, and the standard Gaussian
+mixture.
 """
 
 import numpy as np
@@ -26,7 +31,7 @@ from boltzflow.forward import dissipation, entropy
 from boltzflow.kac import EventLog, ParticleState, _pair_from_index, _unit_vectors, stream
 from boltzflow.kinematics import SPHERE_SURFACE, collide
 from boltzflow.network import SLOT_SIGN
-from boltzflow.scalars import log_mean, log_mean_and_partials
+from boltzflow.scalars import GaussianMixture, action_density, log_mean, log_mean_and_partials
 
 
 def lattice(d: int, M: int) -> np.ndarray:
@@ -150,6 +155,34 @@ def quadruple_dissipation(net, f: np.ndarray) -> float:
     """D(f) with two logs per quadruple, through `dissipation_density`."""
     p, r = quadruple_products(net, np.asarray(f, dtype=float))
     return float(np.sum(net.W_q * net.B_q * dissipation_density(p, r)))
+
+
+def boltzmann_flux(net, f: np.ndarray) -> np.ndarray:
+    """The flux carried by the forward dynamics: J_q = f_i f_j - f_k f_l.
+
+    Equals Lambda * grad_bar(-log f) and satisfies the CRE against
+    df/dt = Q(f) exactly; its action equals the dissipation D(f).
+    """
+    p, r = quadruple_products(net, np.asarray(f, dtype=float))
+    return p - r
+
+
+def discrete_action(net, f: np.ndarray, J: np.ndarray) -> float:
+    """Action A(f, J) = sum_q W_q B_q J_q^2 / Lambda(f_i f_j, f_k f_l).
+
+    Boundary conventions come from the convex integrand: zero flux over a
+    dead quadruple costs nothing, nonzero flux costs +inf.  Each
+    canonical quadruple carries multiplicity 4 in the collision manifold,
+    hence the prefactor 4 on the integrand.
+    """
+    p, r = quadruple_products(net, np.asarray(f, dtype=float))
+    dens = action_density(np.asarray(J, dtype=float), p, r)
+    return float(np.sum(4.0 * net.W_q * net.B_q * dens))
+
+
+def standard_mixture(d: int) -> GaussianMixture:
+    """The standard Gaussian on R^d as a one-component mixture."""
+    return GaussianMixture(np.array([1.0]), np.zeros((1, d)), np.eye(d)[None])
 
 
 def collision_operator(net, f: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from oracles import gradient_form_residual
 from boltzflow.cli import bimodal_mixture, density_from_mixture
 from boltzflow.forward import (
     _simpson_triple,
@@ -33,7 +34,6 @@ from boltzflow.kac import (
 from boltzflow.kinematics import Kernel, collide, povzner_gap
 from boltzflow.metric import (
     SolverOptions,
-    gradient_form_residual,
     single_quadruple_oracle,
     solve_distance,
     w1_distance,

@@ -205,16 +205,30 @@ def test_domain_errors_exit_3(tmp_path, capsys, raw, message):
     ("forward", {"network.V": float("nan")}),
     ("distance", {"tol": float("nan")}),
     ("jko", {"tau": float("inf")}),
+    ("forward", {"network.V": 1e308, "network.h": 1e-10}),
+    ("consistency", {"reference_h": 1e-320}),
+    ("forward", {"network.V": 18}),
+    ("forward", {"network.d": 3, "network.V": 6}),
+    ("forward", {"network.d": 2.0}),
+    ("kac", {"kernel.lo": "abc"}),
+    ("kac", {"kernel.kind": "clamp", "kernel.b": None}),
+    ("kac", {"kernel.hi": [1]}),
+    ("kac", {"kernel.hi": float("nan")}),
+    ("kac", {"kernel.lo": 3.0}),
 ], ids=["kac-ou-time", "forward-max-step", "kac-one-particle", "consistency-fractional-N",
         "consistency-one-particle", "consistency-one-replicate", "consistency-reference-h",
         "consistency-zero-reference-h", "jko-negative-probe", "consistency-negative-probe",
-        "consistency-repeated-N", "network-V-nan", "distance-tol-nan", "jko-tau-infinity"])
+        "consistency-repeated-N", "network-V-nan", "distance-tol-nan", "jko-tau-infinity",
+        "network-ratio-overflow", "consistency-reference-h-overflow", "network-d2-nodes",
+        "network-d3-nodes", "network-float-d", "kernel-string-lo", "clamp-null-b",
+        "kernel-list-hi", "constant-nan-hi", "constant-lo-above-hi"])
 def test_config_ranges_exit_2(tmp_path, capsys, etype, fields):
-    # every range is checked at parse time, before the experiment starts
-    (key, value), = fields.items()
-    block, name = key.split(".") if "." in key else ("experiment", key)
+    # every range is checked at parse time, before the experiment starts; the
+    # message names the last field set
     raw = {"experiment": {"type": etype}, "out": str(tmp_path / "out")}
-    raw.setdefault(block, {})[name] = value
+    for key, value in fields.items():
+        block, name = key.split(".") if "." in key else ("experiment", key)
+        raw.setdefault(block, {})[name] = value
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(raw))
     assert main([etype, "--config", str(path)]) == EXIT_CONFIG

@@ -2,8 +2,13 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boltzflow.config import (
+    _EXPERIMENT_FIELDS,
+    _KERNEL_FIELDS,
+    _NETWORK_FIELDS,
     ConfigError,
     config_to_dict,
     parse_config,
@@ -78,6 +83,26 @@ def test_range_validation():
         ('{"experiment": {"type": "jko", "tau": Infinity}}', "experiment.tau"),
         ('{"experiment": {"type": "jko", "probe_times": [0.5, NaN]}}', "experiment.probe_times"),
         ('{"experiment": {"type": "kac", "T": Infinity}}', "experiment.T"),
+        # every field is checked, whatever the kernel kind reads, and no
+        # value escapes as another exception
+        ('{"network": {"V": 1e308, "h": 1e-10}}', "network.h"),
+        ('{"experiment": {"type": "consistency", "reference_h": 1e-320}}',
+         "experiment.reference_h"),
+        ('{"kernel": {"lo": "abc"}}', "kernel.lo"),
+        ('{"kernel": {"kind": "clamp", "b": null}}', "kernel.b"),
+        ('{"kernel": {"hi": [1]}}', "kernel.hi"),
+        ('{"kernel": {"hi": NaN}}', "kernel.hi"),
+        ('{"experiment": {"type": ["forward"]}}', "experiment.type"),
+        # the lattice cap: at most 1331 nodes, V/h <= 17 at d = 2 and 5 at d = 3
+        ('{"network": {"V": 18}}', "network.V"),
+        ('{"network": {"d": 3, "V": 6}}', "network.V"),
+        ('{"network": {"V": 1' + "0" * 400 + '}}', "network.V"),  # past every float
+        # every field has its default's type and range, whatever the kernel kind
+        ('{"network": {"d": 2.0}}', "network.d"),
+        ('{"kernel": {"kind": 1}}', "kernel.kind"),
+        ('{"kernel": {"kind": "clamp", "b": 0}}', "kernel.b"),
+        ('{"kernel": {"lo": -1.0}}', "kernel.lo"),
+        ('{"kernel": {"hi": 0}}', "kernel.hi"),
     ):
         raw = {**minimal(), **json.loads(text)}
         with pytest.raises(ConfigError, match=re.escape(field) + ".* must be"):
@@ -98,6 +123,9 @@ def test_kernel_validation():
         parse_config_dict({**minimal(), "kernel": {"kind": "linear"}})
     with pytest.raises(ConfigError, match="kernel.lo"):
         parse_config_dict({**minimal(), "kernel": {"kind": "clamp", "lo": 3.0, "hi": 1.0}})
+    # lo <= hi holds under the constant kernel too, which reads neither
+    with pytest.raises(ConfigError, match="kernel.lo"):
+        parse_config_dict({**minimal(), "kernel": {"lo": 3.0}})
     cfg = parse_config_dict({**minimal(), "kernel": {"kind": "clamp", "lo": 0.5, "hi": 2.0}})
     k = cfg.kernel.build()
     assert k.lower == 0.5 and k.upper == 2.0
@@ -131,3 +159,35 @@ def test_roundtrip(raw):
     cfg = parse_config_dict(raw)
     again = parse_config_dict(config_to_dict(cfg))
     assert config_to_dict(cfg) == config_to_dict(again)
+
+
+# any JSON value: what json.load can return, NaN and the infinities included
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+_FIELDS = (
+    [("network", key) for key in _NETWORK_FIELDS]
+    + [("kernel", key) for key in _KERNEL_FIELDS]
+    + [(etype, key) for etype, fields in _EXPERIMENT_FIELDS.items() for key in ("type", *fields)]
+    + [(None, key) for key in ("out", "seed", "threads")]
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(field=st.sampled_from(_FIELDS), value=_JSON)
+def test_any_value_in_any_field_parses_or_is_a_config_error(field, value):
+    block, key = field
+    raw = minimal("forward" if block in ("network", "kernel", None) else block)
+    if block is None:
+        raw[key] = value
+    elif block in ("network", "kernel"):
+        raw[block] = {key: value}
+    else:
+        raw["experiment"][key] = value
+    try:
+        parse_config_dict(raw)
+    except ConfigError:
+        pass

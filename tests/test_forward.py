@@ -3,6 +3,7 @@ import pytest
 
 import boltzflow.forward
 import oracles
+from oracles import boltzmann_flux
 from boltzflow.forward import (
     collision_operator,
     dissipation,
@@ -10,7 +11,6 @@ from boltzflow.forward import (
     entropy,
     solve_forward,
 )
-from boltzflow.metric import boltzmann_flux
 from boltzflow.network import restrict_quadruples
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from boltzflow.errors import DomainError
 from boltzflow.forward import collision_operator, entropy, solve_forward
 from boltzflow.jko import compare_to_forward, jko_step, jko_trajectory
 from boltzflow.metric import SolverOptions
@@ -41,6 +42,13 @@ def test_step_validation(net, tilted):
         jko_step(net, np.zeros(net.n_nodes), 0.1)
     with pytest.raises(ValueError):
         jko_step(net, tilted(0), -0.1)
+
+
+@pytest.mark.parametrize("K", [0, -1, 2.5, 1.0, True])
+def test_step_slice_rule(net, tilted, K):
+    # a JKO step needs an integer K >= 1: its free last slice
+    with pytest.raises(DomainError, match="K must be an integer of at least 1"):
+        jko_step(net, tilted(0), 0.1, K=K)
 
 
 def test_trajectory_entropy_monotone(net, tilted):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import boltzflow.kac
 import oracles
+from oracles import standard_mixture
 from boltzflow.cli import bimodal_mixture
 from boltzflow.kac import (
     ParticleState,
@@ -19,7 +20,6 @@ from boltzflow.kac import (
     stream,
 )
 from boltzflow.kinematics import SPHERE_SURFACE, Kernel
-from boltzflow.scalars import standard_mixture
 
 K1 = Kernel("constant", b=1.0)
 KC = Kernel("clamp", lo=0.5, hi=2.0)

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boltzflow.errors import DomainError
+
 from boltzflow.kinematics import (
     SPHERE_SURFACE,
     Kernel,
@@ -162,6 +164,12 @@ def test_kernel_validation():
         Kernel("constant", b=0.0)
     with pytest.raises(ValueError):
         Kernel("clamp", lo=2.0, hi=1.0)
+    # every parameter must be finite, whichever the kind reads
+    for kind in ("constant", "clamp"):
+        for field in ("b", "lo", "hi"):
+            for value in (np.nan, np.inf, -np.inf):
+                with pytest.raises(DomainError, match="finite"):
+                    Kernel(kind, **{field: value})
 
 
 def test_angular_integral_constant():

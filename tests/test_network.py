@@ -7,7 +7,9 @@ import oracles
 from boltzflow.errors import DomainError
 from boltzflow.kinematics import Kernel, collide
 from boltzflow.network import (
+    MAX_NODES,
     build_network,
+    lattice_ratio,
     maxent_project,
     restrict_quadruples,
     tilt_to_moments,
@@ -117,6 +119,32 @@ def test_build_validation():
         build_network(4, 1.0, 1.0, K1)
     with pytest.raises(ValueError, match="positive integer"):
         build_network(2, 1.0, 0.3, K1)
+
+
+@pytest.mark.parametrize("d, V, h, message", [
+    (2, -3.0, -1.0, "finite and positive"),  # V/h = 3, but a mirrored lattice
+    (2, 3.0, 0.0, "finite and positive"),
+    (2, np.nan, 1.0, "finite and positive"),
+    (2, 3.0, np.inf, "finite and positive"),
+    (2, 1e308, 1e-10, "at most 17 at d = 2"),  # V/h overflows to inf
+    (2, 3.0, 1e-320, "at most 17 at d = 2"),
+    (2, 18.0, 1.0, "at most 17 at d = 2"),  # 37^2 = 1369 nodes
+    (3, 6.0, 1.0, "at most 17 at d = 2 and 5 at d = 3"),  # 13^3 = 2197 nodes
+    (2, 0.4, 1.0, "positive integer"),
+])
+def test_lattice_rule(d, V, h, message):
+    with pytest.raises(DomainError, match=message):
+        lattice_ratio(d, V, h)
+    with pytest.raises(DomainError, match=message):
+        build_network(d, V, h, K1)
+
+
+def test_lattice_cap():
+    # the largest lattices of at most MAX_NODES = 11^3 nodes; not built
+    assert MAX_NODES == 11**3
+    assert lattice_ratio(2, 17.0, 1.0) == 17  # 35^2 = 1225 nodes
+    assert lattice_ratio(3, 5.0, 1.0) == 5
+    assert lattice_ratio(2, 3.0, 0.3) == 10  # 3 / 0.3 is 10 within roundoff
 
 
 def test_grad_div_adjoint(net):

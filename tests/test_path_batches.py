@@ -50,9 +50,8 @@ def _tilts(net, seed):
 def _problems(net):
     """The W_B problem on a straight path and the JKO problem from a tilt, each at a point y."""
     a, b = _tilts(net, 1)
-    base = np.array([(1 - m / K) * a + (m / K) * b for m in range(K + 1)])
-    distance = _PathProblem(net, base)
-    step = _PathProblem(net, np.broadcast_to(a, (K + 1, net.n_nodes)), 0.01)
+    distance = _PathProblem(net, K, a, b)
+    step = _PathProblem(net, K, a, tau=0.01)
     rng = np.random.default_rng(3)
     out = []
     for prob in (distance, step):
@@ -111,11 +110,10 @@ def test_indefinite_interval_gives_inf(net, monkeypatch, rows):
     # the last interval's Laplacian spans 36 orders of magnitude and loses
     # definiteness in the Cholesky factorization; the others are fine
     monkeypatch.setattr(boltzflow.metric, "BATCH_ROWS", rows)
-    a = _tilts(net, 1)[0]
-    base = np.tile(a, (K + 1, 1))
+    prob = _PathProblem(net, K, _tilts(net, 1)[0], tau=0.5)  # scale 1 with the entropy
+    base = prob.base
     base[K - 1 :] = FLOOR
     base[K - 1 :, net.quad[0]] = 1e6
-    prob = _PathProblem(net, base, tau=0.5)  # scale 1 with the entropy
     for hessian in (False, True):
         with pytest.raises(np.linalg.LinAlgError):
             oracles.path_interval(prob, base[K - 1], base[K], hessian)

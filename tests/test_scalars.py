@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dissipation_density
+from oracles import dissipation_density, standard_mixture
 from boltzflow.scalars import (
     GaussianMixture,
     action_density,
@@ -13,7 +13,6 @@ from boltzflow.scalars import (
     log_mean_and_partials,
     ou_commutation_residual,
     ou_evolve,
-    standard_mixture,
 )
 
 pos = st.floats(min_value=1e-12, max_value=1e12, allow_nan=False)
