@@ -40,9 +40,9 @@ class RunConfig:
     network: NetworkConfig
     kernel: KernelConfig
     experiment: dict  # type plus type-specific parameters, validated
-    out: str = "runs"
-    seed: int = 0
-    threads: int = 1
+    out: str
+    seed: int
+    threads: int
 
 
 # lower bounds: x >= _POSITIVE holds exactly when x > 0 (it is the least
@@ -98,6 +98,8 @@ _EXPERIMENT_FIELDS = {
         "reference_h": (0.5, _POSITIVE),
     },
 }
+# the top-level keys besides the three blocks, with their defaults
+_TOP_DEFAULTS = {"out": "runs", "seed": 0, "threads": 1}
 # what a value of each default's type must be, and the types that qualify
 _TYPES = {str: ("a string", str), int: ("an integer", int), float: ("a number", (int, float))}
 _MAX = sys.float_info.max
@@ -149,9 +151,7 @@ def _check_lattice(d, V, h, name: str):
 def parse_config_dict(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("top-level config must be a JSON object")
-    top_fields = {"network": {}, "kernel": {}, "experiment": None, "out": "runs",
-                  "seed": 0, "threads": 1}
-    unknown = set(raw) - set(top_fields)
+    unknown = set(raw) - {"network", "kernel", "experiment", *_TOP_DEFAULTS}
     if unknown:
         raise ConfigError(f"unknown key {sorted(unknown)[0]!r}")
 
@@ -188,13 +188,11 @@ def parse_config_dict(raw: dict) -> RunConfig:
         _check_lattice(network.d, network.V, exp["reference_h"],
                        "network.V / experiment.reference_h")
 
-    out = raw.get("out", "runs")
+    out, seed, threads = (raw.get(key, default) for key, default in _TOP_DEFAULTS.items())
     if not isinstance(out, str):
         raise ConfigError("out must be a string path")
-    seed = raw.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
         raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
-    threads = raw.get("threads", 1)
     if not isinstance(threads, int) or isinstance(threads, bool) or threads < 1:
         raise ConfigError(f"threads must be a positive integer, got {threads!r}")
     return RunConfig(network=network, kernel=kernel, experiment=exp,

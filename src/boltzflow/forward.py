@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,7 +42,7 @@ def entropy(net: VelocityNetwork, f: np.ndarray) -> float:
 
 
 def dissipation(net: VelocityNetwork, f: np.ndarray) -> float:
-    """D(f) = sum_q W_q B_q (r - p)(log r - log p) >= 0; may be +inf.
+    """D(f) = sum_q h^{2d} B_q (r - p)(log r - log p) >= 0; may be +inf.
 
     One log per velocity pair.  A quadruple with both products 0 adds 0
     and one with exactly one product 0 adds +inf: log 0 = -inf gives the
@@ -81,9 +82,17 @@ class ForwardTrajectory:
     net: VelocityNetwork
     times: np.ndarray  # (m,)
     states: np.ndarray  # (m, n)
-    H: np.ndarray
-    D: np.ndarray
-    moments: np.ndarray  # (m, d + 2)
+    H: np.ndarray  # (m,) entropies, checked non-increasing by the solve
+
+    @cached_property
+    def D(self) -> np.ndarray:
+        """(m,) dissipation D(f) of each state, made on first read."""
+        return np.array([dissipation(self.net, f) for f in self.states])
+
+    @cached_property
+    def moments(self) -> np.ndarray:
+        """(m, d + 2) mass, momentum and energy of each state, made on first read."""
+        return np.array([self.net.moments(f) for f in self.states])
 
     def state_at(self, t: float) -> np.ndarray:
         """State at time t by linear interpolation between accepted steps."""
@@ -123,16 +132,14 @@ def solve_forward(
 
     Steps producing negative entries are rejected and halved; entropy must
     be non-increasing across every accepted step (hard assertion at
-    1e-12 relative).
+    1e-12 relative).  The trajectory's D and moments are made when read.
     """
     f = np.array(f0, dtype=float)
     if np.any(f <= 0):
         raise DomainError("solve_forward requires strictly positive f0")
     t = 0.0
     dt = min(dt_init, max_step, T) if T > 0 else dt_init
-    times, states = [0.0], [f.copy()]
-    Hs, Ds = [entropy(net, f)], [dissipation(net, f)]
-    mom = [net.moments(f)]
+    times, states, Hs = [0.0], [f.copy()], [entropy(net, f)]
 
     scale_ref = np.abs(f) + 1e-8
     # roundoff-sized remainder after many accumulated steps counts as done
@@ -169,8 +176,6 @@ def solve_forward(
         times.append(t)
         states.append(f.copy())
         Hs.append(H_new)
-        Ds.append(dissipation(net, f))
-        mom.append(net.moments(f))
         if err > 0:
             dt *= min(5.0, 0.9 * (tol / err) ** 0.2)
         else:
@@ -180,8 +185,6 @@ def solve_forward(
         times=np.array(times),
         states=np.array(states),
         H=np.array(Hs),
-        D=np.array(Ds),
-        moments=np.array(mom),
     )
 
 

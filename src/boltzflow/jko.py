@@ -83,8 +83,8 @@ def jko_step(
     f_prev = np.asarray(f_prev, dtype=float)
     if np.any(f_prev <= 0):
         raise DomainError("jko_step requires strictly positive f_prev")
-    if tau <= 0:
-        raise DomainError("tau must be positive")
+    if not 0 < tau < np.inf:  # also false for NaN
+        raise DomainError(f"tau must be finite and positive, got {tau!r}")
 
     prob = _PathProblem(net, K, f_prev, tau=tau)
     path, kkt, iters, (_, _, _, actions, _) = prob.solve(opts)
@@ -116,7 +116,11 @@ def jko_trajectory(
     K: int = 8,
     opts: SolverOptions = None,
 ) -> JkoTrajectory:
-    """Iterate jko_step ceil(T / tau) times from f0."""
+    """Iterate jko_step ceil(T / tau) times from f0; T = 0 takes no step."""
+    if not 0 < tau < np.inf:
+        raise DomainError(f"tau must be finite and positive, got {tau!r}")
+    if not 0 <= T < np.inf:
+        raise DomainError(f"T must be finite and nonnegative, got {T!r}")
     f0 = np.asarray(f0, dtype=float)
     n_steps = int(np.ceil(T / tau - 1e-12))
     states = [f0.copy()]

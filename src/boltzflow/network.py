@@ -2,9 +2,9 @@
 
 Nodes are h * z for integer vectors z with |h z|_inf <= V.  Collision
 quadruples (i, j) -> (k, l) are enumerated exactly with integer
-conservation keys; each quadruple carries a kernel value B_q and a
-quadrature weight W_q = h^{2d}.  Densities are arrays over nodes with
-node weight w = h^d.
+conservation keys; each quadruple has a kernel value B_q and the
+quadrature weight h^{2d}.  Densities are arrays over nodes with node
+weight w = h^d.
 """
 
 from __future__ import annotations
@@ -32,16 +32,30 @@ MAX_NODES = 1331
 
 @dataclass
 class VelocityNetwork:
+    """The lattice and its quadruples; every other array is derived from them."""
+
     d: int
     V: float
     h: float
     kernel: Kernel
-    lattice: np.ndarray  # (n, d) integer coordinates
-    nodes: np.ndarray  # (n, d) velocities, h * lattice
+    lattice: np.ndarray  # (n, d) integer coordinates, lexicographic
     quad: np.ndarray  # (Q, 4) node indices (i, j, k, l)
-    omega: np.ndarray  # (Q, d) representative collision directions
-    B_q: np.ndarray  # (Q,)
-    W_q: np.ndarray  # (Q,)
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        """(n, d) velocities, h * lattice."""
+        return self.h * self.lattice.astype(float)
+
+    @property
+    def omega(self) -> np.ndarray:
+        """(Q, d) collision directions (v_i - v_k) / |v_i - v_k|, made on each read."""
+        diff = self.nodes[self.quad[:, 0]] - self.nodes[self.quad[:, 2]]
+        return diff / np.linalg.norm(diff, axis=1, keepdims=True)
+
+    @property
+    def B_q(self) -> np.ndarray:
+        """(Q,) kernel values B(v_i - v_j), made on each read."""
+        return self.kernel(self.nodes[self.quad[:, 0]] - self.nodes[self.quad[:, 1]])
 
     @property
     def n_nodes(self) -> int:
@@ -74,8 +88,8 @@ class VelocityNetwork:
 
     @cached_property
     def kappa(self) -> np.ndarray:
-        """The rate W_q B_q of every quadruple."""
-        return self.W_q * self.B_q
+        """The rate h^{2d} B_q of every quadruple."""
+        return self.h ** (2 * self.d) * self.B_q
 
     @cached_property
     def pair_index(self):
@@ -173,6 +187,7 @@ class VelocityNetwork:
     # -- export --------------------------------------------------------------
 
     def to_json(self) -> str:
+        W = float(self.h ** (2 * self.d))
         payload = {
             "d": self.d,
             "V": self.V,
@@ -189,9 +204,9 @@ class VelocityNetwork:
                     "nodes": q.tolist(),
                     "omega": om.tolist(),
                     "B": float(b),
-                    "W": float(wq),
+                    "W": W,
                 }
-                for q, om, b, wq in zip(self.quad, self.omega, self.B_q, self.W_q)
+                for q, om, b in zip(self.quad, self.omega, self.B_q)
             ],
         }
         return json.dumps(payload, indent=1, sort_keys=True)
@@ -256,43 +271,19 @@ def build_network(d: int, V: float, h: float, kernel: Kernel) -> VelocityNetwork
         raise DomainError("dimension must be 2 or 3")
     M = lattice_ratio(d, V, h)
     axes = np.arange(-M, M + 1)
+    # "ij" indexing lists the nodes in lexicographic order of their coordinates
     lattice = np.stack(np.meshgrid(*([axes] * d), indexing="ij"), axis=-1).reshape(-1, d)
-    # deterministic node order: lexicographic in lattice coordinates
-    order = np.lexsort(lattice.T[::-1])
-    lattice = lattice[order]
-    nodes = h * lattice.astype(float)
-
     quad = _join_quadruples(lattice, M)
     if len(quad) == 0:
         raise DomainError(
             f"no conservative quadruples on this grid (V/h = {M}); "
             "the smallest usable grid has V/h = 1 in d = 2"
         )
-
-    # each Q x d temporary is made once and dropped when done
-    v, v_star = nodes[quad[:, 0]], nodes[quad[:, 1]]
-    diff = v - nodes[quad[:, 2]]
-    omega = diff / np.linalg.norm(diff, axis=1, keepdims=True)
-    del diff
-    B_q = kernel(v - v_star)
-    W_q = np.full(len(quad), h ** (2 * d))
-
-    net = VelocityNetwork(
-        d=d,
-        V=float(V),
-        h=float(h),
-        kernel=kernel,
-        lattice=lattice,
-        nodes=nodes,
-        quad=quad,
-        omega=omega,
-        B_q=B_q,
-        W_q=W_q,
-    )
+    net = VelocityNetwork(d=d, V=float(V), h=float(h), kernel=kernel, lattice=lattice, quad=quad)
 
     # every emitted quadruple must reproduce (v_k, v_l) under the collision map
-    vp, vp_star = collide(v, v_star, omega)
-    del v, v_star
+    nodes = net.nodes
+    vp, vp_star = collide(nodes[quad[:, 0]], nodes[quad[:, 1]], net.omega)
     err = max(
         np.max(np.abs(vp - nodes[quad[:, 2]])), np.max(np.abs(vp_star - nodes[quad[:, 3]]))
     )
@@ -304,12 +295,11 @@ def build_network(d: int, V: float, h: float, kernel: Kernel) -> VelocityNetwork
 def restrict_quadruples(net: VelocityNetwork, indices) -> VelocityNetwork:
     """Copy of the network keeping only the selected quadruples.
 
-    Useful for single-reaction tests; kappa, S, the pair index and the
-    invariant basis are derived anew from the kept quadruples.
+    Useful for single-reaction tests; every per-quadruple array (omega,
+    B_q, kappa, S, the pair index, the invariant basis) is derived anew
+    from the kept rows.
     """
-    indices = np.atleast_1d(np.asarray(indices, dtype=np.int64))
-    return replace(net, quad=net.quad[indices], omega=net.omega[indices],
-                   B_q=net.B_q[indices], W_q=net.W_q[indices])
+    return replace(net, quad=net.quad[np.atleast_1d(np.asarray(indices, dtype=np.int64))])
 
 
 # -- moment-matched densities ----------------------------------------------

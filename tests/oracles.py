@@ -154,7 +154,7 @@ def dissipation_density(s, t):
 def quadruple_dissipation(net, f: np.ndarray) -> float:
     """D(f) with two logs per quadruple, through `dissipation_density`."""
     p, r = quadruple_products(net, np.asarray(f, dtype=float))
-    return float(np.sum(net.W_q * net.B_q * dissipation_density(p, r)))
+    return float(np.sum(net.h ** (2 * net.d) * net.B_q * dissipation_density(p, r)))
 
 
 def boltzmann_flux(net, f: np.ndarray) -> np.ndarray:
@@ -168,7 +168,7 @@ def boltzmann_flux(net, f: np.ndarray) -> np.ndarray:
 
 
 def discrete_action(net, f: np.ndarray, J: np.ndarray) -> float:
-    """Action A(f, J) = sum_q W_q B_q J_q^2 / Lambda(f_i f_j, f_k f_l).
+    """Action A(f, J) = sum_q h^{2d} B_q J_q^2 / Lambda(f_i f_j, f_k f_l).
 
     Boundary conventions come from the convex integrand: zero flux over a
     dead quadruple costs nothing, nonzero flux costs +inf.  Each
@@ -177,7 +177,7 @@ def discrete_action(net, f: np.ndarray, J: np.ndarray) -> float:
     """
     p, r = quadruple_products(net, np.asarray(f, dtype=float))
     dens = action_density(np.asarray(J, dtype=float), p, r)
-    return float(np.sum(4.0 * net.W_q * net.B_q * dens))
+    return float(np.sum(4.0 * net.h ** (2 * net.d) * net.B_q * dens))
 
 
 def standard_mixture(d: int) -> GaussianMixture:
@@ -187,7 +187,8 @@ def standard_mixture(d: int) -> GaussianMixture:
 
 def collision_operator(net, f: np.ndarray) -> np.ndarray:
     p, r = quadruple_products(net, f)
-    return div_bar(net.quad, net.n_nodes, net.W_q * net.B_q * (p - r)) / net.node_weight
+    rate = net.h ** (2 * net.d) * net.B_q
+    return div_bar(net.quad, net.n_nodes, rate * (p - r)) / net.node_weight
 
 
 def path_interval(prob, fa: np.ndarray, fb: np.ndarray, hessian: bool = False):
@@ -196,7 +197,7 @@ def path_interval(prob, fa: np.ndarray, fb: np.ndarray, hessian: bool = False):
     The formulas of `boltzflow.metric._PathProblem._add_intervals` for a
     single interval, each array without an interval axis.
     """
-    net, kappa, N = prob.net, prob.net.W_q * prob.net.B_q, prob.N
+    net, kappa, N = prob.net, prob.net.h ** (2 * prob.net.d) * prob.net.B_q, prob.N
     fbar = 0.5 * (fa + fb)
     u = fbar[net.quad[:, [1, 0, 3, 2]]]
     lam, lam_p, lam_r, lam_pp, lam_pr, lam_rr = log_mean_and_partials(
@@ -303,7 +304,7 @@ def gradient_form_residual(net, solution) -> float:
         active = lam_q > 0
         U = np.zeros_like(lam_q)
         U[active] = solution.flux[m][active] / lam_q[active]
-        wts = net.W_q * net.B_q * lam_q
+        wts = net.h ** (2 * net.d) * net.B_q * lam_q
         norm2 = float(np.sum(wts * U**2))
         if norm2 <= 1e-30:
             continue

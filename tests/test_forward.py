@@ -11,7 +11,7 @@ from boltzflow.forward import (
     entropy,
     solve_forward,
 )
-from boltzflow.network import restrict_quadruples
+from boltzflow.network import VelocityNetwork, restrict_quadruples
 
 
 def test_collision_operator_conserves(net, tilted):
@@ -30,7 +30,7 @@ def test_collision_operator_vanishes_at_equilibrium(net, feq):
 def test_collision_operator_is_flux_divergence(net, tilted):
     f = tilted(4)
     q = collision_operator(net, f)
-    rhs = net.div_bar(net.W_q * net.B_q * boltzmann_flux(net, f)) / net.node_weight
+    rhs = net.div_bar(net.h ** (2 * net.d) * net.B_q * boltzmann_flux(net, f)) / net.node_weight
     assert np.allclose(q, rhs, atol=1e-15)
 
 
@@ -126,6 +126,33 @@ def test_forward_reuses_last_stage(net, tilted, monkeypatch, dt_init):
         assert negative >= 1 and attempts - negative > len(traj.times) - 1
     for got, want in zip((traj.times, traj.states, traj.H, traj.D, traj.moments), ref):
         assert np.array_equal(got, want)
+
+
+def test_forward_derives_dissipation_and_moments_on_read(net, tilted, monkeypatch):
+    # the solve integrates and checks the entropy; D and the moments wait
+    # for their first read, which takes one call per state
+    calls = {"dissipation": 0, "moments": 0}
+    moments = VelocityNetwork.moments
+
+    def count_dissipation(g, f):
+        calls["dissipation"] += 1
+        return dissipation(g, f)
+
+    def count_moments(g, f):
+        calls["moments"] += 1
+        return moments(g, f)
+
+    f0 = tilted(2)
+    monkeypatch.setattr(boltzflow.forward, "dissipation", count_dissipation)
+    monkeypatch.setattr(VelocityNetwork, "moments", count_moments)
+    traj = solve_forward(net, f0, 1.0)
+    assert calls == {"dissipation": 0, "moments": 0}
+    m = len(traj.times)
+    D, mom = traj.D, traj.moments
+    assert calls == {"dissipation": m, "moments": m}
+    assert traj.D is D and traj.moments is mom and calls == {"dissipation": m, "moments": m}
+    assert np.array_equal(D, [dissipation(net, f) for f in traj.states])
+    assert np.array_equal(mom, [moments(net, f) for f in traj.states])
 
 
 def test_max_step_is_respected(net, tilted):

@@ -44,6 +44,27 @@ def test_step_validation(net, tilted):
         jko_step(net, tilted(0), -0.1)
 
 
+@pytest.mark.parametrize("tau", [0.0, -0.1, np.nan, np.inf])
+def test_step_tau_rule(net, tilted, tau):
+    with pytest.raises(DomainError, match="tau must be finite and positive"):
+        jko_step(net, tilted(0), tau, K=4)
+
+
+@pytest.mark.parametrize("tau, T, field", [
+    (0.0, 0.2, "tau"), (-0.1, 0.2, "tau"), (np.nan, 0.2, "tau"), (np.inf, 0.2, "tau"),
+    (0.1, -0.1, "T"), (0.1, np.nan, "T"), (0.1, np.inf, "T"),
+])
+def test_trajectory_input_rule(net, tilted, tau, T, field):
+    # nothing is stepped, or silently skipped, for a time outside the rule
+    with pytest.raises(DomainError, match=f"^{field} must be finite"):
+        jko_trajectory(net, tilted(0), tau, T, K=4)
+
+
+def test_trajectory_of_zero_time_has_no_steps(net, tilted):
+    traj = jko_trajectory(net, tilted(0), 0.1, 0.0, K=4)
+    assert traj.n_steps == 0 and np.array_equal(traj.states, [tilted(0)])
+
+
 @pytest.mark.parametrize("K", [0, -1, 2.5, 1.0, True])
 def test_step_slice_rule(net, tilted, K):
     # a JKO step needs an integer K >= 1: its free last slice

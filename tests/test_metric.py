@@ -30,8 +30,9 @@ def test_discrete_action_brute_force(net, tilted):
     f = tilted(1)
     J = 0.01 * rng.standard_normal(net.n_quadruples)
     p, r = net.pair_products(f)
+    rate = net.h ** (2 * net.d) * net.B_q
     ref = sum(
-        4.0 * net.W_q[q] * net.B_q[q] * action_density(J[q], p[q], r[q])
+        4.0 * rate[q] * action_density(J[q], p[q], r[q])
         for q in range(net.n_quadruples)
     )
     assert np.isclose(discrete_action(net, f, J), ref, rtol=1e-12)
@@ -63,7 +64,7 @@ def test_cre_single_reaction_bookkeeping(net, tilted):
     s[[i, j]] += 1.0
     s[[k, l]] -= 1.0
     f1 = f0 - delta / sub.node_weight * s
-    kappa = float(sub.W_q[0] * sub.B_q[0])
+    kappa = float(sub.h ** (2 * sub.d) * sub.B_q[0])
     J = np.array([[delta / kappa]])
     assert cre_residual(sub, np.stack([f0, f1]), J) <= 1e-15
 
@@ -268,9 +269,10 @@ def test_gradient_form_residual_optimal_vs_circulated(net, tilted):
     # project onto the kernel of div_bar(W B .) by least squares
     i, j, k, l = net.quad.T
     S = np.zeros((net.n_nodes, net.n_quadruples))
+    rate = net.h ** (2 * net.d) * net.B_q
     for q in range(net.n_quadruples):
-        S[[k[q], l[q]], q] += net.W_q[q] * net.B_q[q]
-        S[[i[q], j[q]], q] -= net.W_q[q] * net.B_q[q]
+        S[[k[q], l[q]], q] += rate[q]
+        S[[i[q], j[q]], q] -= rate[q]
     pert -= np.linalg.lstsq(S, S @ pert, rcond=None)[0]
     bad = sol.flux.copy()
     bad[2] += 0.05 * pert
@@ -306,7 +308,7 @@ def test_single_quadruple_oracle_points(net):
     # f = f0 - (m / w) s, to 30 digits; Lambda = sqrt(p r) sinh(x/2) / (x/2)
     # with x = log(p / r) stays accurate where p and r nearly agree
     w = float(sub.node_weight)
-    kappa = float(sub.W_q[0] * sub.B_q[0])
+    kappa = float(sub.h ** (2 * sub.d) * sub.B_q[0])
     m1 = float(w * (f0[i] - f1[i]))
     with mpmath.workdps(30):
 

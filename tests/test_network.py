@@ -1,7 +1,10 @@
+import functools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from boltzflow.errors import DomainError
@@ -38,7 +41,7 @@ def test_matches_dict_join(d, M):
     diff = nodes[quad[:, 0]] - nodes[quad[:, 2]]
     assert np.array_equal(net.omega, diff / np.linalg.norm(diff, axis=1, keepdims=True))
     assert np.array_equal(net.B_q, kernel(nodes[quad[:, 0]] - nodes[quad[:, 1]]))
-    assert np.array_equal(net.W_q, np.ones(len(quad)))
+    assert np.array_equal(net.kappa, net.B_q)  # h^{2d} = 1
     assert np.array_equal(net.invariants, oracles.invariant_basis(quad, net.n_nodes))
 
 
@@ -101,9 +104,44 @@ def test_collision_map_consistency(net):
 
 
 def test_weights(net):
-    assert np.all(net.W_q == net.h ** (2 * net.d))
+    assert np.all(net.kappa == net.h ** (2 * net.d) * net.B_q)
     assert net.node_weight == net.h**net.d
     assert np.all(net.B_q == 1.0)
+
+
+_KERNELS = {"constant": K1, "clamp": Kernel("clamp", lo=0.5, hi=2.0)}
+
+
+@functools.lru_cache(maxsize=None)
+def _network(d, M, h, kind):
+    return build_network(d, M * h, h, _KERNELS[kind])
+
+
+@st.composite
+def _restrictions(draw):
+    """A network (d = 2 with V/h 1-4, d = 3 with V/h 1-2) and some of its quadruples."""
+    d, M = draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2)]))
+    net = _network(d, M, draw(st.sampled_from([1.0, 0.5])), draw(st.sampled_from(sorted(_KERNELS))))
+    rows = st.integers(0, net.n_quadruples - 1)
+    return net, np.array(draw(st.lists(rows, min_size=1, max_size=24)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_restrictions())
+def test_restriction_derives_the_parent_rows(case):
+    net, rows = case
+    sub = restrict_quadruples(net, rows)
+    assert np.array_equal(sub.quad, net.quad[rows])
+    # the rows are derived anew, with the same bits as the parent's
+    for name in ("omega", "B_q", "kappa"):
+        got, want = getattr(sub, name), getattr(net, name)[rows]
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+    # every kept quadruple conserves momentum and energy in lattice coordinates
+    z = sub.lattice
+    i, j, k, l = sub.quad.T
+    assert np.array_equal(z[i] + z[j], z[k] + z[l])
+    sq = np.sum(z**2, axis=1)
+    assert np.array_equal(sq[i] + sq[j], sq[k] + sq[l])
 
 
 def test_build_3d():

@@ -43,10 +43,12 @@ def _repeated_slots(net):
     return replace(sub, quad=quad)
 
 
-@pytest.fixture(scope="module", params=["d2", "d3", "clamp", "repeated-slot"])
+@pytest.fixture(scope="module", params=["d2", "d3", "clamp", "h-half", "repeated-slot"])
 def network(request):
     if request.param == "d3":
         return build_network(3, 2.0, 1.0, K1)
+    if request.param == "h-half":  # the rate h^{2d} B_q differs from B_q
+        return build_network(2, 1.5, 0.5, K1)
     if request.param == "clamp":
         return build_network(2, 3.0, 1.0, Kernel("clamp", lo=0.5, hi=2.0))
     net = build_network(2, 3.0, 1.0, K1)
@@ -94,7 +96,7 @@ def test_pair_products_match_four_gathers(network):
 def test_collision_operator_matches_four_gathers(network):
     for f in _states(network):
         p, r = oracles.quadruple_products(network, f)
-        ref = network.div_bar(network.W_q * network.B_q * (p - r)) / network.node_weight
+        ref = network.div_bar(network.h ** (2 * network.d) * network.B_q * (p - r)) / network.node_weight
         assert np.array_equal(collision_operator(network, f), ref)
 
 
@@ -131,6 +133,7 @@ def test_solve_forward_matches_quadruple_kernels(monkeypatch):
     feq = maxent_project(net)
     f0 = feq * np.exp(0.3 * np.random.Generator(np.random.Philox(3)).standard_normal(net.n_nodes))
     fast = solve_forward(net, f0, 0.3)
+    fast.D  # made on first read: read it before the kernels are swapped
     monkeypatch.setattr(VelocityNetwork, "pair_products", oracles.quadruple_products)
     monkeypatch.setattr(boltzflow.forward, "dissipation", oracles.quadruple_dissipation)
     slow = solve_forward(net, f0, 0.3)
@@ -168,9 +171,9 @@ def test_pair_index_is_lazy_and_per_copy():
 
 
 def test_kappa_is_per_copy():
-    # one rate W_q B_q per quadruple; a restricted copy derives its own
+    # one rate h^{2d} B_q per quadruple; a restricted copy derives its own
     net = build_network(2, 3.0, 1.0, Kernel("clamp", lo=0.5, hi=2.0))
-    assert np.array_equal(net.kappa, net.W_q * net.B_q)
+    assert np.array_equal(net.kappa, net.h ** (2 * net.d) * net.B_q)
     assert len(np.unique(net.kappa)) > 1
     sub = restrict_quadruples(net, [0, 5, 17, 300])
     assert np.array_equal(sub.kappa, net.kappa[[0, 5, 17, 300]])
