@@ -21,20 +21,26 @@ from .errors import DomainError, NumericalError
 from .network import VelocityNetwork
 
 
+def _state(net: VelocityNetwork, f, name: str) -> np.ndarray:
+    """f as a float array, checked to be one finite, nonnegative state."""
+    f = np.asarray(f, dtype=float)
+    if f.shape != (net.n_nodes,):
+        raise DomainError(f"{name} requires a state of shape ({net.n_nodes},), got {f.shape}")
+    if not (f.min() >= 0 and f.max() < np.inf):  # a NaN fails the first test
+        raise DomainError(f"{name} requires finite f >= 0")
+    return f
+
+
 def collision_operator(net: VelocityNetwork, f: np.ndarray) -> np.ndarray:
     """Rate of change Q(f) per node; sum_v w Q(f)_v = 0 up to roundoff."""
-    f = np.asarray(f, dtype=float)
-    if np.any(f < 0):
-        raise DomainError("collision_operator requires f >= 0")
-    p, r = net.pair_products(f)
+    p, r = net.pair_products(_state(net, f, "collision_operator"))
     p -= r
-    p *= net.kappa
-    return net.div_bar(p) / net.node_weight
+    return net.rate_incidence @ p / net.node_weight
 
 
 def entropy(net: VelocityNetwork, f: np.ndarray) -> float:
     """H(f) = sum_v w f_v log f_v with 0 log 0 = 0."""
-    f = np.asarray(f, dtype=float)
+    f = _state(net, f, "entropy")
     out = np.zeros_like(f)
     pos = f > 0
     out[pos] = f[pos] * np.log(f[pos])
@@ -48,9 +54,7 @@ def dissipation(net: VelocityNetwork, f: np.ndarray) -> float:
     and one with exactly one product 0 adds +inf: log 0 = -inf gives the
     inf, and r == p the 0.
     """
-    g = net.pair_values(np.asarray(f, dtype=float))
-    if np.any(g < 0):
-        raise DomainError("dissipation requires nonnegative pair products")
+    g = net.pair_values(_state(net, f, "dissipation"))
     fwd, bwd = net.pair_index[1]
     p, r = np.take(g, fwd), np.take(g, bwd)
     # log 0 = -inf; where both are 0 the product is 0 * nan
@@ -134,8 +138,8 @@ def solve_forward(
     be non-increasing across every accepted step (hard assertion at
     1e-12 relative).  The trajectory's D and moments are made when read.
     """
-    f = np.array(f0, dtype=float)
-    if np.any(f <= 0):
+    f = _state(net, f0, "solve_forward")
+    if f.min() <= 0:
         raise DomainError("solve_forward requires strictly positive f0")
     t = 0.0
     dt = min(dt_init, max_step, T) if T > 0 else dt_init

@@ -63,7 +63,7 @@ def cre_residual(net: VelocityNetwork, path: np.ndarray, flux: np.ndarray) -> fl
         raise DomainError("path/flux shapes are inconsistent")
     dt = 1.0 / K
     lhs = net.node_weight * (path[1:] - path[:-1]) / dt
-    rhs = net.div_bar((net.kappa * flux).T).T
+    rhs = (net.rate_incidence @ flux.T).T
     return float(np.max(np.abs(lhs - rhs)))
 
 

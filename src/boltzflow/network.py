@@ -123,21 +123,35 @@ class VelocityNetwork:
         g = self.pair_values(f)
         return np.take(g, fwd, axis=-1), np.take(g, bwd, axis=-1)
 
-    @cached_property
-    def S(self) -> scipy.sparse.csr_matrix:
-        """Signed (n, Q) incidence: +1 on (k, l), -1 on (i, j) per quadruple.
+    def _incidence(self, weights: np.ndarray) -> scipy.sparse.csc_matrix:
+        """The (n, Q) matrix S diag(weights), written down in CSC form.
 
-        Column q holds the four slots of quadruple q, so the matrix is
-        written down in CSC form and converted; a slot repeated within a
-        quadruple (i == j or k == l) sums to +-2.
+        Column q holds the four slots of quadruple q, each its sign
+        times weights[q]; a slot repeated within a quadruple (i == j or
+        k == l) sums to -2 or +2 times weights[q], exactly.
         """
         Q = self.n_quadruples
-        S = scipy.sparse.csc_matrix(
-            (np.tile(SLOT_SIGN, Q), self.quad.ravel(), np.arange(0, 4 * Q + 1, 4)),
-            shape=(self.n_nodes, Q),
-        ).tocsr()
-        S.sum_duplicates()  # a no-op unless a slot repeats
-        return S
+        data = (weights[:, None] * SLOT_SIGN).ravel()
+        M = scipy.sparse.csc_matrix(
+            (data, self.quad.ravel(), np.arange(0, 4 * Q + 1, 4)), shape=(self.n_nodes, Q)
+        )
+        M.sum_duplicates()  # sorts each column's nodes; sums a repeated slot
+        return M
+
+    @cached_property
+    def S(self) -> scipy.sparse.csc_matrix:
+        """Signed (n, Q) incidence: +1 on (k, l), -1 on (i, j) per quadruple."""
+        return self._incidence(np.ones(self.n_quadruples))
+
+    @cached_property
+    def rate_incidence(self) -> scipy.sparse.csc_matrix:
+        """S diag(kappa): the incidence with each column scaled by its rate.
+
+        Built from quad and kappa, not from S, so a run that only needs
+        Q(f) never builds S.  Its product with d equals S @ (kappa * d)
+        bit for bit (D16).
+        """
+        return self._incidence(self.kappa)
 
     @cached_property
     def invariants(self) -> np.ndarray:
@@ -296,8 +310,8 @@ def restrict_quadruples(net: VelocityNetwork, indices) -> VelocityNetwork:
     """Copy of the network keeping only the selected quadruples.
 
     Useful for single-reaction tests; every per-quadruple array (omega,
-    B_q, kappa, S, the pair index, the invariant basis) is derived anew
-    from the kept rows.
+    B_q, kappa, S, rate_incidence, the pair index, the invariant basis)
+    is derived anew from the kept rows.
     """
     return replace(net, quad=net.quad[np.atleast_1d(np.asarray(indices, dtype=np.int64))])
 

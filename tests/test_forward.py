@@ -4,6 +4,7 @@ import pytest
 import boltzflow.forward
 import oracles
 from oracles import boltzmann_flux
+from boltzflow.errors import DomainError
 from boltzflow.forward import (
     collision_operator,
     dissipation,
@@ -83,6 +84,40 @@ def test_forward_relaxes_toward_equilibrium(net, feq, tilted):
 def test_forward_input_validation(net):
     with pytest.raises(ValueError):
         solve_forward(net, np.zeros(net.n_nodes), 1.0)
+
+
+def _bad_states(net, feq):
+    """States outside the domain: not finite, negative, or not one per node."""
+    out = {
+        "all-nan": np.full(net.n_nodes, np.nan),
+        "all-inf": np.full(net.n_nodes, np.inf),
+        "long": np.concatenate([feq, np.ones(5)]),
+        "short": feq[:-1],
+        "batched": feq[None],
+        "scalar": np.array(1.0),
+    }
+    for name, value in (("one-nan", np.nan), ("one-inf", np.inf), ("negative", -1e-300)):
+        out[name] = feq.copy()
+        out[name][3] = value
+    return out
+
+
+_STATE_FUNCTIONS = {
+    "collision_operator": collision_operator,
+    "entropy": entropy,
+    "dissipation": dissipation,
+    "solve_forward": lambda net, f: solve_forward(net, f, 0.1),
+}
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["all-nan", "one-nan", "all-inf", "one-inf", "negative", "long", "short", "batched", "scalar"],
+)
+@pytest.mark.parametrize("function", sorted(_STATE_FUNCTIONS))
+def test_state_must_be_finite_nonnegative_and_one_per_node(net, feq, function, case):
+    with pytest.raises(DomainError):
+        _STATE_FUNCTIONS[function](net, _bad_states(net, feq)[case])
 
 
 def test_state_at_interpolates(net, tilted):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from boltzflow.errors import DomainError
+from boltzflow.forward import collision_operator, entropy, solve_forward
 from boltzflow.kinematics import Kernel, collide
 from boltzflow.network import (
     MAX_NODES,
@@ -110,6 +111,7 @@ def test_weights(net):
 
 
 _KERNELS = {"constant": K1, "clamp": Kernel("clamp", lo=0.5, hi=2.0)}
+_SCALES = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2)]  # d = 2 with V/h 1-4, d = 3 with V/h 1-2
 
 
 @functools.lru_cache(maxsize=None)
@@ -117,11 +119,16 @@ def _network(d, M, h, kind):
     return build_network(d, M * h, h, _KERNELS[kind])
 
 
+def _draw_network(draw):
+    """A network of a tested scale, h of 1 or 0.5, and either kernel."""
+    d, M = draw(st.sampled_from(_SCALES))
+    return _network(d, M, draw(st.sampled_from([1.0, 0.5])), draw(st.sampled_from(sorted(_KERNELS))))
+
+
 @st.composite
 def _restrictions(draw):
     """A network (d = 2 with V/h 1-4, d = 3 with V/h 1-2) and some of its quadruples."""
-    d, M = draw(st.sampled_from([(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2)]))
-    net = _network(d, M, draw(st.sampled_from([1.0, 0.5])), draw(st.sampled_from(sorted(_KERNELS))))
+    net = _draw_network(draw)
     rows = st.integers(0, net.n_quadruples - 1)
     return net, np.array(draw(st.lists(rows, min_size=1, max_size=24)))
 
@@ -142,6 +149,51 @@ def test_restriction_derives_the_parent_rows(case):
     assert np.array_equal(z[i] + z[j], z[k] + z[l])
     sq = np.sum(z**2, axis=1)
     assert np.array_equal(sq[i] + sq[j], sq[k] + sq[l])
+
+
+@st.composite
+def _maxwellians(draw):
+    """A network of every tested scale and its Maxwellian.
+
+    Unit mass, zero momentum and an energy drawn strictly inside the
+    attainable range (0, d V^2).
+    """
+    net = _draw_network(draw)
+    share = draw(st.floats(0.02, 0.98))
+    return net, maxent_project(net, energy=share * net.d * net.V**2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_maxwellians())
+def test_maxwellian_is_in_detailed_balance(case):
+    net, feq = case
+    p, r = net.pair_products(feq)
+    # log f is affine in (v, |v|^2) and rounds relative to its range, so
+    # p and r may part by a few eps per unit of that range (on a grid of
+    # energies over every scale and kernel here: at most 9.9 eps, 0.29 of
+    # this bound)
+    spread = np.log(feq.max() / feq.min())
+    eps = np.finfo(float).eps
+    rel = (8 + 4 * spread) * eps
+    assert np.all(np.abs(p - r) <= rel * np.maximum(p, r))
+    # so Q(M) is about 0: each node's terms cancel to that share of their size
+    S = abs(oracles.incidence(net.quad, net.n_nodes))
+    scale = S @ (net.h ** (2 * net.d) * net.B_q * (p + r)) / net.node_weight
+    assert np.all(np.abs(collision_operator(net, feq)) <= rel * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_maxwellians(), st.floats(0.1, 1.0), st.integers(0, 2**16))
+def test_forward_entropy_never_increases(case, amplitude, seed):
+    net, feq = case
+    noise = np.random.Generator(np.random.Philox(seed)).standard_normal(net.n_nodes)
+    f0 = feq * np.exp(amplitude * noise)
+    traj = solve_forward(net, f0, 0.5)
+    assert len(traj.times) > 2
+    assert np.all(np.diff(traj.H) <= 0)
+    # and it stays above the Maxwellian with the same moments, its minimum
+    m = net.moments(f0)
+    assert traj.H[-1] >= entropy(net, maxent_project(net, m[0], m[1:-1], m[-1]))
 
 
 def test_build_3d():

@@ -1,15 +1,18 @@
 """The incidence matrix, the velocity-pair index and the per-pair kernels.
 
-`S` must equal its COO build, and `pair_products`, `collision_operator`
-and `dissipation` must return the same bits as the quadruple-wise
-formulas in `oracles`: a product f_i f_j rounds the same whichever
-array it sits in, and the sums keep their order.
+`S` and `rate_incidence` must equal their COO builds, the incidence
+operators must give the CSR products of that build, and
+`pair_products`, `collision_operator` and `dissipation` must return the
+same bits as the quadruple-wise formulas in `oracles`: a product
+f_i f_j rounds the same whichever array it sits in, and the sums keep
+their order.
 """
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 import boltzflow.forward
 import oracles
@@ -75,15 +78,38 @@ def _states(net):
     return out + [both, one]
 
 
+def _rate(net):
+    """The rate h^{2d} B_q, spelled out rather than read from `kappa`."""
+    return net.h ** (2 * net.d) * net.B_q
+
+
 def test_incidence_matches_coo_build(network):
-    S = network.S
     ref = oracles.incidence(network.quad, network.n_nodes)
-    for part in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(S, part), getattr(ref, part))
+    rated = ref @ scipy.sparse.diags(_rate(network))
+    cases = (("S", network.S, ref.tocsc()), ("rate_incidence", network.rate_incidence, rated.tocsc()))
+    for name, got, want in cases:
+        assert got.format == "csc", name
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, part), getattr(want, part)), (name, part)
     # a repeated slot sums to -2 or +2
     quad = network.quad
     repeated = (quad[:, 0] == quad[:, 1]) | (quad[:, 2] == quad[:, 3])
-    assert (2.0 in np.abs(S.data)) == repeated.any()
+    assert (2.0 in np.abs(network.S.data)) == repeated.any()
+
+
+def test_incidence_operators_match_csr_oracle(network):
+    # the CSR row sums of the COO build and the CSC products add each
+    # node's (or quadruple's) terms from 0 in the same order: same bits
+    rng = np.random.Generator(np.random.Philox(5))
+    S = oracles.incidence(network.quad, network.n_nodes)
+    n, Q = network.n_nodes, network.n_quadruples
+    for cols in ((), (3,)):
+        q = rng.standard_normal((Q,) + cols)
+        phi = rng.standard_normal((n,) + cols)
+        rate = _rate(network).reshape((Q,) + (1,) * len(cols))
+        assert np.array_equal(network.div_bar(q), S @ q)
+        assert np.array_equal(network.grad_bar(phi), S.T @ phi)
+        assert np.array_equal(network.rate_incidence @ q, S @ (rate * q))
 
 
 def test_pair_products_match_four_gathers(network):
@@ -94,10 +120,17 @@ def test_pair_products_match_four_gathers(network):
 
 
 def test_collision_operator_matches_four_gathers(network):
+    S = oracles.incidence(network.quad, network.n_nodes)
     for f in _states(network):
         p, r = oracles.quadruple_products(network, f)
-        ref = network.div_bar(network.h ** (2 * network.d) * network.B_q * (p - r)) / network.node_weight
+        ref = S @ (_rate(network) * (p - r)) / network.node_weight
         assert np.array_equal(collision_operator(network, f), ref)
+
+
+def test_collision_operator_builds_no_plain_incidence():
+    net = build_network(2, 3.0, 1.0, K1)
+    collision_operator(net, maxent_project(net))
+    assert "rate_incidence" in vars(net) and "S" not in vars(net)
 
 
 def test_dissipation_matches_quadruple_wise(network):
