@@ -101,7 +101,7 @@ class ForwardTrajectory:
     def state_at(self, t: float) -> np.ndarray:
         """State at time t by linear interpolation between accepted steps."""
         t = float(t)
-        if t < self.times[0] - 1e-12 or t > self.times[-1] + 1e-12:
+        if not self.times[0] - 1e-12 <= t <= self.times[-1] + 1e-12:
             raise DomainError("time outside trajectory range")
         idx = np.searchsorted(self.times, t)
         if idx == 0:

@@ -32,6 +32,8 @@ class ParticleState:
         v = np.asarray(self.velocities, dtype=float)
         if v.ndim != 2 or v.shape[0] < 2 or v.shape[1] not in (2, 3):
             raise DomainError("velocities must be (N >= 2, d in {2, 3})")
+        if not np.all(np.isfinite(v)):
+            raise DomainError("velocities must be finite")
         self.velocities = v
 
     @property
@@ -77,9 +79,11 @@ class EventLog:
     def to_csv(self) -> str:
         d = self.omegas.shape[1]
         cols = ["t", "i", "j"] + [f"omega{ax}" for ax in "xyz"[:d]] + ["accepted"]
-        row = ",".join(["{:.17g}", "{:d}", "{:d}"] + ["{:.17g}"] * d + ["{:d}"]) + "\n"
+        # one printf-style template per row: the bytes of str.format's
+        # "{:.17g}" and "{:d}", at less cost per call
+        row = ",".join(["%.17g", "%d", "%d"] + ["%.17g"] * d + ["%d"]) + "\n"
         columns = [self.times, *self.pairs.T, *self.omegas.T, self.accepted]
-        body = "".join(row.format(*r) for r in zip(*(c.tolist() for c in columns)))
+        body = "".join(row % r for r in zip(*(c.tolist() for c in columns)))
         return ",".join(cols) + "\n" + body
 
 
@@ -214,8 +218,8 @@ def simulate(
     accepted rows give every particle the operations of the sequential
     walk, in its order, on the same inputs (notes/decisions.md, D7).
     """
-    if T < 0:
-        raise DomainError("T must be nonnegative")
+    if not 0 <= T < np.inf:
+        raise DomainError("T must be finite and nonnegative")
     N, d = state.N, state.d
     c2 = kernel.upper
     rate = 0.5 * (N - 1) * c2 * SPHERE_SURFACE[d]
@@ -223,7 +227,7 @@ def simulate(
     seed_tag = seed if isinstance(seed, (int, np.integer)) else -1
 
     record = np.sort(np.asarray([] if record_times is None else record_times, dtype=float))
-    if np.any(record < 0) or np.any(record > T + 1e-12):
+    if not np.all((record >= 0) & (record <= T + 1e-12)):
         raise DomainError("record times must lie in [0, T]")
     snapshots = []
 
@@ -279,19 +283,33 @@ def empirical_moments(state: ParticleState) -> dict:
     }
 
 
-def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+def _logsumexp_rows(a: np.ndarray, diff=None, tied=None) -> np.ndarray:
     """log sum_k exp(a[:, k]) per row, by scipy.special.logsumexp's algorithm.
 
     The row maximum is shifted out and its tied entries are kept out of
     the sum and counted: log1p(sum exp(a - max) / m) + log(m) + max.
-    Same operations in the same order as scipy's, for finite a.
+    Same operations in the same order as scipy's, for finite a.  `diff`
+    (float) and `tied` (bool), of a's shape, are optional scratch
+    buffers; `a` is never written.
     """
-    top = a.max(axis=1, keepdims=True)
-    tied = a == top
-    terms = np.exp(a - top)
+    if diff is None:
+        diff = np.empty_like(a)
+    if tied is None:
+        tied = np.empty(a.shape, dtype=bool)
+    top = a[np.arange(len(a)), a.argmax(axis=1)]
+    np.subtract(a, top[:, None], out=diff)
+    # for finite doubles x - y == 0 exactly when x == y
+    np.equal(diff, 0.0, out=tied)
+    terms = np.exp(diff, out=diff)
     terms[tied] = 0.0
-    m = np.add.reduce(tied, axis=1, dtype=float)
-    return np.log1p(np.add.reduce(terms, axis=1) / m) + np.log(m) + top[:, 0]
+    # each row ties at its argmax; more ties than rows are rare
+    m = np.add.reduce(tied, axis=1, dtype=float) if np.count_nonzero(tied) > len(a) else 1.0
+    s = np.add.reduce(terms, axis=1)
+    s /= m
+    np.log1p(s, out=s)
+    s += np.log(m)
+    s += top
+    return s
 
 
 def empirical_entropy(
@@ -302,25 +320,43 @@ def empirical_entropy(
     The smoothed measure is the exact mixture with means e^{-delta} v_i
     and covariance (1 - e^{-2 delta}) I at equal weights; H = E[log f]
     under f itself.  Returns (estimate, standard error).
+
+    The log densities are taken in blocks of 2000 samples, each block's
+    steps in buffers allocated once per call.  The block size is part of
+    the result: BLAS rounds `(2 x) @ means.T` differently for other row
+    counts (notes/decisions.md, D17).
     """
-    if ou_time <= 0:
-        raise DomainError("ou_time must be positive")
-    rng = seed if isinstance(seed, np.random.Generator) else stream(seed)
-    N, d = state.N, state.d
     decay = np.exp(-ou_time)
     var = 1.0 - decay**2
+    # false for ou_time <= 0, NaN, and ou_time so small that var rounds to 0
+    if not var > 0:
+        raise DomainError("ou_time must be positive, with 1 - e^{-2 ou_time} > 0")
+    if not isinstance(n_samples, (int, np.integer)) or n_samples < 2:
+        raise DomainError("n_samples must be an integer of at least 2")
+    rng = seed if isinstance(seed, np.random.Generator) else stream(seed)
+    N, d = state.N, state.d
     means = decay * state.velocities
     comp = rng.integers(0, N, n_samples)
-    x = means[comp] + np.sqrt(var) * rng.standard_normal((n_samples, d))
+    x = rng.standard_normal((n_samples, d))
+    x *= np.sqrt(var)
+    x += means[comp]
     const = -0.5 * d * np.log(2.0 * np.pi * var) - np.log(N)
     m2 = np.sum(means**2, axis=1)
     vals = np.empty(n_samples)
-    step = 2000
+    step = min(2000, n_samples)
+    x2, sq = np.empty((step, d)), np.empty(step)
+    q, diff, tied = np.empty((step, N)), np.empty((step, N)), np.empty((step, N), dtype=bool)
     for a in range(0, n_samples, step):
         xa = x[a : a + step]
+        n = len(xa)
         # |x - m_i|^2 expanded so the inner loop is a single matmul
-        q = np.sum(xa**2, axis=1)[:, None] - 2.0 * xa @ means.T + m2[None, :]
-        vals[a : a + step] = _logsumexp_rows(-0.5 * q / var) + const
+        qa = np.matmul(np.multiply(xa, 2.0, out=x2[:n]), means.T, out=q[:n])
+        np.sum(np.square(xa, out=x2[:n]), axis=1, out=sq[:n])
+        np.subtract(sq[:n, None], qa, out=qa)
+        qa += m2
+        qa *= -0.5
+        qa /= var
+        np.add(_logsumexp_rows(qa, diff[:n], tied[:n]), const, out=vals[a : a + step])
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_samples))
 
 

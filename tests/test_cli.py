@@ -179,7 +179,8 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
      "not strictly inside the attainable range"),
     ({"experiment": {"type": "consistency", "bimodal_speed": 1.5}},
      "exceeds the energy budget"),
-], ids=["forward-short", "forward-moments", "consistency-speed"])
+    ({"experiment": {"type": "kac", "ou_time": 1e-20}}, "ou_time must be positive"),
+], ids=["forward-short", "forward-moments", "consistency-speed", "kac-tiny-ou-time"])
 def test_domain_errors_exit_3(tmp_path, capsys, raw, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**raw, "out": str(tmp_path / "out")}))

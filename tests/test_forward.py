@@ -130,6 +130,13 @@ def test_state_at_interpolates(net, tilted):
         traj.state_at(2.0)
 
 
+
+def test_state_at_rejects_non_finite_time(net, tilted):
+    traj = solve_forward(net, tilted(5), 0.5)
+    for t in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError):
+            traj.state_at(t)
+
 def test_trajectory_csv(net, tilted):
     traj = solve_forward(net, tilted(6), 0.5)
     lines = traj.to_csv().strip().split("\n")

@@ -8,6 +8,7 @@ import boltzflow.kac
 import oracles
 from oracles import standard_mixture
 from boltzflow.cli import bimodal_mixture
+from boltzflow.errors import DomainError
 from boltzflow.kac import (
     ParticleState,
     _logsumexp_rows,
@@ -289,6 +290,66 @@ def test_empirical_entropy_matches_scipy_reference(N, d):
     got = empirical_entropy(state, 0.1, n_samples=9000, seed=5)
     assert got == oracles.empirical_entropy(state, 0.1, n_samples=9000, seed=5)
 
+
+
+@pytest.mark.parametrize(
+    "N, d, n_samples, duplicated",
+    [
+        (64, 3, 100000, False),  # the kac command's size
+        (500, 3, 4001, False),  # BLAS rounds by block rows here; a partial last block
+        (500, 2, 2001, True),  # every row ties
+        (64, 3, 3, True),
+    ],
+)
+def test_empirical_entropy_bitwise_oracle(N, d, n_samples, duplicated):
+    state = sample_initial(N, bimodal_mixture(d, 1.3), 40 + N)
+    if duplicated:
+        half = state.velocities[: N // 2]
+        state = ParticleState(np.concatenate([half, half]))
+    ours, theirs = stream(5), stream(5)
+    got = empirical_entropy(state, 0.1, n_samples=n_samples, seed=ours)
+    assert got == oracles.empirical_entropy(state, 0.1, n_samples=n_samples, seed=theirs)
+    assert ours.random() == theirs.random()  # the same draws were taken
+
+
+def test_logsumexp_rows_leaves_input_unchanged():
+    rng = stream(4)
+    a = -30.0 * rng.random((500, 64))
+    a[::3, :2] = 0.5  # two tied maxima
+    for scratch in ({}, {"diff": np.full_like(a, np.nan), "tied": np.ones(a.shape, dtype=bool)}):
+        for rows in (a, a[::3]):
+            before = rows.copy()
+            got = _logsumexp_rows(rows, **{k: b[: len(rows)] for k, b in scratch.items()})
+            assert rows.tobytes() == before.tobytes()
+            assert got.tobytes() == scipy.special.logsumexp(rows, axis=1).tobytes()
+
+
+@pytest.mark.parametrize("ou_time", [0.0, -1.0, np.nan, -np.inf, 1e-20])
+def test_empirical_entropy_rejects_ou_time(ou_time):
+    with pytest.raises(DomainError):
+        empirical_entropy(sample_initial(8, standard_mixture(2), 1), ou_time)
+
+
+@pytest.mark.parametrize("n_samples", [1, 0, -5, 2.0, True, "100"])
+def test_empirical_entropy_rejects_n_samples(n_samples):
+    with pytest.raises(DomainError):
+        empirical_entropy(sample_initial(8, standard_mixture(2), 1), 0.1, n_samples=n_samples)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_particle_state_rejects_non_finite(bad):
+    v = np.zeros((4, 3))
+    v[2, 1] = bad
+    with pytest.raises(DomainError):
+        ParticleState(v)
+
+
+@pytest.mark.parametrize(
+    "T, records", [(np.inf, None), (np.nan, None), (-1.0, None), (1.0, [0.5, np.nan]), (1.0, [np.inf])]
+)
+def test_simulate_rejects_non_finite_times(T, records):
+    with pytest.raises(DomainError):
+        simulate(sample_initial(8, standard_mixture(2), 1), K1, T, 3, record_times=records)
 
 def test_fourth_moment_of_density(net, feq):
     # unit-variance Maxwellian on the grid: E|v|^4 close to d(d+2) = 8
