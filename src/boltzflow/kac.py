@@ -341,7 +341,10 @@ def empirical_entropy(
     x *= np.sqrt(var)
     x += means[comp]
     const = -0.5 * d * np.log(2.0 * np.pi * var) - np.log(N)
-    m2 = np.sum(means**2, axis=1)
+    with np.errstate(over="ignore"):  # reported below
+        m2 = np.sum(means**2, axis=1)
+    if not np.all(np.isfinite(m2)):
+        raise DomainError("velocities too large: |e^{-ou_time} v|^2 overflows")
     vals = np.empty(n_samples)
     step = min(2000, n_samples)
     x2, sq = np.empty((step, d)), np.empty(step)
@@ -352,6 +355,8 @@ def empirical_entropy(
         # |x - m_i|^2 expanded so the inner loop is a single matmul
         qa = np.matmul(np.multiply(xa, 2.0, out=x2[:n]), means.T, out=q[:n])
         np.sum(np.square(xa, out=x2[:n]), axis=1, out=sq[:n])
+        if not np.all(np.isfinite(sq[:n])):
+            raise DomainError("velocities too large: |x|^2 of a sample overflows")
         np.subtract(sq[:n, None], qa, out=qa)
         qa += m2
         qa *= -0.5

@@ -30,6 +30,31 @@ SLOT_SIGN = np.array([-1.0, -1.0, 1.0, 1.0])
 MAX_NODES = 1331
 
 
+@dataclass(frozen=True)
+class CollisionIndex:
+    """The quadruples as cliques of velocity pairs, each clique at one rate.
+
+    A clique of s member pairs stands for the s (s - 1) / 2 quadruples
+    that join any two of its members, each at the clique's rate
+    kappa_C.  With g = f_i f_j per member (i, j), the net rate into a
+    member a is kappa_C sum_b (g_b - g_a) = kappa_C (C g - s_C g_a), so
+
+        w Q(f) = B @ (C @ g) - f * (K @ f),
+
+    the gain less the loss f_v (K f)_v.  C (cliques x members) sums each
+    clique's members; B (n x cliques) holds kappa_C times the number of
+    slots node v has among the members of C; K (n x n, dense and
+    symmetric) holds the sum of kappa_C s_C over the members (i, j) at
+    (i, j) and at (j, i).
+    """
+
+    members: np.ndarray  # (2, m) node pairs (i, j), clique after clique
+    rate: np.ndarray  # (c,) each clique's rate kappa_C
+    C: scipy.sparse.csr_matrix  # (c, m) ones; C.indptr delimits the cliques
+    B: scipy.sparse.csr_matrix  # (n, c)
+    K: np.ndarray  # (n, n)
+
+
 @dataclass
 class VelocityNetwork:
     """The lattice and its quadruples; every other array is derived from them."""
@@ -147,11 +172,87 @@ class VelocityNetwork:
     def rate_incidence(self) -> scipy.sparse.csc_matrix:
         """S diag(kappa): the incidence with each column scaled by its rate.
 
-        Built from quad and kappa, not from S, so a run that only needs
-        Q(f) never builds S.  Its product with d equals S @ (kappa * d)
-        bit for bit (D16).
+        Built from quad and kappa, not from S, so `cre_residual` never
+        builds S.  Its product with d equals S @ (kappa * d) bit for bit
+        (D16).
         """
         return self._incidence(self.kappa)
+
+    @cached_property
+    def collision_index(self) -> CollisionIndex:
+        """A clique cover of the pair graph, for Q(f) by conservation class.
+
+        The quadruples of one conservation key are one clique when they
+        join each two of the key's s pairs exactly once, all at bitwise
+        equal rates; build_network emits every class so.  Every other
+        quadruple is its own two-pair clique: rows of a restricted copy
+        that miss part of their class, repeated rows, rows that are not
+        conservative, and classes whose rates differ by rounding.  The
+        cover is exact for any quad.  The build is O(Q + n^2) with one
+        sort of the distinct pairs, and the index keeps no per-quadruple
+        array (notes/decisions.md, D18).
+        """
+        n = self.n_nodes
+        kappa = self.kappa
+        # each quadruple's two pair codes i n + j, and their keys
+        v = np.arange(n)
+        M = int(np.abs(self.lattice).max())
+        table = _pair_keys(self.lattice, M, v[:, None], v[None, :]).ravel()
+        a = self.quad[:, 0] * n + self.quad[:, 1]
+        b = self.quad[:, 2] * n + self.quad[:, 3]
+        cons = table[a] == table[b]
+        kc = kappa
+        if not cons.all():  # never for a build_network row; no copies then
+            a, b, kc = a[cons], b[cons], kappa[cons]
+        # the distinct pairs of the conservative rows, grouped by key
+        used = np.zeros(n * n, dtype=bool)
+        used[a] = used[b] = True
+        pairs = np.flatnonzero(used)
+        pairs = pairs[np.argsort(table[pairs], kind="stable")]
+        pos = np.empty(n * n, dtype=np.intp)
+        pos[pairs] = np.arange(len(pairs))
+        a, b = pos[a], pos[b]  # from codes to pair ids
+        pkey = table[pairs]
+        first = np.flatnonzero(np.r_[True, pkey[1:] != pkey[:-1]])
+        size = np.diff(np.r_[first, len(pairs)])
+        cls = np.repeat(np.arange(len(first)), size)[a]
+        # a class is a clique if its rows are s (s - 1) / 2 distinct
+        # edges between distinct members, all at one rate
+        base = first[cls]
+        lo, hi = np.minimum(a, b) - base, np.maximum(a, b) - base
+        area = size * size
+        edge = (np.cumsum(area) - area)[cls] + lo * size[cls] + hi
+        rate = np.empty(len(first))
+        rate[cls] = kc
+        bad = (lo == hi) | (kc != rate[cls])
+        bad |= np.bincount(edge, minlength=int(area.sum()))[edge] > 1
+        clique = np.bincount(cls, minlength=len(first)) == size * (size - 1) // 2
+        clique[cls[bad]] = False
+        split = ~cons
+        split[cons] = ~clique[cls]
+        rows = np.flatnonzero(split)
+
+        # the cliques: whole classes, then one per split row with the
+        # members (i, j) and (k, l)
+        sizes = np.concatenate([size[clique], np.full(len(rows), 2)])
+        rates = np.concatenate([rate[clique], kappa[rows]])
+        i, j = np.divmod(pairs[np.repeat(clique, size)], n)
+        split_quad = self.quad[rows]
+        i = np.concatenate([i, split_quad[:, [0, 2]].ravel()])
+        j = np.concatenate([j, split_quad[:, [1, 3]].ravel()])
+        m, c = len(i), len(sizes)
+        start = np.concatenate([[0], np.cumsum(sizes)])
+        owner = np.repeat(np.arange(c), sizes)
+        C = scipy.sparse.csr_matrix((np.ones(m), np.arange(m), start), shape=(c, m))
+        B = scipy.sparse.csr_matrix(
+            (np.ones(2 * m), (np.concatenate([i, j]), np.concatenate([owner, owner]))),
+            shape=(n, c),
+        )
+        B.sum_duplicates()  # slot counts, exact
+        B.data *= rates[B.indices]
+        A = np.bincount(i * n + j, weights=(rates * sizes)[owner], minlength=n * n)
+        A = A.reshape(n, n)
+        return CollisionIndex(members=np.stack([i, j]), rate=rates, C=C, B=B, K=A + A.T)
 
     @cached_property
     def invariants(self) -> np.ndarray:
@@ -226,18 +327,29 @@ class VelocityNetwork:
         return json.dumps(payload, indent=1, sort_keys=True)
 
 
+def _pair_keys(lattice: np.ndarray, M: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The conservation key of each velocity pair (i, j), an exact integer.
+
+    A mixed-radix encoding of (|z_i|^2 + |z_j|^2, z_i + z_j) for lattice
+    coordinates within [-M, M]: two pairs share a key exactly when they
+    share momentum and energy.  i and j are index arrays that broadcast.
+    """
+    sq = np.sum(lattice**2, axis=1)
+    key = sq[i] + sq[j]
+    for c in np.moveaxis(lattice[i] + lattice[j] + 2 * M, -1, 0):  # each digit in [0, 4M]
+        key = key * (4 * M + 1) + c
+    return key
+
+
 def _join_quadruples(lattice: np.ndarray, M: int) -> np.ndarray:
     """All canonical conservative quadruples, sorted lexicographically.
 
-    Each pair i <= j gets one integer key, a mixed-radix encoding of the
-    exact pair (|z_i|^2 + |z_j|^2, z_i + z_j); any two pairs sharing a
-    key form a quadruple, the lexicographically smaller pair first.
+    Each pair i <= j gets its conservation key (`_pair_keys`); any two
+    pairs sharing a key form a quadruple, the lexicographically smaller
+    pair first.
     """
     i, j = np.triu_indices(len(lattice))
-    sq = np.sum(lattice**2, axis=1)
-    key = sq[i] + sq[j]
-    for c in (lattice[i] + lattice[j] + 2 * M).T:  # each digit in [0, 4M]
-        key = key * (4 * M + 1) + c
+    key = _pair_keys(lattice, M, i, j)
     # the stable sort keeps each key group in (i, j) order
     order = np.argsort(key, kind="stable")
     _, start, size = np.unique(key[order], return_index=True, return_counts=True)
@@ -310,8 +422,8 @@ def restrict_quadruples(net: VelocityNetwork, indices) -> VelocityNetwork:
     """Copy of the network keeping only the selected quadruples.
 
     Useful for single-reaction tests; every per-quadruple array (omega,
-    B_q, kappa, S, rate_incidence, the pair index, the invariant basis)
-    is derived anew from the kept rows.
+    B_q, kappa, S, rate_incidence, the pair and collision indices, the
+    invariant basis) is derived anew from the kept rows.
     """
     return replace(net, quad=net.quad[np.atleast_1d(np.asarray(indices, dtype=np.int64))])
 

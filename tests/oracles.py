@@ -3,11 +3,12 @@
 Each function spells out one formula directly: quadruple enumeration by
 brute force or by a dict join over pair keys, the pair products by four
 gathers per quadruple and the dissipation quadruple by quadruple, the
-incidence matrix from COO triplets and the incidence operators as
-per-slot `np.add.at` scatters, the W_B and JKO path objective one
-interval at a time with a dense Hessian, the Newton step by a dense
-Cholesky factorization, the W1 distance
-by its Kantorovich-Rubinstein dual, the Kac walk, its CSV log and its
+collision operator quadruple by quadruple through the rate-weighted
+incidence, the incidence matrix from COO triplets and the incidence
+operators as per-slot `np.add.at` scatters, the W_B and JKO path
+objective one interval at a time with a dense Hessian, the Newton step
+by a dense Cholesky factorization, the W1 distance by its
+Kantorovich-Rubinstein dual, the Kac walk, its CSV log and its
 dependency levels one event and one row at a time, the OU entropy
 estimate through scipy's logsumexp, and the Dormand-Prince loop with
 all seven stages evaluated on every step attempt.  None of them share
@@ -128,6 +129,12 @@ def quadruple_products(net, f: np.ndarray):
     """(f_i f_j, f_k f_l) per quadruple, from four gathers."""
     i, j, k, l = net.quad.T
     return f[i] * f[j], f[k] * f[l]
+
+
+def quadruple_collision_operator(net, f: np.ndarray) -> np.ndarray:
+    """Q(f) = rate_incidence @ (f_i f_j - f_k f_l) / w, one term per quadruple slot."""
+    p, r = quadruple_products(net, f)
+    return net.rate_incidence @ (p - r) / net.node_weight
 
 
 def dissipation_density(s, t):

@@ -357,15 +357,16 @@ def test_threads_do_not_change_results(tmp_path):
 
 
 def test_blas_threads_do_not_change_files(tmp_path):
-    # default distance and jko runs write the same files on one and on two
-    # OpenBLAS threads.  On a one-CPU machine OpenBLAS runs one thread
-    # either way, and this test passes without showing anything
+    # default forward, distance and jko runs write the same files on one
+    # and on two OpenBLAS threads (Q(f) takes a dense K @ f).  On a one-CPU
+    # machine OpenBLAS runs one thread either way, and this test passes
+    # without showing anything
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     files = {"1": {}, "2": {}}
     for threads, written in files.items():
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
                "PYTHONPATH": src}
-        for command in ("distance", "jko"):
+        for command in ("forward", "distance", "jko"):
             out = tmp_path / threads / command
             subprocess.run([sys.executable, "-m", "boltzflow", command, "--out", str(out)],
                            env=env, check=True, capture_output=True)

@@ -273,6 +273,14 @@ def test_empirical_entropy_gaussian_reference():
         empirical_entropy(st, 0.0)
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e200])
+def test_empirical_entropy_rejects_clouds_too_large_for_binary64(scale):
+    # |v|^2 overflows: the estimate would be (nan, nan)
+    st = ParticleState(scale * stream(4).standard_normal((16, 3)))
+    with pytest.raises(DomainError, match="too large"):
+        empirical_entropy(st, 0.1, n_samples=1000)
+
+
 def test_logsumexp_rows_matches_scipy():
     rng = stream(3)
     for scale in (0.1, 1.0, 30.0, 300.0):

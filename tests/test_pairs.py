@@ -1,14 +1,19 @@
-"""The incidence matrix, the velocity-pair index and the per-pair kernels.
+"""The incidence matrix, the velocity-pair and collision indices, and the per-pair kernels.
 
 `S` and `rate_incidence` must equal their COO builds, the incidence
 operators must give the CSR products of that build, and
-`pair_products`, `collision_operator` and `dissipation` must return the
-same bits as the quadruple-wise formulas in `oracles`: a product
-f_i f_j rounds the same whichever array it sits in, and the sums keep
-their order.
+`pair_products` and `dissipation` must return the same bits as the
+quadruple-wise formulas in `oracles`: a product f_i f_j rounds the same
+whichever array it sits in, and the sums keep their order.
+`collision_operator` sums by conservation class instead, in another
+order: its cliques must cover every quadruple exactly once, and its
+values must lie within an a priori rounding bound of the quadruple-wise
+`Q(f)`.
 """
 
+from collections import Counter
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -19,7 +24,6 @@ import oracles
 from boltzflow.forward import collision_operator, dissipation, solve_forward
 from boltzflow.kinematics import Kernel
 from boltzflow.network import (
-    VelocityNetwork,
     build_network,
     maxent_project,
     restrict_quadruples,
@@ -119,18 +123,72 @@ def test_pair_products_match_four_gathers(network):
         assert np.array_equal(p, p_ref) and np.array_equal(r, r_ref)
 
 
+U = 2.0**-53  # unit roundoff of binary64
+
+
+def _gamma(k):
+    """Higham's gamma_k = k u / (1 - k u): the relative error of k roundings."""
+    return k * U / (1 - k * U)
+
+
+def _rounding_bound(net, f):
+    """A priori bound, per node, on |Q(f) - oracle Q(f)|.
+
+    A sum of terms x_t, each passed through at most k roundings, is
+    computed as sum_t x_t (1 + theta_t) with |theta_t| <= gamma_k, in
+    any order of summation (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., Lemma 3.1 and Sec. 4.2); a zero term adds
+    exactly, so only nonzero terms count.  Away from underflow, at node v:
+
+    - the class path: the gain's terms take 1 rounding for g = f_i f_j,
+      s - 1 in the clique sum (s the largest clique at v), 1 for the
+      entry kappa_C times a slot count, 1 for the product and t - 1 in
+      the row sum over the t cliques at v; the loss's terms take r for
+      the K entry (r products kappa_C s_C summed), 1 for K f, k - 1 in
+      the row sum over the k nonzero entries and 1 for f_v times it;
+      then 1 for gain - loss and 1 for / w.
+    - the quadruple path: 2 roundings for p - r of rounded products,
+      1 for the rate, e - 1 in the row sum over the e quadruple slots at
+      v, and 1 for / w.
+
+    Both round the same exact Q(f)_v.  The quadruple path's absolute
+    terms sum_q kappa_q (p_q + r_q) over the slots at v are at most
+    gain_v + loss_v, so the two results differ by at most
+    (gamma_N + gamma_M) (gain_v + loss_v) / w.  Here gain and loss are
+    read in binary64 (N more roundings, then 2 for their sum and / w),
+    hence the last factor; evaluating the bound itself rounds at a few
+    u relative, far inside gamma's slack.
+    """
+    idx, n = net.collision_index, net.n_nodes
+    i, j = idx.members
+    g = f[i] * f[j]
+    gain, loss = idx.B @ (idx.C @ g), f * (idx.K @ f)
+    size = np.diff(idx.C.indptr)
+    t = np.diff(idx.B.indptr)
+    s = np.zeros(n)
+    np.maximum.at(s, np.repeat(np.arange(n), t), size[idx.B.indices])
+    terms = np.bincount(i * n + j, minlength=n * n).reshape(n, n)
+    terms += terms.T
+    r, k = terms.max(axis=1), np.count_nonzero(terms, axis=1)
+    N = np.maximum(s + t + 1, r + k + 1) + 2
+    e = np.bincount(net.rate_incidence.indices, minlength=n)
+    M = e + 3
+    return (_gamma(N) + _gamma(M)) * ((gain + loss) / net.node_weight) / (1 - _gamma(N + 2))
+
+
 def test_collision_operator_matches_four_gathers(network):
-    S = oracles.incidence(network.quad, network.n_nodes)
     for f in _states(network):
-        p, r = oracles.quadruple_products(network, f)
-        ref = S @ (_rate(network) * (p - r)) / network.node_weight
-        assert np.array_equal(collision_operator(network, f), ref)
+        ref = oracles.quadruple_collision_operator(network, f)
+        # where every term is 0 (the single-node state) the bound is 0
+        assert np.all(np.abs(collision_operator(network, f) - ref) <= _rounding_bound(network, f))
 
 
 def test_collision_operator_builds_no_plain_incidence():
     net = build_network(2, 3.0, 1.0, K1)
+    assert "collision_index" not in vars(net)  # building the network does not build it
     collision_operator(net, maxent_project(net))
-    assert "rate_incidence" in vars(net) and "S" not in vars(net)
+    assert "collision_index" in vars(net)
+    assert "rate_incidence" not in vars(net) and "S" not in vars(net)
 
 
 def test_dissipation_matches_quadruple_wise(network):
@@ -165,17 +223,86 @@ def test_solve_forward_matches_quadruple_kernels(monkeypatch):
     net = build_network(3, 2.0, 1.0, K1)
     feq = maxent_project(net)
     f0 = feq * np.exp(0.3 * np.random.Generator(np.random.Philox(3)).standard_normal(net.n_nodes))
-    fast = solve_forward(net, f0, 0.3)
-    fast.D  # made on first read: read it before the kernels are swapped
-    monkeypatch.setattr(VelocityNetwork, "pair_products", oracles.quadruple_products)
-    monkeypatch.setattr(boltzflow.forward, "dissipation", oracles.quadruple_dissipation)
-    slow = solve_forward(net, f0, 0.3)
-    assert len(fast.times) > 3
-    for name in ("times", "states", "H", "D", "moments"):
-        assert np.array_equal(getattr(fast, name), getattr(slow, name)), name
+    tol = 1e-10
+    fast = solve_forward(net, f0, 0.3, tol=tol)
+    monkeypatch.setattr(boltzflow.forward, "collision_operator", oracles.quadruple_collision_operator)
+    slow = solve_forward(net, f0, 0.3, tol=tol)
+    steps = len(fast.times) - 1
+    assert steps > 3 and len(slow.times) - 1 == steps
+    # the two Q(f) differ at roundoff, which moves the controller's steps;
+    # each run keeps every accepted step's local error estimate within
+    # tol (|f0| + 1e-8 + |f|), so the end states may part by twice the
+    # accumulated tolerance
+    scale = np.abs(f0) + 1e-8 + np.abs(fast.states[-1])
+    assert np.all(np.abs(fast.states[-1] - slow.states[-1]) <= 2 * steps * tol * scale)
 
 
-# -- the index itself ----------------------------------------------------------
+# -- the indices themselves ----------------------------------------------------
+
+
+def _cover_edges(net):
+    """The multiset of (pair, pair, rate) edges the collision index stands for."""
+    idx = net.collision_index
+    members = list(zip(*idx.members.tolist()))
+    edges = Counter()
+    for c, (lo, hi) in enumerate(zip(idx.C.indptr[:-1], idx.C.indptr[1:])):
+        for a, b in combinations(members[lo:hi], 2):
+            edges[(*sorted([a, b]), idx.rate[c])] += 1
+    return edges
+
+
+def _quad_edges(net):
+    """The multiset of (pair, pair, rate) edges of the quadruples."""
+    pairs = zip(map(tuple, net.quad[:, :2].tolist()), map(tuple, net.quad[:, 2:].tolist()))
+    return Counter((*sorted(ab), kappa) for ab, kappa in zip(pairs, net.kappa))
+
+
+def _one_class(net):
+    """A restricted copy that keeps every quadruple of one class of 4 pairs."""
+    z = net.lattice
+    key = [tuple(z[i] + z[j]) + (int(z[i] @ z[i] + z[j] @ z[j]),) for i, j, _, _ in net.quad]
+    rows = {}
+    for q, k in enumerate(key):
+        rows.setdefault(k, []).append(q)
+    return restrict_quadruples(net, next(r for r in rows.values() if len(r) == 6))
+
+
+def test_collision_index_covers_every_quadruple(network):
+    assert _cover_edges(network) == _quad_edges(network)
+    if network.n_quadruples > 4:  # a whole lattice: every class is one clique
+        assert network.collision_index.members.shape[1] == network.pair_index[0].shape[1]
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["repeated-rows", "one-class", "part-of-a-class", "edge-repeated", "self-loop", "split-classes"],
+)
+def test_collision_index_covers_restricted_and_split_networks(case):
+    if case == "split-classes":
+        # at h = 0.6 the clamp kernel's rates of one class differ in the
+        # last bit, so those classes are split into two-pair cliques
+        net = build_network(3, 1.8, 0.6, Kernel("clamp", lo=0.5, hi=2.0))
+    elif case == "repeated-rows":
+        net = restrict_quadruples(build_network(2, 3.0, 1.0, K1), [3, 3, 3])
+    else:
+        net = _one_class(build_network(2, 3.0, 1.0, K1))
+        quad = net.quad.copy()
+        if case == "part-of-a-class":  # five of its six rows: an edge missing
+            quad = quad[:5]
+        elif case == "edge-repeated":  # six rows, one edge twice and one missing
+            quad[5] = quad[4]
+        elif case == "self-loop":  # six rows, one joins a pair to itself
+            quad[5, 2:] = quad[5, :2]
+        net = replace(net, quad=quad)
+    assert _cover_edges(net) == _quad_edges(net)
+    idx = net.collision_index
+    cliques = np.diff(idx.C.indptr)
+    if case == "split-classes":
+        assert net.pair_index[0].shape[1] == 57111 and idx.members.shape[1] == 61719
+    elif case == "one-class":
+        assert cliques.tolist() == [4]
+    else:  # every row its own two-pair clique
+        assert cliques.tolist() == [2] * net.n_quadruples
 
 
 def _distinct_pairs(quad):
