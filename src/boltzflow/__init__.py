@@ -29,7 +29,7 @@ from .kac import (
     sample_initial,
     simulate,
 )
-from .kinematics import Kernel, angular_integral, collide, povzner_gap
+from .kinematics import Kernel, collide
 from .metric import (
     MetricSolution,
     SolverOptions,
@@ -45,7 +45,7 @@ from .network import (
     restrict_quadruples,
     tilt_to_moments,
 )
-from .scalars import GaussianMixture, action_density, log_mean, ou_evolve
+from .scalars import GaussianMixture, log_mean
 
 __all__ = [
     "__version__",
@@ -63,8 +63,6 @@ __all__ = [
     "RunConfig",
     "SolverOptions",
     "VelocityNetwork",
-    "action_density",
-    "angular_integral",
     "build_network",
     "collide",
     "collision_operator",
@@ -80,10 +78,8 @@ __all__ = [
     "jko_trajectory",
     "log_mean",
     "maxent_project",
-    "ou_evolve",
     "parse_config",
     "parse_config_dict",
-    "povzner_gap",
     "restrict_quadruples",
     "sample_initial",
     "simulate",

@@ -99,34 +99,3 @@ class Kernel:
         speed = np.sqrt(np.add.reduce(k * k, axis=-1))
         return np.minimum(np.maximum(speed, self.lo), self.hi)
 
-
-def angular_integral(kernel: Kernel, k: np.ndarray, d: int = None) -> float:
-    """Integral of B(k, .) over the unit sphere S^{d-1}."""
-    k = np.asarray(k, dtype=float)
-    if d is None:
-        d = k.shape[-1]
-    # both kernel kinds are independent of omega
-    return float(kernel(k)) * SPHERE_SURFACE[d]
-
-
-def povzner_gap(v, v_star, omega, R: float):
-    """Truncated-moment gap (lhs, rhs); the estimate is lhs <= 4 * rhs.
-
-    lhs = |phi_R(v')^2 + phi_R(v'_*)^2 - phi_R(v)^2 - phi_R(v_*)^2| with
-    phi_R(u) = min(|u|, R); rhs = |v||v_*| + |v'||v'_*|.
-    """
-    R = np.asarray(R, dtype=float)
-    if np.any(R <= 0):
-        raise DomainError("R must be positive")
-    v = np.asarray(v, dtype=float)
-    v_star = np.asarray(v_star, dtype=float)
-    vp, vp_star = collide(v, v_star, omega)
-
-    def phi2(u):
-        return np.minimum(np.linalg.norm(u, axis=-1), R) ** 2
-
-    lhs = np.abs(phi2(vp) + phi2(vp_star) - phi2(v) - phi2(v_star))
-    rhs = np.linalg.norm(v, axis=-1) * np.linalg.norm(v_star, axis=-1) + np.linalg.norm(
-        vp, axis=-1
-    ) * np.linalg.norm(vp_star, axis=-1)
-    return lhs, rhs

@@ -25,9 +25,12 @@ from .kinematics import Kernel, collide
 SLOT_SIGN = np.array([-1.0, -1.0, 1.0, 1.0])
 
 # the most lattice nodes a network may have, 11^3: a d = 3, V/h = 5 build
-# already has 3.4 million quadruples and peaks at about 730 MiB, and the
-# count grows about as (V/h)^6.3
+# already has 3.4 million quadruples and takes about 1 s at a peak RSS
+# of about 300 MiB (D19), and the count grows about as (V/h)^6.3
 MAX_NODES = 1331
+
+# the rows build_network checks against the collision map at a time
+CHECK_ROWS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -342,25 +345,40 @@ def _pair_keys(lattice: np.ndarray, M: int, i: np.ndarray, j: np.ndarray) -> np.
 
 
 def _join_quadruples(lattice: np.ndarray, M: int) -> np.ndarray:
-    """All canonical conservative quadruples, sorted lexicographically.
+    """All canonical conservative quadruples, in lexicographic order.
 
     Each pair i <= j gets its conservation key (`_pair_keys`); any two
     pairs sharing a key form a quadruple, the lexicographically smaller
-    pair first.
+    pair first.  np.triu_indices lists the pairs in lexicographic order
+    and the stable key sort keeps each key group in that order, so the
+    partners of pair p are the later members of its group, in pair
+    order.  Emitting the rows pair by pair, each pair's partners in
+    group order, lists the table already sorted (notes/decisions.md,
+    D19).
     """
     i, j = np.triu_indices(len(lattice))
+    P = len(i)
     key = _pair_keys(lattice, M, i, j)
-    # the stable sort keeps each key group in (i, j) order
     order = np.argsort(key, kind="stable")
-    _, start, size = np.unique(key[order], return_index=True, return_counts=True)
-    # match every sorted position with each later position of its group
-    pos = np.arange(len(order))
-    count = np.repeat(start + size, size) - pos - 1
-    first = np.repeat(pos, count)
-    rank = np.arange(len(first)) - np.repeat(np.cumsum(count) - count, count)
-    lo, hi = order[first], order[first + 1 + rank]
-    quad = np.column_stack([i[lo], j[lo], i[hi], j[hi]])
-    return quad[np.lexsort(quad.T[::-1])]
+    skey = key[order]
+    edges = np.concatenate([[0], np.flatnonzero(skey[1:] != skey[:-1]) + 1, [P]])
+    rank = np.empty(P, dtype=np.intp)  # each pair's position in the sorted keys
+    rank[order] = np.arange(P)
+    # pair p has its group's members after position rank[p] as partners
+    count = np.repeat(edges[1:], np.diff(edges))[rank] - rank - 1
+    offset = np.cumsum(count) - count  # the first row of each pair
+    Q = int(offset[-1] + count[-1])
+    quad = np.empty((Q, 4), dtype=np.intp)
+    row = np.repeat(np.arange(P), count)  # the pair (i, j) of each row
+    np.take(i, row, out=quad[:, 0])
+    np.take(j, row, out=quad[:, 1])
+    # row r of pair p pairs it with the sorted position rank[p] + 1 + r - offset[p]
+    np.take(rank + 1 - offset, row, out=row)
+    row += np.arange(Q)
+    np.take(order, row, out=row)
+    np.take(i, row, out=quad[:, 2])
+    np.take(j, row, out=quad[:, 3])
+    return quad
 
 
 def lattice_ratio(d: int, V: float, h: float) -> int:
@@ -390,8 +408,9 @@ def build_network(d: int, V: float, h: float, kernel: Kernel) -> VelocityNetwork
 
     The join key is the exact integer pair (z_i + z_j, |z_i|^2 + |z_j|^2)
     (see _join_quadruples); quadruples are kept in canonical form
-    i <= j, k <= l, (i, j) < (k, l), {i, j} != {k, l}, sorted for
-    reproducible output.
+    i <= j, k <= l, (i, j) < (k, l), {i, j} != {k, l}, in lexicographic
+    order as the join emits them.  Every row must map (v_i, v_j) to
+    (v_k, v_l) under `collide` within 1e-12, else DomainError.
     """
     if d not in (2, 3):
         raise DomainError("dimension must be 2 or 3")
@@ -407,14 +426,17 @@ def build_network(d: int, V: float, h: float, kernel: Kernel) -> VelocityNetwork
         )
     net = VelocityNetwork(d=d, V=float(V), h=float(h), kernel=kernel, lattice=lattice, quad=quad)
 
-    # every emitted quadruple must reproduce (v_k, v_l) under the collision map
+    # every emitted quadruple must reproduce (v_k, v_l) under the collision
+    # map with omega = (v_i - v_k) / |v_i - v_k|, checked CHECK_ROWS rows at
+    # a time; `not err <= tol` fails a NaN error too
     nodes = net.nodes
-    vp, vp_star = collide(nodes[quad[:, 0]], nodes[quad[:, 1]], net.omega)
-    err = max(
-        np.max(np.abs(vp - nodes[quad[:, 2]])), np.max(np.abs(vp_star - nodes[quad[:, 3]]))
-    )
-    if err > 1e-12:
-        raise DomainError(f"quadruple collision-consistency failed (max error {err:.2e})")
+    for a in range(0, len(quad), CHECK_ROWS):
+        vi, vj, vk, vl = (nodes[c] for c in quad[a : a + CHECK_ROWS].T)
+        diff = vi - vk
+        vp, vp_star = collide(vi, vj, diff / np.linalg.norm(diff, axis=1, keepdims=True))
+        err = np.maximum(np.max(np.abs(vp - vk)), np.max(np.abs(vp_star - vl)))
+        if not err <= 1e-12:
+            raise DomainError(f"quadruple collision-consistency failed (max error {err:.2e})")
     return net
 
 

@@ -1,8 +1,7 @@
-"""Numerically stable scalar kernels and closed-form Gaussian-mixture ops.
+"""Numerically stable scalar kernels and the Gaussian mixture.
 
-The logarithmic mean and the action density are the building blocks
-of the collision metric.  The logarithmic mean and its partials share
-one kernel, psi(x) = sinh(x/2) / (x/2) with
+The logarithmic mean is the building block of the collision metric.
+It and its partials share one kernel, psi(x) = sinh(x/2) / (x/2) with
 x = log(s/t): a 12-term Taylor series below |x| = 2 and the closed form
 above, so no branch cancels and values stay accurate to a few ulp for
 every pair of positive arguments.
@@ -12,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
-from typing import Sequence
 
 import numpy as np
 
@@ -100,24 +98,6 @@ def log_mean_and_partials(p: np.ndarray, r: np.ndarray):
     )
 
 
-def action_density(u, s, t):
-    """Convex action integrand alpha(u, s, t) = u^2 / (4 L(s, t)).
-
-    Returns 0 when L = 0 and u = 0, +inf when L = 0 and u != 0.
-    Vectorized.
-    """
-    u = np.asarray(u, dtype=float)
-    lam = np.asarray(log_mean(s, t))
-    scalar = u.ndim == 0 and lam.ndim == 0
-    u, lam = np.atleast_1d(u), np.atleast_1d(lam)
-    u, lam = np.broadcast_arrays(u, lam)
-    out = np.empty(u.shape)
-    pos = lam > 0
-    out[pos] = u[pos] ** 2 / (4.0 * lam[pos])
-    out[~pos] = np.where(u[~pos] == 0.0, 0.0, np.inf)
-    return float(out[0]) if scalar else out
-
-
 @dataclass(frozen=True)
 class GaussianMixture:
     """Finite Gaussian mixture: weights (m,), means (m, d), covs (m, d, d)."""
@@ -158,54 +138,3 @@ class GaussianMixture:
                 -0.5 * quad - 0.5 * logdet - 0.5 * self.dim * np.log(2.0 * np.pi)
             )
         return total
-
-    def linear_map(self, A: np.ndarray) -> "GaussianMixture":
-        """Push-forward under x -> A x."""
-        return GaussianMixture(
-            self.weights,
-            self.means @ A.T,
-            np.einsum("ij,mjk,lk->mil", A, self.covs, A),
-        )
-
-
-def ou_evolve(mix: GaussianMixture, time: float) -> GaussianMixture:
-    """Ornstein-Uhlenbeck flow toward the standard Gaussian, in closed form.
-
-    Each component (w, m, S) maps to (w, e^{-t} m, e^{-2t} S + (1 - e^{-2t}) I).
-    """
-    if time < 0:
-        raise DomainError("time must be nonnegative")
-    decay = np.exp(-float(time))
-    d = mix.dim
-    covs = decay**2 * mix.covs + (1.0 - decay**2) * np.eye(d)[None]
-    return GaussianMixture(mix.weights, decay * mix.means, covs)
-
-
-def collision_involution_matrix(omega: np.ndarray) -> np.ndarray:
-    """Matrix of the pair collision map (v, v_*) -> (v', v'_*) on R^{2d}."""
-    omega = np.asarray(omega, dtype=float)
-    d = omega.shape[0]
-    P = np.outer(omega, omega)
-    top = np.hstack([np.eye(d) - P, P])
-    bot = np.hstack([P, np.eye(d) - P])
-    return np.vstack([top, bot])
-
-
-def ou_commutation_residual(
-    mix: GaussianMixture, omega: np.ndarray, time: float, probes: np.ndarray
-) -> float:
-    """Max pointwise gap between S_t(F o T) and (S_t F) o T on probe points.
-
-    Both sides are closed-form Gaussian mixtures; T is the orthogonal
-    collision involution on the doubled space R^{2d}.
-    """
-    omega = np.asarray(omega, dtype=float)
-    if mix.dim != 2 * omega.shape[0]:
-        raise DomainError("mixture must live on the doubled space R^{2d}")
-    T = collision_involution_matrix(omega)
-    probes = np.atleast_2d(np.asarray(probes, dtype=float))
-    # F o T is the push-forward of the mixture by T (T is an involution
-    # with unit Jacobian), so S_t(F o T) = ou_evolve(T_# mix, t).
-    lhs = ou_evolve(mix.linear_map(T), time).pdf(probes)
-    rhs = ou_evolve(mix, time).pdf(probes @ T.T)
-    return float(np.max(np.abs(lhs - rhs)))

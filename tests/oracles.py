@@ -1,7 +1,8 @@
 """Slow reference implementations that the fast paths are tested against.
 
 Each function spells out one formula directly: quadruple enumeration by
-brute force or by a dict join over pair keys, the pair products by four
+brute force, by a dict join over pair keys or by a key join sorted
+afterwards with one lexsort, the pair products by four
 gathers per quadruple and the dissipation quadruple by quadruple, the
 collision operator quadruple by quadruple through the rate-weighted
 incidence, the incidence matrix from COO triplets and the incidence
@@ -15,9 +16,11 @@ all seven stages evaluated on every step attempt.  None of them share
 code with the functions they check.
 
 It also holds the test-only diagnostics that no run calls: the action
-A(f, J) of a flux, the Boltzmann flux f_i f_j - f_k f_l, the
-gradient-form residual of a W_B solution, and the standard Gaussian
-mixture.
+A(f, J) of a flux and its integrand, the Boltzmann flux
+f_i f_j - f_k f_l, the gradient-form residual of a W_B solution, the
+Povzner gap and the angular integral of a kernel, and the Gaussian
+mixture calculus of the OU commutation identity (the standard mixture,
+linear push-forwards, the OU flow and the collision involution).
 """
 
 import numpy as np
@@ -30,9 +33,9 @@ from boltzflow.forward import collision_operator as forward_rhs
 from boltzflow.errors import DomainError
 from boltzflow.forward import dissipation, entropy
 from boltzflow.kac import EventLog, ParticleState, _pair_from_index, _unit_vectors, stream
-from boltzflow.kinematics import SPHERE_SURFACE, collide
+from boltzflow.kinematics import SPHERE_SURFACE, Kernel, collide
 from boltzflow.network import SLOT_SIGN
-from boltzflow.scalars import GaussianMixture, action_density, log_mean, log_mean_and_partials
+from boltzflow.scalars import GaussianMixture, log_mean, log_mean_and_partials
 
 
 def lattice(d: int, M: int) -> np.ndarray:
@@ -76,6 +79,29 @@ def dict_join_quadruples(d: int, M: int) -> np.ndarray:
             for b in range(a + 1, len(pairs)):
                 quads.append(pairs[a] + pairs[b])
     return np.array(sorted(quads), dtype=np.int64)
+
+
+def sorted_join_quadruples(d: int, M: int) -> np.ndarray:
+    """The key join of pairs i <= j, its rows put in order by one lexsort.
+
+    Pairs share the mixed-radix key of (|z_i|^2 + |z_j|^2, z_i + z_j);
+    each sorted position is matched with every later position of its key
+    group, and the (Q, 4) table is then sorted lexicographically.
+    """
+    z = lattice(d, M)
+    i, j = np.triu_indices(len(z))
+    key = np.sum(z[i] ** 2, axis=1) + np.sum(z[j] ** 2, axis=1)
+    for c in (z[i] + z[j] + 2 * M).T:
+        key = key * (4 * M + 1) + c
+    order = np.argsort(key, kind="stable")
+    _, start, size = np.unique(key[order], return_index=True, return_counts=True)
+    pos = np.arange(len(order))
+    count = np.repeat(start + size, size) - pos - 1
+    first = np.repeat(pos, count)
+    rank = np.arange(len(first)) - np.repeat(np.cumsum(count) - count, count)
+    lo, hi = order[first], order[first + 1 + rank]
+    quad = np.column_stack([i[lo], j[lo], i[hi], j[hi]])
+    return quad[np.lexsort(quad.T[::-1])]
 
 
 _SLOTS = ((0, -1.0), (1, -1.0), (2, 1.0), (3, 1.0))
@@ -187,9 +213,111 @@ def discrete_action(net, f: np.ndarray, J: np.ndarray) -> float:
     return float(np.sum(4.0 * net.h ** (2 * net.d) * net.B_q * dens))
 
 
+def action_density(u, s, t):
+    """Convex action integrand alpha(u, s, t) = u^2 / (4 L(s, t)).
+
+    Returns 0 when L = 0 and u = 0, +inf when L = 0 and u != 0.
+    Vectorized.
+    """
+    u = np.asarray(u, dtype=float)
+    lam = np.asarray(log_mean(s, t))
+    scalar = u.ndim == 0 and lam.ndim == 0
+    u, lam = np.atleast_1d(u), np.atleast_1d(lam)
+    u, lam = np.broadcast_arrays(u, lam)
+    out = np.empty(u.shape)
+    pos = lam > 0
+    out[pos] = u[pos] ** 2 / (4.0 * lam[pos])
+    out[~pos] = np.where(u[~pos] == 0.0, 0.0, np.inf)
+    return float(out[0]) if scalar else out
+
+
 def standard_mixture(d: int) -> GaussianMixture:
     """The standard Gaussian on R^d as a one-component mixture."""
     return GaussianMixture(np.array([1.0]), np.zeros((1, d)), np.eye(d)[None])
+
+
+def linear_map(mix: GaussianMixture, A: np.ndarray) -> GaussianMixture:
+    """Push-forward of the mixture under x -> A x."""
+    return GaussianMixture(
+        mix.weights,
+        mix.means @ A.T,
+        np.einsum("ij,mjk,lk->mil", A, mix.covs, A),
+    )
+
+
+def ou_evolve(mix: GaussianMixture, time: float) -> GaussianMixture:
+    """Ornstein-Uhlenbeck flow toward the standard Gaussian, in closed form.
+
+    Each component (w, m, S) maps to (w, e^{-t} m, e^{-2t} S + (1 - e^{-2t}) I).
+    """
+    if time < 0:
+        raise DomainError("time must be nonnegative")
+    decay = np.exp(-float(time))
+    d = mix.dim
+    covs = decay**2 * mix.covs + (1.0 - decay**2) * np.eye(d)[None]
+    return GaussianMixture(mix.weights, decay * mix.means, covs)
+
+
+def collision_involution_matrix(omega: np.ndarray) -> np.ndarray:
+    """Matrix of the pair collision map (v, v_*) -> (v', v'_*) on R^{2d}."""
+    omega = np.asarray(omega, dtype=float)
+    d = omega.shape[0]
+    P = np.outer(omega, omega)
+    top = np.hstack([np.eye(d) - P, P])
+    bot = np.hstack([P, np.eye(d) - P])
+    return np.vstack([top, bot])
+
+
+def ou_commutation_residual(
+    mix: GaussianMixture, omega: np.ndarray, time: float, probes: np.ndarray
+) -> float:
+    """Max pointwise gap between S_t(F o T) and (S_t F) o T on probe points.
+
+    Both sides are closed-form Gaussian mixtures; T is the orthogonal
+    collision involution on the doubled space R^{2d}.
+    """
+    omega = np.asarray(omega, dtype=float)
+    if mix.dim != 2 * omega.shape[0]:
+        raise DomainError("mixture must live on the doubled space R^{2d}")
+    T = collision_involution_matrix(omega)
+    probes = np.atleast_2d(np.asarray(probes, dtype=float))
+    # F o T is the push-forward of the mixture by T (T is an involution
+    # with unit Jacobian), so S_t(F o T) = ou_evolve(T_# mix, t).
+    lhs = ou_evolve(linear_map(mix, T), time).pdf(probes)
+    rhs = ou_evolve(mix, time).pdf(probes @ T.T)
+    return float(np.max(np.abs(lhs - rhs)))
+
+
+def angular_integral(kernel: Kernel, k: np.ndarray, d: int = None) -> float:
+    """Integral of B(k, .) over the unit sphere S^{d-1}."""
+    k = np.asarray(k, dtype=float)
+    if d is None:
+        d = k.shape[-1]
+    # both kernel kinds are independent of omega
+    return float(kernel(k)) * SPHERE_SURFACE[d]
+
+
+def povzner_gap(v, v_star, omega, R: float):
+    """Truncated-moment gap (lhs, rhs); the estimate is lhs <= 4 * rhs.
+
+    lhs = |phi_R(v')^2 + phi_R(v'_*)^2 - phi_R(v)^2 - phi_R(v_*)^2| with
+    phi_R(u) = min(|u|, R); rhs = |v||v_*| + |v'||v'_*|.
+    """
+    R = np.asarray(R, dtype=float)
+    if np.any(R <= 0):
+        raise DomainError("R must be positive")
+    v = np.asarray(v, dtype=float)
+    v_star = np.asarray(v_star, dtype=float)
+    vp, vp_star = collide(v, v_star, omega)
+
+    def phi2(u):
+        return np.minimum(np.linalg.norm(u, axis=-1), R) ** 2
+
+    lhs = np.abs(phi2(vp) + phi2(vp_star) - phi2(v) - phi2(v_star))
+    rhs = np.linalg.norm(v, axis=-1) * np.linalg.norm(v_star, axis=-1) + np.linalg.norm(
+        vp, axis=-1
+    ) * np.linalg.norm(vp_star, axis=-1)
+    return lhs, rhs
 
 
 def collision_operator(net, f: np.ndarray) -> np.ndarray:

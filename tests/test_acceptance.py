@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from oracles import gradient_form_residual
+from oracles import gradient_form_residual, ou_commutation_residual, povzner_gap
 from boltzflow.cli import bimodal_mixture, density_from_mixture
 from boltzflow.forward import (
     _simpson_triple,
@@ -31,7 +31,7 @@ from boltzflow.kac import (
     sample_initial,
     simulate,
 )
-from boltzflow.kinematics import Kernel, collide, povzner_gap
+from boltzflow.kinematics import Kernel, collide
 from boltzflow.metric import (
     SolverOptions,
     single_quadruple_oracle,
@@ -44,7 +44,7 @@ from boltzflow.network import (
     restrict_quadruples,
     tilt_to_moments,
 )
-from boltzflow.scalars import GaussianMixture, log_mean, ou_commutation_residual
+from boltzflow.scalars import GaussianMixture, log_mean
 
 TOL = 1e-8  # metric solver KKT tolerance referenced by criterion 7
 

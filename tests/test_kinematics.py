@@ -7,13 +7,8 @@ from hypothesis import strategies as st
 
 from boltzflow.errors import DomainError
 
-from boltzflow.kinematics import (
-    SPHERE_SURFACE,
-    Kernel,
-    angular_integral,
-    collide,
-    povzner_gap,
-)
+from boltzflow.kinematics import SPHERE_SURFACE, Kernel, collide
+from oracles import angular_integral, povzner_gap
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 

@@ -4,7 +4,7 @@ import pytest
 
 import boltzflow.jko
 import oracles
-from oracles import boltzmann_flux, discrete_action, gradient_form_residual
+from oracles import action_density, boltzmann_flux, discrete_action, gradient_form_residual
 from boltzflow.errors import DomainError
 from boltzflow.forward import dissipation, solve_forward
 from boltzflow.metric import (
@@ -18,7 +18,6 @@ from boltzflow.metric import (
     w1_distance,
 )
 from boltzflow.network import restrict_quadruples, tilt_to_moments
-from boltzflow.scalars import action_density
 
 
 def test_discrete_action_zero_flux(net, tilted):

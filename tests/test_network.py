@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from boltzflow import network
+from boltzflow.cli import EXIT_DOMAIN, main
 from boltzflow.errors import DomainError
 from boltzflow.forward import collision_operator, entropy, solve_forward
 from boltzflow.kinematics import Kernel, collide
@@ -37,6 +39,7 @@ def test_matches_dict_join(d, M):
     net = build_network(d, float(M), 1.0, kernel)
     quad = oracles.dict_join_quadruples(d, M)
     assert np.array_equal(net.quad, quad)
+    _assert_emitted_in_order(net.quad, d, M)
     # everything derived from quad follows, bit for bit
     nodes = oracles.lattice(d, M).astype(float)
     diff = nodes[quad[:, 0]] - nodes[quad[:, 2]]
@@ -44,6 +47,64 @@ def test_matches_dict_join(d, M):
     assert np.array_equal(net.B_q, kernel(nodes[quad[:, 0]] - nodes[quad[:, 1]]))
     assert np.array_equal(net.kappa, net.B_q)  # h^{2d} = 1
     assert np.array_equal(net.invariants, oracles.invariant_basis(quad, net.n_nodes))
+
+
+def _assert_emitted_in_order(quad, d, M):
+    """quad is the sort-based join's table, C-contiguous intp, and needs no sort."""
+    assert np.array_equal(quad, oracles.sorted_join_quadruples(d, M))
+    assert quad.dtype == np.intp and quad.flags.c_contiguous
+    assert np.array_equal(np.lexsort(quad.T[::-1]), np.arange(len(quad)))
+
+
+@pytest.mark.parametrize("d, M, Q", [(3, 4, 819264), (2, 17, 831674)])
+def test_large_lattices_match_sorted_join(d, M, Q):
+    # d = 3, V/h = 4, and the largest d = 2 lattice (35^2 nodes)
+    quad = build_network(d, float(M), 1.0, K1).quad
+    assert len(quad) == Q
+    _assert_emitted_in_order(quad, d, M)
+
+
+_JOIN = network._join_quadruples
+
+
+@pytest.mark.parametrize("case, message", [
+    ("first", "collision-consistency failed"),  # a wrong l in the first chunk
+    ("last", "collision-consistency failed"),  # a wrong l in the last, partial chunk
+    ("zero omega", "omega must be a unit vector"),  # v_k = v_i: omega = 0 / 0
+])
+def test_collision_check_rejects_a_corrupt_row(case, message, monkeypatch, tmp_path):
+    def corrupt(lattice, M):
+        quad = _JOIN(lattice, M)
+        assert len(quad) % network.CHECK_ROWS > 0  # the last chunk is partial
+        if case == "zero omega":
+            quad[7, 2] = quad[7, 0]
+        else:
+            r = 0 if case == "first" else len(quad) - 1
+            quad[r, 3] = (quad[r, 3] + 1) % len(lattice)
+        return quad
+
+    monkeypatch.setattr(network, "_join_quadruples", corrupt)
+    with np.errstate(invalid="ignore"), pytest.raises(DomainError, match=message):
+        build_network(3, 3.0, 1.0, K1)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"network": {"d": 3, "V": 3.0, "h": 1.0},
+                               "experiment": {"type": "forward"}}))
+    argv = ["network", "build", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    with np.errstate(invalid="ignore"):
+        assert main(argv) == EXIT_DOMAIN
+
+
+def test_collision_check_fails_a_nan_error(monkeypatch):
+    # a NaN error only in the last, partial chunk still fails the build
+    def nan_collide(v, v_star, omega):
+        vp, vp_star = collide(v, v_star, omega)
+        if len(v) < network.CHECK_ROWS:
+            vp_star[-1, 0] = np.nan
+        return vp, vp_star
+
+    monkeypatch.setattr(network, "collide", nan_collide)
+    with pytest.raises(DomainError, match="collision-consistency failed"):
+        build_network(3, 3.0, 1.0, K1)
 
 
 def test_operators_match_scatter_oracles(net):

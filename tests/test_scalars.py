@@ -4,16 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dissipation_density, standard_mixture
-from boltzflow.scalars import (
-    GaussianMixture,
+from oracles import (
     action_density,
     collision_involution_matrix,
-    log_mean,
-    log_mean_and_partials,
+    dissipation_density,
     ou_commutation_residual,
     ou_evolve,
+    standard_mixture,
 )
+from boltzflow.scalars import GaussianMixture, log_mean, log_mean_and_partials
 
 pos = st.floats(min_value=1e-12, max_value=1e12, allow_nan=False)
 
