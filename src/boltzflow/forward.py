@@ -18,17 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .network import VelocityNetwork
-
-
-def _state(net: VelocityNetwork, f, name: str) -> np.ndarray:
-    """f as a float array, checked to be one finite, nonnegative state."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != (net.n_nodes,):
-        raise DomainError(f"{name} requires a state of shape ({net.n_nodes},), got {f.shape}")
-    if not (f.min() >= 0 and f.max() < np.inf):  # a NaN fails the first test
-        raise DomainError(f"{name} requires finite f >= 0")
-    return f
+from .network import VelocityNetwork, _state
 
 
 def collision_operator(net: VelocityNetwork, f: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DomainError, NumericalError
 from .forward import ForwardTrajectory, entropy
 from .metric import SolverOptions, _PathProblem, w1_distance
-from .network import VelocityNetwork
+from .network import VelocityNetwork, _state
 
 
 @dataclass
@@ -80,8 +80,8 @@ def jko_step(
     (NumericalError otherwise).
     """
     opts = opts or SolverOptions()
-    f_prev = np.asarray(f_prev, dtype=float)
-    if np.any(f_prev <= 0):
+    f_prev = _state(net, f_prev, "jko_step")
+    if f_prev.min() <= 0:
         raise DomainError("jko_step requires strictly positive f_prev")
     if not 0 < tau < np.inf:  # also false for NaN
         raise DomainError(f"tau must be finite and positive, got {tau!r}")

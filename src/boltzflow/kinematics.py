@@ -53,10 +53,12 @@ def _collide(v: np.ndarray, v_star: np.ndarray, omega: np.ndarray):
 
 @dataclass(frozen=True)
 class Kernel:
-    """Collision kernel B(k, omega), even in omega and bounded.
+    """Collision kernel B(k), bounded, of the relative velocity k alone.
 
     kind "constant": B = b everywhere.
     kind "clamp": B = clip(|k|, lo, hi), a bounded continuous profile.
+    Both kinds depend on |k| only, so neither takes the collision
+    direction omega.
     """
 
     kind: str
@@ -90,8 +92,8 @@ class Kernel:
         """Upper bound on the angular integral of B over the sphere."""
         return self.upper * SPHERE_SURFACE[d]
 
-    def __call__(self, k: np.ndarray, omega: np.ndarray = None) -> np.ndarray:
-        """Evaluate B(k, omega).  Vectorizes over leading axes of k."""
+    def __call__(self, k: np.ndarray) -> np.ndarray:
+        """Evaluate B(k).  Vectorizes over leading axes of k."""
         k = np.asarray(k, dtype=float)
         if self.kind == "constant":
             return np.broadcast_to(np.float64(self.b), k.shape[:-1]).copy()

@@ -24,7 +24,7 @@ import scipy.optimize
 import scipy.sparse
 
 from .errors import DomainError, NumericalError
-from .network import SLOT_SIGN, VelocityNetwork
+from .network import SLOT_SIGN, VelocityNetwork, _state
 from .scalars import log_mean, log_mean_and_partials
 
 
@@ -63,7 +63,7 @@ def cre_residual(net: VelocityNetwork, path: np.ndarray, flux: np.ndarray) -> fl
         raise DomainError("path/flux shapes are inconsistent")
     dt = 1.0 / K
     lhs = net.node_weight * (path[1:] - path[:-1]) / dt
-    rhs = (net.rate_incidence @ flux.T).T
+    rhs = net.div_bar(net.kappa[:, None] * flux.T).T
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -309,9 +309,8 @@ def solve_distance(
 ) -> MetricSolution:
     """Collision distance between strictly positive moment-matched states."""
     opts = opts or SolverOptions()
-    f0 = np.asarray(f0, dtype=float)
-    f1 = np.asarray(f1, dtype=float)
-    if np.any(f0 <= 0) or np.any(f1 <= 0):
+    f0, f1 = (_state(net, f, "solve_distance") for f in (f0, f1))
+    if f0.min() <= 0 or f1.min() <= 0:
         raise DomainError("endpoints must be strictly positive")
     _check_moment_match(net, f0, f1)
 
@@ -369,8 +368,8 @@ def single_quadruple_oracle(
 def w1_distance(net: VelocityNetwork, f0: np.ndarray, f1: np.ndarray) -> float:
     """Exact L1-Wasserstein distance between node densities via an LP."""
     w = net.node_weight
-    mu = w * np.asarray(f0, dtype=float)
-    nu = w * np.asarray(f1, dtype=float)
+    mu = w * _state(net, f0, "w1_distance")
+    nu = w * _state(net, f1, "w1_distance")
     n = net.n_nodes
     cost = np.linalg.norm(net.nodes[:, None, :] - net.nodes[None, :, :], axis=2)
     # row sums = mu, col sums = nu (drop one redundant constraint); the

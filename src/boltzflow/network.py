@@ -119,18 +119,38 @@ class VelocityNetwork:
         """The rate h^{2d} B_q of every quadruple."""
         return self.h ** (2 * self.d) * self.B_q
 
+    def _pair_table(self):
+        """The distinct velocity pairs of the quadruples, grouped by conservation key.
+
+        Returns (pairs, ids, keys): pairs is (2, m), the rows (i, j) of
+        every pair that is the (i, j) or (k, l) of some quadruple, in
+        order of their codes i n + j and then sorted stably by key; ids
+        is (2, Q), the pair ids of each quadruple's (i, j) and (k, l);
+        keys is (m,), each pair's `_pair_keys`, nondecreasing.  An n^2
+        bitmap marks the used codes, so only the m pairs are sorted.
+        """
+        n = self.n_nodes
+        codes = self.quad[:, [0, 2]].T * n + self.quad[:, [1, 3]].T
+        used = np.zeros(n * n, dtype=bool)
+        used[codes] = True
+        code = np.flatnonzero(used)
+        pairs = np.stack(np.divmod(code, n))
+        keys = _pair_keys(self.lattice, int(np.abs(self.lattice).max()), *pairs)
+        order = np.argsort(keys, kind="stable")
+        pos = np.empty(n * n, dtype=np.intp)  # from codes to pair ids
+        pos[code[order]] = np.arange(len(order))
+        return pairs[:, order], pos[codes], keys[order]
+
     @cached_property
     def pair_index(self):
         """The distinct velocity pairs of the quadruples and each one's pair ids.
 
         Returns (pairs, ids): pairs is (2, m), the rows (i, j) of every
-        pair that is the (i, j) or (k, l) of some quadruple, sorted; ids
-        is (2, Q), the pair ids of each quadruple's (i, j) and (k, l).
+        pair that is the (i, j) or (k, l) of some quadruple, grouped by
+        conservation key; ids is (2, Q), the pair ids of each
+        quadruple's (i, j) and (k, l).
         """
-        n = self.n_nodes
-        keys = self.quad[:, [0, 2]].T * n + self.quad[:, [1, 3]].T
-        uniq, ids = np.unique(keys, return_inverse=True)
-        return np.stack(np.divmod(uniq, n)), ids.reshape(2, -1)
+        return self._pair_table()[:2]
 
     def pair_values(self, f: np.ndarray) -> np.ndarray:
         """The product f_i f_j of every pair in `pair_index`, one per pair.
@@ -151,85 +171,59 @@ class VelocityNetwork:
         g = self.pair_values(f)
         return np.take(g, fwd, axis=-1), np.take(g, bwd, axis=-1)
 
-    def _incidence(self, weights: np.ndarray) -> scipy.sparse.csc_matrix:
-        """The (n, Q) matrix S diag(weights), written down in CSC form.
-
-        Column q holds the four slots of quadruple q, each its sign
-        times weights[q]; a slot repeated within a quadruple (i == j or
-        k == l) sums to -2 or +2 times weights[q], exactly.
-        """
-        Q = self.n_quadruples
-        data = (weights[:, None] * SLOT_SIGN).ravel()
-        M = scipy.sparse.csc_matrix(
-            (data, self.quad.ravel(), np.arange(0, 4 * Q + 1, 4)), shape=(self.n_nodes, Q)
-        )
-        M.sum_duplicates()  # sorts each column's nodes; sums a repeated slot
-        return M
-
     @cached_property
     def S(self) -> scipy.sparse.csc_matrix:
-        """Signed (n, Q) incidence: +1 on (k, l), -1 on (i, j) per quadruple."""
-        return self._incidence(np.ones(self.n_quadruples))
+        """Signed (n, Q) incidence: +1 on (k, l), -1 on (i, j) per quadruple.
 
-    @cached_property
-    def rate_incidence(self) -> scipy.sparse.csc_matrix:
-        """S diag(kappa): the incidence with each column scaled by its rate.
-
-        Built from quad and kappa, not from S, so `cre_residual` never
-        builds S.  Its product with d equals S @ (kappa * d) bit for bit
-        (D16).
+        Written down in CSC form, column q holding the four slots of
+        quadruple q; a slot repeated within a quadruple (i == j or
+        k == l) sums to -2 or +2, exactly.
         """
-        return self._incidence(self.kappa)
+        Q = self.n_quadruples
+        S = scipy.sparse.csc_matrix(
+            (np.tile(SLOT_SIGN, Q), self.quad.ravel(), np.arange(0, 4 * Q + 1, 4)),
+            shape=(self.n_nodes, Q),
+        )
+        S.sum_duplicates()  # sorts each column's nodes; sums a repeated slot
+        return S
 
     @cached_property
     def collision_index(self) -> CollisionIndex:
         """A clique cover of the pair graph, for Q(f) by conservation class.
 
         The quadruples of one conservation key are one clique when they
-        join each two of the key's s pairs exactly once, all at bitwise
-        equal rates; build_network emits every class so.  Every other
-        quadruple is its own two-pair clique: rows of a restricted copy
-        that miss part of their class, repeated rows, rows that are not
-        conservative, and classes whose rates differ by rounding.  The
-        cover is exact for any quad.  The build is O(Q + n^2) with one
-        sort of the distinct pairs, and the index keeps no per-quadruple
-        array (notes/decisions.md, D18).
+        join each two of the key's s >= 2 pairs exactly once, all at
+        bitwise equal rates; build_network emits every class so.  Every
+        other quadruple is its own two-pair clique: rows of a restricted
+        copy that miss part of their class, repeated rows, rows that are
+        not conservative, and classes whose rates differ by rounding.
+        The cover is exact for any quad.  The pairs come from
+        `_pair_table`, built anew rather than read from the cached
+        `pair_index`, so a forward run keeps no per-quadruple array
+        (notes/decisions.md, D18 and D20).
         """
         n = self.n_nodes
+        pairs, (a, b), keys = self._pair_table()
         kappa = self.kappa
-        # each quadruple's two pair codes i n + j, and their keys
-        v = np.arange(n)
-        M = int(np.abs(self.lattice).max())
-        table = _pair_keys(self.lattice, M, v[:, None], v[None, :]).ravel()
-        a = self.quad[:, 0] * n + self.quad[:, 1]
-        b = self.quad[:, 2] * n + self.quad[:, 3]
-        cons = table[a] == table[b]
+        cons = keys[a] == keys[b]
         kc = kappa
         if not cons.all():  # never for a build_network row; no copies then
             a, b, kc = a[cons], b[cons], kappa[cons]
-        # the distinct pairs of the conservative rows, grouped by key
-        used = np.zeros(n * n, dtype=bool)
-        used[a] = used[b] = True
-        pairs = np.flatnonzero(used)
-        pairs = pairs[np.argsort(table[pairs], kind="stable")]
-        pos = np.empty(n * n, dtype=np.intp)
-        pos[pairs] = np.arange(len(pairs))
-        a, b = pos[a], pos[b]  # from codes to pair ids
-        pkey = table[pairs]
-        first = np.flatnonzero(np.r_[True, pkey[1:] != pkey[:-1]])
-        size = np.diff(np.r_[first, len(pairs)])
+        first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        size = np.diff(np.r_[first, len(keys)])
         cls = np.repeat(np.arange(len(first)), size)[a]
         # a class is a clique if its rows are s (s - 1) / 2 distinct
-        # edges between distinct members, all at one rate
+        # edges between distinct members, all at one rate; the pairs of
+        # rows that are not conservative may make classes with no rows
         base = first[cls]
         lo, hi = np.minimum(a, b) - base, np.maximum(a, b) - base
         area = size * size
         edge = (np.cumsum(area) - area)[cls] + lo * size[cls] + hi
-        rate = np.empty(len(first))
+        rate = np.zeros(len(first))
         rate[cls] = kc
         bad = (lo == hi) | (kc != rate[cls])
         bad |= np.bincount(edge, minlength=int(area.sum()))[edge] > 1
-        clique = np.bincount(cls, minlength=len(first)) == size * (size - 1) // 2
+        clique = (size > 1) & (np.bincount(cls, minlength=len(first)) == size * (size - 1) // 2)
         clique[cls[bad]] = False
         split = ~cons
         split[cons] = ~clique[cls]
@@ -239,7 +233,7 @@ class VelocityNetwork:
         # members (i, j) and (k, l)
         sizes = np.concatenate([size[clique], np.full(len(rows), 2)])
         rates = np.concatenate([rate[clique], kappa[rows]])
-        i, j = np.divmod(pairs[np.repeat(clique, size)], n)
+        i, j = pairs[:, np.repeat(clique, size)]
         split_quad = self.quad[rows]
         i = np.concatenate([i, split_quad[:, [0, 2]].ravel()])
         j = np.concatenate([j, split_quad[:, [1, 3]].ravel()])
@@ -328,6 +322,16 @@ class VelocityNetwork:
             ],
         }
         return json.dumps(payload, indent=1, sort_keys=True)
+
+
+def _state(net: VelocityNetwork, f, name: str) -> np.ndarray:
+    """f as a float array, checked to be one finite, nonnegative state."""
+    f = np.asarray(f, dtype=float)
+    if f.shape != (net.n_nodes,):
+        raise DomainError(f"{name} requires a state of shape ({net.n_nodes},), got {f.shape}")
+    if not (f.min() >= 0 and f.max() < np.inf):  # a NaN fails the first test
+        raise DomainError(f"{name} requires finite f >= 0")
+    return f
 
 
 def _pair_keys(lattice: np.ndarray, M: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -441,13 +445,20 @@ def build_network(d: int, V: float, h: float, kernel: Kernel) -> VelocityNetwork
 
 
 def restrict_quadruples(net: VelocityNetwork, indices) -> VelocityNetwork:
-    """Copy of the network keeping only the selected quadruples.
+    """Copy of the network keeping the quadruples at the given row indices.
 
-    Useful for single-reaction tests; every per-quadruple array (omega,
-    B_q, kappa, S, rate_incidence, the pair and collision indices, the
-    invariant basis) is derived anew from the kept rows.
+    indices is an integer or one sequence of integers in [0, Q); a row
+    may be kept more than once.  A boolean mask, an index out of range
+    or a nested sequence raises DomainError.  Useful for
+    single-reaction tests; every array derived from the rows (omega,
+    B_q, kappa, S, the pair and collision indices, the invariant basis)
+    is derived anew from the kept rows.
     """
-    return replace(net, quad=net.quad[np.atleast_1d(np.asarray(indices, dtype=np.int64))])
+    rows = np.atleast_1d(np.asarray(indices))
+    Q = net.n_quadruples
+    if rows.ndim != 1 or rows.dtype.kind not in "iu" or np.any(rows < 0) or np.any(rows >= Q):
+        raise DomainError(f"quadruple indices must be integers in [0, {Q}), in one sequence")
+    return replace(net, quad=net.quad[rows])
 
 
 # -- moment-matched densities ----------------------------------------------
@@ -462,6 +473,8 @@ def _exponential_fit(
     feature covariance, positive definite on feasible interiors.  Stops
     when every moment residual is below 1e-12, within 200 iterations.
     """
+    if targets.shape != (net.d + 2,) or not np.all(np.isfinite(targets)):
+        raise DomainError(f"moment targets must be {net.d + 2} finite numbers, got {targets}")
     mass_t = targets[0]
     if mass_t <= 0:
         raise DomainError("target mass must be positive")
@@ -535,5 +548,6 @@ def tilt_to_moments(net: VelocityNetwork, f0: np.ndarray, targets: np.ndarray) -
     f0 = np.asarray(f0, dtype=float)
     if np.any(f0 <= 0):
         raise DomainError("tilt_to_moments requires strictly positive f0")
+    f0 = _state(net, f0, "tilt_to_moments")
     targets = np.asarray(targets, dtype=float)
     return _exponential_fit(net, np.log(f0), targets)

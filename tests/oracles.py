@@ -4,8 +4,9 @@ Each function spells out one formula directly: quadruple enumeration by
 brute force, by a dict join over pair keys or by a key join sorted
 afterwards with one lexsort, the pair products by four
 gathers per quadruple and the dissipation quadruple by quadruple, the
-collision operator quadruple by quadruple through the rate-weighted
-incidence, the incidence matrix from COO triplets and the incidence
+collision operator quadruple by quadruple through the COO incidence,
+the velocity pairs by np.unique and the clique cover through an n^2
+key table, the incidence matrix from COO triplets and the incidence
 operators as per-slot `np.add.at` scatters, the W_B and JKO path
 objective one interval at a time with a dense Hessian, the Newton step
 by a dense Cholesky factorization, the W1 distance by its
@@ -34,7 +35,7 @@ from boltzflow.errors import DomainError
 from boltzflow.forward import dissipation, entropy
 from boltzflow.kac import EventLog, ParticleState, _pair_from_index, _unit_vectors, stream
 from boltzflow.kinematics import SPHERE_SURFACE, Kernel, collide
-from boltzflow.network import SLOT_SIGN
+from boltzflow.network import SLOT_SIGN, CollisionIndex
 from boltzflow.scalars import GaussianMixture, log_mean, log_mean_and_partials
 
 
@@ -158,9 +159,86 @@ def quadruple_products(net, f: np.ndarray):
 
 
 def quadruple_collision_operator(net, f: np.ndarray) -> np.ndarray:
-    """Q(f) = rate_incidence @ (f_i f_j - f_k f_l) / w, one term per quadruple slot."""
+    """Q(f) = S @ (kappa (f_i f_j - f_k f_l)) / w, one term per quadruple slot.
+
+    S is the COO-built `incidence`; its CSR product adds each node's
+    terms in the order of `net.div_bar`.
+    """
     p, r = quadruple_products(net, f)
-    return net.rate_incidence @ (p - r) / net.node_weight
+    return incidence(net.quad, net.n_nodes) @ (net.kappa * (p - r)) / net.node_weight
+
+
+def unique_pair_index(net):
+    """(pairs, ids) of the distinct pairs, sorted by their codes i n + j with np.unique."""
+    n = net.n_nodes
+    keys = net.quad[:, [0, 2]].T * n + net.quad[:, [1, 3]].T
+    uniq, ids = np.unique(keys, return_inverse=True)
+    return np.stack(np.divmod(uniq, n)), ids.reshape(2, -1)
+
+
+def keyed_collision_index(net) -> CollisionIndex:
+    """The clique cover of `VelocityNetwork.collision_index`, from an n^2 key table.
+
+    Every pair (i, j) of nodes gets its conservation key; the rows that
+    are not conservative are dropped first, and the pairs of the others
+    are mapped to ids through an n^2 position map.
+    """
+    n = net.n_nodes
+    kappa = net.kappa
+    # the mixed-radix key of (|z_i|^2 + |z_j|^2, z_i + z_j), every digit in [0, 4M]
+    z = net.lattice
+    M = int(np.abs(z).max())
+    sq = np.sum(z**2, axis=1)
+    table = sq[:, None] + sq[None, :]
+    for c in np.moveaxis(z[:, None, :] + z[None, :, :] + 2 * M, -1, 0):
+        table = table * (4 * M + 1) + c
+    table = table.ravel()
+    a = net.quad[:, 0] * n + net.quad[:, 1]
+    b = net.quad[:, 2] * n + net.quad[:, 3]
+    cons = table[a] == table[b]
+    a, b, kc = a[cons], b[cons], kappa[cons]
+    used = np.zeros(n * n, dtype=bool)
+    used[a] = used[b] = True
+    pairs = np.flatnonzero(used)
+    pairs = pairs[np.argsort(table[pairs], kind="stable")]
+    pos = np.empty(n * n, dtype=np.intp)
+    pos[pairs] = np.arange(len(pairs))
+    a, b = pos[a], pos[b]
+    pkey = table[pairs]
+    first = np.flatnonzero(np.r_[True, pkey[1:] != pkey[:-1]])
+    size = np.diff(np.r_[first, len(pairs)])
+    cls = np.repeat(np.arange(len(first)), size)[a]
+    base = first[cls]
+    lo, hi = np.minimum(a, b) - base, np.maximum(a, b) - base
+    area = size * size
+    edge = (np.cumsum(area) - area)[cls] + lo * size[cls] + hi
+    rate = np.empty(len(first))
+    rate[cls] = kc
+    bad = (lo == hi) | (kc != rate[cls])
+    bad |= np.bincount(edge, minlength=int(area.sum()))[edge] > 1
+    clique = np.bincount(cls, minlength=len(first)) == size * (size - 1) // 2
+    clique[cls[bad]] = False
+    split = ~cons
+    split[cons] = ~clique[cls]
+    rows = np.flatnonzero(split)
+    sizes = np.concatenate([size[clique], np.full(len(rows), 2)])
+    rates = np.concatenate([rate[clique], kappa[rows]])
+    i, j = np.divmod(pairs[np.repeat(clique, size)], n)
+    split_quad = net.quad[rows]
+    i = np.concatenate([i, split_quad[:, [0, 2]].ravel()])
+    j = np.concatenate([j, split_quad[:, [1, 3]].ravel()])
+    m, c = len(i), len(sizes)
+    start = np.concatenate([[0], np.cumsum(sizes)])
+    owner = np.repeat(np.arange(c), sizes)
+    C = scipy.sparse.csr_matrix((np.ones(m), np.arange(m), start), shape=(c, m))
+    B = scipy.sparse.csr_matrix(
+        (np.ones(2 * m), (np.concatenate([i, j]), np.concatenate([owner, owner]))),
+        shape=(n, c),
+    )
+    B.sum_duplicates()
+    B.data *= rates[B.indices]
+    A = np.bincount(i * n + j, weights=(rates * sizes)[owner], minlength=n * n).reshape(n, n)
+    return CollisionIndex(members=np.stack([i, j]), rate=rates, C=C, B=B, K=A + A.T)
 
 
 def dissipation_density(s, t):

@@ -12,7 +12,9 @@ from boltzflow.forward import (
     entropy,
     solve_forward,
 )
-from boltzflow.network import VelocityNetwork, restrict_quadruples
+from boltzflow.jko import jko_step
+from boltzflow.metric import solve_distance, w1_distance
+from boltzflow.network import VelocityNetwork, maxent_project, restrict_quadruples, tilt_to_moments
 
 
 def test_collision_operator_conserves(net, tilted):
@@ -102,11 +104,18 @@ def _bad_states(net, feq):
     return out
 
 
+# every public entry point that takes a state, the bad state in each slot
 _STATE_FUNCTIONS = {
     "collision_operator": collision_operator,
     "entropy": entropy,
     "dissipation": dissipation,
     "solve_forward": lambda net, f: solve_forward(net, f, 0.1),
+    "solve_distance-f0": lambda net, f: solve_distance(net, f, maxent_project(net), K=2),
+    "solve_distance-f1": lambda net, f: solve_distance(net, maxent_project(net), f, K=2),
+    "jko_step": lambda net, f: jko_step(net, f, 0.1, K=1),
+    "w1_distance-f0": lambda net, f: w1_distance(net, f, maxent_project(net)),
+    "w1_distance-f1": lambda net, f: w1_distance(net, maxent_project(net), f),
+    "tilt_to_moments": lambda net, f: tilt_to_moments(net, f, [1.0, 0.0, 0.0, 2.0]),
 }
 
 

@@ -217,9 +217,9 @@ def test_kernel_sees_only_undecided_proposals(monkeypatch, kernel):
     rows = []
     call = Kernel.__call__
 
-    def spy(self, k, omega=None):
+    def spy(self, k):
         rows.append(len(k))
-        return call(self, k, omega)
+        return call(self, k)
 
     monkeypatch.setattr(Kernel, "__call__", spy)
     got = simulate(s0, kernel, T, 14)

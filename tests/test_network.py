@@ -347,6 +347,23 @@ def test_maxent_infeasible(net):
         maxent_project(net, mass=-1.0)
 
 
+@pytest.mark.parametrize("fit", [
+    lambda net: maxent_project(net, energy=np.nan),
+    lambda net: maxent_project(net, mass=np.nan),
+    lambda net: maxent_project(net, mass=np.inf),
+    lambda net: maxent_project(net, momentum=[np.nan, 0.0]),
+    lambda net: tilt_to_moments(net, maxent_project(net), [1.0, 0.0, -np.inf, 2.0]),
+    lambda net: maxent_project(net, momentum=[0.0]),
+    lambda net: tilt_to_moments(net, maxent_project(net), [1.0, 0.0, 0.0, 0.0, 2.0]),
+], ids=[
+    "energy-nan", "mass-nan", "mass-inf", "momentum-nan", "tilt-momentum-inf",
+    "momentum-short", "tilt-targets-long",
+])
+def test_moment_targets_must_be_finite_and_d_plus_2(net, fit):
+    with pytest.raises(DomainError, match="moment targets must be 4 finite numbers"):
+        fit(net)
+
+
 def test_tilt_identity(net, feq):
     f = tilt_to_moments(net, feq, net.moments(feq))
     assert np.max(np.abs(f - feq)) <= 1e-9
@@ -367,6 +384,25 @@ def test_restrict_quadruples(net):
     assert sub.n_quadruples == 2
     assert sub.n_nodes == net.n_nodes
     assert sub.invariants.shape[1] >= net.d + 2  # more conserved directions
+
+
+@pytest.mark.parametrize(
+    "rows", ["mask", "negative", "past-the-end", "far-past-the-end", "float", "nested"]
+)
+def test_restrict_quadruples_rejects_bad_rows(net, rows):
+    Q = net.n_quadruples
+    mask = np.zeros(Q, dtype=bool)
+    mask[:35] = True
+    indices = {
+        "mask": mask,
+        "negative": [-1],
+        "past-the-end": [0, Q],
+        "far-past-the-end": [10**6],
+        "float": [0.0, 5.0],
+        "nested": [[0, 5]],
+    }[rows]
+    with pytest.raises(DomainError, match="quadruple indices must be integers"):
+        restrict_quadruples(net, indices)
 
 
 def test_to_json_roundtrip(net):

@@ -1,14 +1,15 @@
 """The incidence matrix, the velocity-pair and collision indices, and the per-pair kernels.
 
-`S` and `rate_incidence` must equal their COO builds, the incidence
-operators must give the CSR products of that build, and
+`S` must equal its COO build, the incidence operators and
+`cre_residual` must give the CSR products of that build, and
 `pair_products` and `dissipation` must return the same bits as the
 quadruple-wise formulas in `oracles`: a product f_i f_j rounds the same
 whichever array it sits in, and the sums keep their order.
 `collision_operator` sums by conservation class instead, in another
 order: its cliques must cover every quadruple exactly once, and its
 values must lie within an a priori rounding bound of the quadruple-wise
-`Q(f)`.
+`Q(f)`.  The index itself must equal, bit for bit, the cover built
+through an n^2 key table.
 """
 
 from collections import Counter
@@ -17,11 +18,11 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-import scipy.sparse
 
 import boltzflow.forward
 import oracles
 from boltzflow.forward import collision_operator, dissipation, solve_forward
+from boltzflow.metric import cre_residual
 from boltzflow.kinematics import Kernel
 from boltzflow.network import (
     build_network,
@@ -88,13 +89,10 @@ def _rate(net):
 
 
 def test_incidence_matches_coo_build(network):
-    ref = oracles.incidence(network.quad, network.n_nodes)
-    rated = ref @ scipy.sparse.diags(_rate(network))
-    cases = (("S", network.S, ref.tocsc()), ("rate_incidence", network.rate_incidence, rated.tocsc()))
-    for name, got, want in cases:
-        assert got.format == "csc", name
-        for part in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(got, part), getattr(want, part)), (name, part)
+    want = oracles.incidence(network.quad, network.n_nodes).tocsc()
+    assert network.S.format == "csc"
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(network.S, part), getattr(want, part)), part
     # a repeated slot sums to -2 or +2
     quad = network.quad
     repeated = (quad[:, 0] == quad[:, 1]) | (quad[:, 2] == quad[:, 3])
@@ -110,10 +108,13 @@ def test_incidence_operators_match_csr_oracle(network):
     for cols in ((), (3,)):
         q = rng.standard_normal((Q,) + cols)
         phi = rng.standard_normal((n,) + cols)
-        rate = _rate(network).reshape((Q,) + (1,) * len(cols))
         assert np.array_equal(network.div_bar(q), S @ q)
         assert np.array_equal(network.grad_bar(phi), S.T @ phi)
-        assert np.array_equal(network.rate_incidence @ q, S @ (rate * q))
+    # cre_residual weights the fluxes q.T of three intervals by the rate
+    path = rng.random((4, n))
+    lhs = network.node_weight * (path[1:] - path[:-1]) / (1.0 / 3)
+    rhs = (S @ (_rate(network)[:, None] * q)).T
+    assert cre_residual(network, path, q.T) == np.max(np.abs(lhs - rhs))
 
 
 def test_pair_products_match_four_gathers(network):
@@ -171,7 +172,7 @@ def _rounding_bound(net, f):
     terms += terms.T
     r, k = terms.max(axis=1), np.count_nonzero(terms, axis=1)
     N = np.maximum(s + t + 1, r + k + 1) + 2
-    e = np.bincount(net.rate_incidence.indices, minlength=n)
+    e = np.bincount(net.S.indices, minlength=n)
     M = e + 3
     return (_gamma(N) + _gamma(M)) * ((gain + loss) / net.node_weight) / (1 - _gamma(N + 2))
 
@@ -186,9 +187,13 @@ def test_collision_operator_matches_four_gathers(network):
 def test_collision_operator_builds_no_plain_incidence():
     net = build_network(2, 3.0, 1.0, K1)
     assert "collision_index" not in vars(net)  # building the network does not build it
-    collision_operator(net, maxent_project(net))
+    feq = maxent_project(net)
+    collision_operator(net, feq)
     assert "collision_index" in vars(net)
-    assert "rate_incidence" not in vars(net) and "S" not in vars(net)
+    # the index builds its pair table anew and keeps none of it, so a
+    # forward run caches neither the pair table nor S
+    solve_forward(net, feq * np.exp(0.1 * np.sin(np.arange(net.n_nodes))), 0.1)
+    assert "pair_index" not in vars(net) and "S" not in vars(net)
 
 
 def test_dissipation_matches_quadruple_wise(network):
@@ -273,27 +278,35 @@ def test_collision_index_covers_every_quadruple(network):
         assert network.collision_index.members.shape[1] == network.pair_index[0].shape[1]
 
 
-@pytest.mark.parametrize(
-    "case",
-    ["repeated-rows", "one-class", "part-of-a-class", "edge-repeated", "self-loop", "split-classes"],
-)
-def test_collision_index_covers_restricted_and_split_networks(case):
+HAND_MADE = [
+    "repeated-rows", "one-class", "part-of-a-class", "edge-repeated", "self-loop", "split-classes",
+]
+
+
+def _hand_made(case):
+    """The restricted, hand-edited or split-class network of the given name."""
     if case == "split-classes":
         # at h = 0.6 the clamp kernel's rates of one class differ in the
         # last bit, so those classes are split into two-pair cliques
-        net = build_network(3, 1.8, 0.6, Kernel("clamp", lo=0.5, hi=2.0))
-    elif case == "repeated-rows":
-        net = restrict_quadruples(build_network(2, 3.0, 1.0, K1), [3, 3, 3])
-    else:
-        net = _one_class(build_network(2, 3.0, 1.0, K1))
-        quad = net.quad.copy()
-        if case == "part-of-a-class":  # five of its six rows: an edge missing
-            quad = quad[:5]
-        elif case == "edge-repeated":  # six rows, one edge twice and one missing
-            quad[5] = quad[4]
-        elif case == "self-loop":  # six rows, one joins a pair to itself
-            quad[5, 2:] = quad[5, :2]
-        net = replace(net, quad=quad)
+        return build_network(3, 1.8, 0.6, Kernel("clamp", lo=0.5, hi=2.0))
+    if case == "repeated-rows":
+        return restrict_quadruples(build_network(2, 3.0, 1.0, K1), [3, 3, 3])
+    if case == "repeated-slot":  # two rows that are not conservative
+        return _repeated_slots(build_network(2, 3.0, 1.0, K1))
+    net = _one_class(build_network(2, 3.0, 1.0, K1))
+    quad = net.quad.copy()
+    if case == "part-of-a-class":  # five of its six rows: an edge missing
+        quad = quad[:5]
+    elif case == "edge-repeated":  # six rows, one edge twice and one missing
+        quad[5] = quad[4]
+    elif case == "self-loop":  # six rows, one joins a pair to itself
+        quad[5, 2:] = quad[5, :2]
+    return replace(net, quad=quad)
+
+
+@pytest.mark.parametrize("case", HAND_MADE)
+def test_collision_index_covers_restricted_and_split_networks(case):
+    net = _hand_made(case)
     assert _cover_edges(net) == _quad_edges(net)
     idx = net.collision_index
     cliques = np.diff(idx.C.indptr)
@@ -303,6 +316,58 @@ def test_collision_index_covers_restricted_and_split_networks(case):
         assert cliques.tolist() == [4]
     else:  # every row its own two-pair clique
         assert cliques.tolist() == [2] * net.n_quadruples
+
+
+@pytest.mark.parametrize("case", HAND_MADE + ["repeated-slot"])
+def test_cover_cliques_have_two_members_and_give_B_and_K(case):
+    # B and K written down clique by clique from the cover, K's terms
+    # added in member order as the build adds them
+    idx = _hand_made(case).collision_index
+    n = idx.K.shape[0]
+    assert np.all(np.diff(idx.C.indptr) >= 2) and np.all(idx.rate > 0)
+    assert np.all(idx.C.data == 1.0) and np.array_equal(idx.C.indices, np.arange(idx.C.shape[1]))
+    B, A = np.zeros(idx.B.shape), np.zeros((n, n))
+    for c, (lo, hi) in enumerate(zip(idx.C.indptr[:-1], idx.C.indptr[1:])):
+        slots = Counter()
+        for i, j in idx.members[:, lo:hi].T.tolist():
+            slots.update([i, j])
+            A[i, j] += idx.rate[c] * (hi - lo)
+        for v, count in slots.items():
+            B[v, c] = idx.rate[c] * count
+    assert np.array_equal(idx.B.toarray(), B)
+    assert np.array_equal(idx.K, A + A.T)
+
+
+# the lattices on which the cover must equal the key-table build bit for bit
+LATTICES = {
+    "d2-3": (2, 3.0, 1.0, K1),
+    "d2-17": (2, 17.0, 1.0, K1),
+    "d3-2-clamp": (3, 2.0, 1.0, Kernel("clamp", lo=0.5, hi=2.0)),
+    "d3-3": (3, 3.0, 1.0, K1),
+    "d3-4": (3, 4.0, 1.0, K1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LATTICES) + HAND_MADE + ["repeated-slot"])
+def test_collision_index_matches_key_table_build(case):
+    net = build_network(*LATTICES[case]) if case in LATTICES else _hand_made(case)
+    got, want = net.collision_index, oracles.keyed_collision_index(net)
+    for name in ("members", "rate", "K"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    for name in ("C", "B"):
+        for part in ("indptr", "indices", "data"):
+            got_part, want_part = (getattr(getattr(x, name), part) for x in (got, want))
+            assert np.array_equal(got_part, want_part), (name, part)
+
+
+def test_pair_index_groups_the_unique_pairs_by_key(network):
+    # the pairs of np.unique, in code order, sorted stably by (energy, momentum)
+    pairs = network.pair_index[0]
+    ref = oracles.unique_pair_index(network)[0]
+    z = network.lattice
+    key = [(int(z[i] @ z[i] + z[j] @ z[j]), *(z[i] + z[j]).tolist()) for i, j in ref.T.tolist()]
+    order = sorted(range(len(key)), key=key.__getitem__)
+    assert np.array_equal(pairs, ref[:, order])
 
 
 def _distinct_pairs(quad):
