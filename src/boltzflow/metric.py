@@ -156,10 +156,11 @@ class _PathProblem:
         fbar = 0.5 * (fa + fb)
         # slot arrays are (k, 4, Q) and slot blocks (k, 4, 4, Q), so every
         # elementwise step runs along the quadruples
-        # u_a = d(f_i f_j or f_k f_l)/d(f_a): the partner slot's density
+        # u_a = d(f_i f_j or f_k f_l)/d(f_a): the partner slot's density;
+        # the products p = f_i f_j and r = f_k f_l come from the same gathers
         u = np.take(fbar, net.quad.T[[1, 0, 3, 2]], axis=-1)
         lam, lam_p, lam_r, lam_pp, lam_pr, lam_rr = log_mean_and_partials(
-            *net.pair_products(fbar)
+            u[:, 1] * u[:, 0], u[:, 3] * u[:, 2]
         )
         L = net.laplacian(kappa * lam)
         L += (np.trace(L, axis1=1, axis2=2) / n)[:, None, None] * self.P
@@ -366,10 +367,16 @@ def single_quadruple_oracle(
 
 
 def w1_distance(net: VelocityNetwork, f0: np.ndarray, f1: np.ndarray) -> float:
-    """Exact L1-Wasserstein distance between node densities via an LP."""
+    """Exact L1-Wasserstein distance between node densities of equal mass, via an LP.
+
+    The masses must agree within 1e-10 relative, else DomainError.
+    """
     w = net.node_weight
     mu = w * _state(net, f0, "w1_distance")
     nu = w * _state(net, f1, "w1_distance")
+    m0, m1 = mu.sum(), nu.sum()
+    if abs(m0 - m1) > 1e-10 * max(m0, m1):
+        raise DomainError(f"w1_distance requires equal masses, got {m0!r} and {m1!r}")
     n = net.n_nodes
     cost = np.linalg.norm(net.nodes[:, None, :] - net.nodes[None, :, :], axis=2)
     # row sums = mu, col sums = nu (drop one redundant constraint); the

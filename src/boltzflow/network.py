@@ -119,58 +119,6 @@ class VelocityNetwork:
         """The rate h^{2d} B_q of every quadruple."""
         return self.h ** (2 * self.d) * self.B_q
 
-    def _pair_table(self):
-        """The distinct velocity pairs of the quadruples, grouped by conservation key.
-
-        Returns (pairs, ids, keys): pairs is (2, m), the rows (i, j) of
-        every pair that is the (i, j) or (k, l) of some quadruple, in
-        order of their codes i n + j and then sorted stably by key; ids
-        is (2, Q), the pair ids of each quadruple's (i, j) and (k, l);
-        keys is (m,), each pair's `_pair_keys`, nondecreasing.  An n^2
-        bitmap marks the used codes, so only the m pairs are sorted.
-        """
-        n = self.n_nodes
-        codes = self.quad[:, [0, 2]].T * n + self.quad[:, [1, 3]].T
-        used = np.zeros(n * n, dtype=bool)
-        used[codes] = True
-        code = np.flatnonzero(used)
-        pairs = np.stack(np.divmod(code, n))
-        keys = _pair_keys(self.lattice, int(np.abs(self.lattice).max()), *pairs)
-        order = np.argsort(keys, kind="stable")
-        pos = np.empty(n * n, dtype=np.intp)  # from codes to pair ids
-        pos[code[order]] = np.arange(len(order))
-        return pairs[:, order], pos[codes], keys[order]
-
-    @cached_property
-    def pair_index(self):
-        """The distinct velocity pairs of the quadruples and each one's pair ids.
-
-        Returns (pairs, ids): pairs is (2, m), the rows (i, j) of every
-        pair that is the (i, j) or (k, l) of some quadruple, grouped by
-        conservation key; ids is (2, Q), the pair ids of each
-        quadruple's (i, j) and (k, l).
-        """
-        return self._pair_table()[:2]
-
-    def pair_values(self, f: np.ndarray) -> np.ndarray:
-        """The product f_i f_j of every pair in `pair_index`, one per pair.
-
-        f is (..., n); leading axes are kept.
-        """
-        (i, j), _ = self.pair_index
-        return np.take(f, i, axis=-1) * np.take(f, j, axis=-1)
-
-    def pair_products(self, f: np.ndarray):
-        """Forward and backward products (f_i f_j, f_k f_l) per quadruple.
-
-        Each distinct pair is multiplied once; a product rounds the same
-        whichever quadruple it is gathered into.  f is (..., n) and each
-        product (..., Q).
-        """
-        fwd, bwd = self.pair_index[1]
-        g = self.pair_values(f)
-        return np.take(g, fwd, axis=-1), np.take(g, bwd, axis=-1)
-
     @cached_property
     def S(self) -> scipy.sparse.csc_matrix:
         """Signed (n, Q) incidence: +1 on (k, l), -1 on (i, j) per quadruple.
@@ -197,13 +145,26 @@ class VelocityNetwork:
         other quadruple is its own two-pair clique: rows of a restricted
         copy that miss part of their class, repeated rows, rows that are
         not conservative, and classes whose rates differ by rounding.
-        The cover is exact for any quad.  The pairs come from
-        `_pair_table`, built anew rather than read from the cached
-        `pair_index`, so a forward run keeps no per-quadruple array
-        (notes/decisions.md, D18 and D20).
+        The cover is exact for any quad.  The distinct pairs (i, j) of
+        the quadruples are marked by their codes i n + j in an n^2
+        bitmap, and only those m pairs are keyed and sorted, stably, so
+        each key's pairs stay in code order; the index keeps none of it,
+        so a forward run holds no per-quadruple array (notes/decisions.md,
+        D18, D20 and D21).
         """
         n = self.n_nodes
-        pairs, (a, b), keys = self._pair_table()
+        codes = self.quad[:, [0, 2]].T * n + self.quad[:, [1, 3]].T
+        used = np.zeros(n * n, dtype=bool)
+        used[codes] = True
+        code = np.flatnonzero(used)
+        pairs = np.stack(np.divmod(code, n))
+        keys = _pair_keys(self.lattice, int(np.abs(self.lattice).max()), *pairs)
+        order = np.argsort(keys, kind="stable")
+        pairs, keys = pairs[:, order], keys[order]
+        pos = np.empty(n * n, dtype=np.intp)  # from codes to pair ids
+        pos[code[order]] = np.arange(len(order))
+        a, b = pos[codes]
+        del codes, used, code, order, pos  # so they do not raise the build's peak
         kappa = self.kappa
         cons = keys[a] == keys[b]
         kc = kappa
@@ -451,8 +412,8 @@ def restrict_quadruples(net: VelocityNetwork, indices) -> VelocityNetwork:
     may be kept more than once.  A boolean mask, an index out of range
     or a nested sequence raises DomainError.  Useful for
     single-reaction tests; every array derived from the rows (omega,
-    B_q, kappa, S, the pair and collision indices, the invariant basis)
-    is derived anew from the kept rows.
+    B_q, kappa, S, the collision index, the invariant basis) is derived
+    anew from the kept rows.
     """
     rows = np.atleast_1d(np.asarray(indices))
     Q = net.n_quadruples

@@ -168,14 +168,6 @@ def quadruple_collision_operator(net, f: np.ndarray) -> np.ndarray:
     return incidence(net.quad, net.n_nodes) @ (net.kappa * (p - r)) / net.node_weight
 
 
-def unique_pair_index(net):
-    """(pairs, ids) of the distinct pairs, sorted by their codes i n + j with np.unique."""
-    n = net.n_nodes
-    keys = net.quad[:, [0, 2]].T * n + net.quad[:, [1, 3]].T
-    uniq, ids = np.unique(keys, return_inverse=True)
-    return np.stack(np.divmod(uniq, n)), ids.reshape(2, -1)
-
-
 def keyed_collision_index(net) -> CollisionIndex:
     """The clique cover of `VelocityNetwork.collision_index`, from an n^2 key table.
 

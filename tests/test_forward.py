@@ -88,6 +88,20 @@ def test_forward_input_validation(net):
         solve_forward(net, np.zeros(net.n_nodes), 1.0)
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("T", np.inf), ("T", np.nan), ("T", -1.0),
+        ("tol", np.nan), ("tol", 0.0), ("tol", np.inf),
+        ("dt_init", -1.0), ("dt_init", np.nan), ("dt_init", np.inf),
+        ("max_step", np.nan), ("max_step", 0.0), ("max_step", -1.0),
+    ],
+)
+def test_forward_rejects_bad_times_and_tolerances(net, feq, name, value):
+    with pytest.raises(DomainError):
+        solve_forward(net, feq, **{"T": 0.5, name: value})
+
+
 def _bad_states(net, feq):
     """States outside the domain: not finite, negative, or not one per node."""
     out = {

@@ -28,7 +28,7 @@ def test_discrete_action_brute_force(net, tilted):
     rng = np.random.default_rng(1)
     f = tilted(1)
     J = 0.01 * rng.standard_normal(net.n_quadruples)
-    p, r = net.pair_products(f)
+    p, r = oracles.quadruple_products(net, f)
     rate = net.h ** (2 * net.d) * net.B_q
     ref = sum(
         4.0 * rate[q] * action_density(J[q], p[q], r[q])
@@ -359,6 +359,16 @@ def test_w1_distance():
     dist = np.linalg.norm(small.nodes[a] - small.nodes[b])
     assert np.isclose(w1_distance(small, f0, f1), small.node_weight * dist, rtol=1e-9)
     assert w1_distance(small, f0, f0) <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [0.5, 1.001, 1 + 1e-9, 1 - 1e-9])
+def test_w1_distance_rejects_unequal_masses(net, tilted, scale):
+    # the LP drops one column constraint, so a surplus mass would be absorbed
+    a, b = tilted(0), tilted(1)
+    with pytest.raises(DomainError, match="equal masses"):
+        w1_distance(net, a, scale * b)
+    # a difference at roundoff is no difference
+    assert w1_distance(net, a, (1 + 1e-13) * b) > 0
 
 
 def test_w1_distance_d3_small_masses():

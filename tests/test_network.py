@@ -228,7 +228,7 @@ def _maxwellians(draw):
 @given(_maxwellians())
 def test_maxwellian_is_in_detailed_balance(case):
     net, feq = case
-    p, r = net.pair_products(feq)
+    p, r = oracles.quadruple_products(net, feq)
     # log f is affine in (v, |v|^2) and rounds relative to its range, so
     # p and r may part by a few eps per unit of that range (on a grid of
     # energies over every scale and kernel here: at most 9.9 eps, 0.29 of

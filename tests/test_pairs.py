@@ -1,10 +1,9 @@
-"""The incidence matrix, the velocity-pair and collision indices, and the per-pair kernels.
+"""The incidence matrix, the collision index, and the per-quadruple kernels.
 
 `S` must equal its COO build, the incidence operators and
 `cre_residual` must give the CSR products of that build, and
-`pair_products` and `dissipation` must return the same bits as the
-quadruple-wise formulas in `oracles`: a product f_i f_j rounds the same
-whichever array it sits in, and the sums keep their order.
+`dissipation` must return the same bits as the quadruple-wise formula
+in `oracles`: the same products and logs, summed in the same order.
 `collision_operator` sums by conservation class instead, in another
 order: its cliques must cover every quadruple exactly once, and its
 values must lie within an a priori rounding bound of the quadruple-wise
@@ -13,7 +12,7 @@ through an n^2 key table.
 """
 
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import combinations
 
 import numpy as np
@@ -22,12 +21,13 @@ import pytest
 import boltzflow.forward
 import oracles
 from boltzflow.forward import collision_operator, dissipation, solve_forward
-from boltzflow.metric import cre_residual
+from boltzflow.metric import cre_residual, solve_distance
 from boltzflow.kinematics import Kernel
 from boltzflow.network import (
     build_network,
     maxent_project,
     restrict_quadruples,
+    tilt_to_moments,
 )
 
 K1 = Kernel("constant", b=1.0)
@@ -117,13 +117,6 @@ def test_incidence_operators_match_csr_oracle(network):
     assert cre_residual(network, path, q.T) == np.max(np.abs(lhs - rhs))
 
 
-def test_pair_products_match_four_gathers(network):
-    for f in _states(network):
-        p, r = network.pair_products(f)
-        p_ref, r_ref = oracles.quadruple_products(network, f)
-        assert np.array_equal(p, p_ref) and np.array_equal(r, r_ref)
-
-
 U = 2.0**-53  # unit roundoff of binary64
 
 
@@ -190,10 +183,25 @@ def test_collision_operator_builds_no_plain_incidence():
     feq = maxent_project(net)
     collision_operator(net, feq)
     assert "collision_index" in vars(net)
-    # the index builds its pair table anew and keeps none of it, so a
-    # forward run caches neither the pair table nor S
+    # the index keeps none of its pair table, so a forward run does not cache S
     solve_forward(net, feq * np.exp(0.1 * np.sin(np.arange(net.n_nodes))), 0.1)
-    assert "pair_index" not in vars(net) and "S" not in vars(net)
+    assert "S" not in vars(net)
+
+
+def test_network_caches_only_its_derived_operators():
+    # Q(f), D(f) and W_B keep no per-pair array: what a network caches
+    # past its defining fields is the velocities, the rates, the two
+    # structures of the quadruple graph and the invariant basis
+    net = build_network(2, 3.0, 1.0, K1)
+    feq = maxent_project(net)
+    rng = np.random.Generator(np.random.Philox(11))
+    pert = feq * np.exp(0.3 * rng.standard_normal(net.n_nodes))
+    f1 = tilt_to_moments(net, pert, net.moments(feq))
+    collision_operator(net, f1)
+    dissipation(net, f1)
+    solve_distance(net, feq, f1, K=2)
+    cached = set(vars(net)) - {field.name for field in fields(net)}
+    assert cached == {"nodes", "kappa", "collision_index", "S", "invariants"}
 
 
 def test_dissipation_matches_quadruple_wise(network):
@@ -262,6 +270,10 @@ def _quad_edges(net):
     return Counter((*sorted(ab), kappa) for ab, kappa in zip(pairs, net.kappa))
 
 
+def _distinct_pairs(quad):
+    return sorted(set(map(tuple, quad[:, :2].tolist())) | set(map(tuple, quad[:, 2:].tolist())))
+
+
 def _one_class(net):
     """A restricted copy that keeps every quadruple of one class of 4 pairs."""
     z = net.lattice
@@ -275,7 +287,7 @@ def _one_class(net):
 def test_collision_index_covers_every_quadruple(network):
     assert _cover_edges(network) == _quad_edges(network)
     if network.n_quadruples > 4:  # a whole lattice: every class is one clique
-        assert network.collision_index.members.shape[1] == network.pair_index[0].shape[1]
+        assert network.collision_index.members.shape[1] == len(_distinct_pairs(network.quad))
 
 
 HAND_MADE = [
@@ -311,7 +323,7 @@ def test_collision_index_covers_restricted_and_split_networks(case):
     idx = net.collision_index
     cliques = np.diff(idx.C.indptr)
     if case == "split-classes":
-        assert net.pair_index[0].shape[1] == 57111 and idx.members.shape[1] == 61719
+        assert len(_distinct_pairs(net.quad)) == 57111 and idx.members.shape[1] == 61719
     elif case == "one-class":
         assert cliques.tolist() == [4]
     else:  # every row its own two-pair clique
@@ -358,41 +370,6 @@ def test_collision_index_matches_key_table_build(case):
         for part in ("indptr", "indices", "data"):
             got_part, want_part = (getattr(getattr(x, name), part) for x in (got, want))
             assert np.array_equal(got_part, want_part), (name, part)
-
-
-def test_pair_index_groups_the_unique_pairs_by_key(network):
-    # the pairs of np.unique, in code order, sorted stably by (energy, momentum)
-    pairs = network.pair_index[0]
-    ref = oracles.unique_pair_index(network)[0]
-    z = network.lattice
-    key = [(int(z[i] @ z[i] + z[j] @ z[j]), *(z[i] + z[j]).tolist()) for i, j in ref.T.tolist()]
-    order = sorted(range(len(key)), key=key.__getitem__)
-    assert np.array_equal(pairs, ref[:, order])
-
-
-def _distinct_pairs(quad):
-    return sorted(set(map(tuple, quad[:, :2].tolist())) | set(map(tuple, quad[:, 2:].tolist())))
-
-
-def test_pair_index_lists_each_pair_once(network):
-    pairs, ids = network.pair_index
-    assert pairs.shape[1] == len(_distinct_pairs(network.quad))
-    assert sorted(map(tuple, pairs.T.tolist())) == _distinct_pairs(network.quad)
-    assert np.array_equal(pairs[:, ids[0]].T, network.quad[:, :2])
-    assert np.array_equal(pairs[:, ids[1]].T, network.quad[:, 2:])
-
-
-def test_pair_index_is_lazy_and_per_copy():
-    net = build_network(2, 3.0, 1.0, K1)
-    assert "pair_index" not in vars(net)  # building the network does not build it
-    full = net.pair_index
-    sub = restrict_quadruples(net, [0, 5, 17, 300])
-    assert "pair_index" not in vars(sub)
-    pairs, ids = sub.pair_index
-    assert pairs.shape[1] == len(_distinct_pairs(sub.quad)) < full[0].shape[1]
-    assert np.array_equal(pairs[:, ids[0]].T, sub.quad[:, :2])
-    assert np.array_equal(pairs[:, ids[1]].T, sub.quad[:, 2:])
-    assert net.pair_index is full
 
 
 def test_kappa_is_per_copy():
