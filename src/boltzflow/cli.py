@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
+from ._table import csv_table
 from .config import RunConfig, config_to_dict, parse_config, parse_config_dict
 from .errors import ConfigError, DomainError, NumericalError
 from .forward import energy_identity_report, solve_forward
@@ -49,11 +50,8 @@ class RunManifest:
     config_hash: str
     version: str
     wall_clock: float
-    tolerances: dict
+    config: dict  # config_to_dict(cfg), the dict config_hash is computed over
     files: dict  # name -> sha256
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=1, sort_keys=True)
 
 
 def _config_hash(cfg: RunConfig) -> str:
@@ -111,7 +109,7 @@ def _probe_times(times, T: float) -> list:
     return [t for t in times if t <= T + 1e-12] or [T]
 
 
-def _run_forward(cfg: RunConfig, write) -> dict:
+def _run_forward(cfg: RunConfig, write):
     net = _net(cfg)
     exp = cfg.experiment
     f0 = _tilted_state(net, exp["perturbation"], cfg.seed)
@@ -120,40 +118,39 @@ def _run_forward(cfg: RunConfig, write) -> dict:
                          tol=exp["tol"], max_step=max_step)
     write("trajectory.csv", traj.to_csv())
     report = energy_identity_report(traj)
-    write("report.json", json.dumps({
+    write("report.json", {
         "steps": len(traj.times) - 1,
         "H_initial": traj.H[0],
         "H_final": traj.H[-1],
         "dissipation_final": traj.D[-1],
         "energy_identity_global_residual": report["global_residual"],
         "energy_identity_max_interval_residual": report["max_interval_residual"],
-    }, indent=1, sort_keys=True))
-    return {"forward.tol": exp["tol"]}
+    })
 
 
-def _run_distance(cfg: RunConfig, write) -> dict:
+def _run_distance(cfg: RunConfig, write):
     net = _net(cfg)
     exp = cfg.experiment
     feq = maxent_project(net)
     f1 = _tilted_state(net, exp["perturbation"], cfg.seed)
     sol = solve_distance(net, feq, f1, K=exp["K"],
                          opts=SolverOptions(tol=exp["tol"]))
-    write("solution.json", json.dumps({
+    write("solution.json", {
         "value": sol.value,
         "squared": sol.squared,
         "kkt_residual": sol.kkt_residual,
         "iterations": sol.iterations,
         "floor_sensitivity": sol.floor_sensitivity,
         "slice_actions": sol.slice_actions.tolist(),
-    }, indent=1, sort_keys=True))
-    lines = ["slice," + ",".join(f"node{v}" for v in range(net.n_nodes))]
-    for m, row in enumerate(sol.path):
-        lines.append(f"{m}," + ",".join(f"{x:.17g}" for x in row))
-    write("path.csv", "\n".join(lines) + "\n")
-    return {"distance.tol": exp["tol"]}
+    })
+    write("path.csv", csv_table(
+        ["slice", *(f"node{v}" for v in range(net.n_nodes))],
+        ["%d"] + ["%.17g"] * net.n_nodes,
+        [np.arange(len(sol.path)), *sol.path.T],
+    ))
 
 
-def _run_jko(cfg: RunConfig, write) -> dict:
+def _run_jko(cfg: RunConfig, write):
     net = _net(cfg)
     exp = cfg.experiment
     # unit-variance bumps: keeps lattice tails well above the solver floor
@@ -163,9 +160,7 @@ def _run_jko(cfg: RunConfig, write) -> dict:
     write("jko.csv", traj.to_csv())
     fwd = solve_forward(net, f0, exp["T"])
     probes = _probe_times(exp["probe_times"], exp["T"])
-    comp = compare_to_forward(traj, fwd, probes)
-    write("comparison.json", json.dumps(comp, indent=1, sort_keys=True))
-    return {"jko.tol": exp["tol"]}
+    write("comparison.json", compare_to_forward(traj, fwd, probes))
 
 
 def _bimodal_walk(d, speed, N, T, kernel, seed, jump, record_times=None):
@@ -202,7 +197,7 @@ def _parallel_map(fn, jobs, threads):
         return list(pool.map(fn, jobs))
 
 
-def _run_kac(cfg: RunConfig, write) -> dict:
+def _run_kac(cfg: RunConfig, write):
     exp = cfg.experiment
     kernel = cfg.kernel.build()
     jobs = [
@@ -213,13 +208,12 @@ def _run_kac(cfg: RunConfig, write) -> dict:
     results = _parallel_map(_kac_replicate, jobs, cfg.threads)
     for rep, res in enumerate(results):
         write(f"events_{rep:03d}.csv", res.pop("log_csv"))
-    write("summary.json", json.dumps({
+    write("summary.json", {
         "replicates": exp["replicates"],
         "derived_streams": [f"philox({cfg.seed}).jumped({r})"
                             for r in range(exp["replicates"])],
         "results": results,
-    }, indent=1, sort_keys=True))
-    return {"kac.ou_time": exp["ou_time"]}
+    })
 
 
 def _consistency_replicate(args):
@@ -227,7 +221,7 @@ def _consistency_replicate(args):
     return snaps
 
 
-def _run_consistency(cfg: RunConfig, write) -> dict:
+def _run_consistency(cfg: RunConfig, write):
     exp = cfg.experiment
     kernel = cfg.kernel.build()
     d = cfg.network.d
@@ -242,29 +236,25 @@ def _run_consistency(cfg: RunConfig, write) -> dict:
                 for r in range(R)]
         runs[N] = _parallel_map(_consistency_replicate, jobs, cfg.threads)
     report = consistency_report(runs, fwd, probes)
-    lines = ["time,N,kac_mean,kac_ci,fwd_value"]
-    for row in report["rows"]:
-        for a, t in enumerate(report["probe_times"]):
-            lines.append(
-                f"{t:.17g},{row['N']},{row['kac_mean'][a]:.17g},"
-                f"{1.96 * row['per_time_se'][a]:.17g},{row['fwd'][a]:.17g}"
-            )
-    write("report.csv", "\n".join(lines) + "\n")
-    write("report.json", json.dumps({
+    rows = report["rows"]
+    cells = [(t, r["N"], r["kac_mean"][a], 1.96 * r["per_time_se"][a], r["fwd"][a])
+             for r in rows for a, t in enumerate(report["probe_times"])]
+    write("report.csv", csv_table(
+        ["time", "N", "kac_mean", "kac_ci", "fwd_value"], ["%.17g", "%d", "%.17g", "%.17g", "%.17g"],
+        zip(*cells),
+    ))
+    write("report.json", {
         "monotone": report["monotone"],
         "separated": report["separated"],
         "discrepancies": [
             {"N": r["N"], "discrepancy": r["discrepancy"], "ci": r["ci"]}
-            for r in report["rows"]
+            for r in rows
         ],
-    }, indent=1, sort_keys=True))
-    return {"consistency.replicates": exp["replicates"]}
+    })
 
 
-def _run_network_build(cfg: RunConfig, write) -> dict:
-    net = _net(cfg)
-    write("network.json", net.to_json())
-    return {}
+def _run_network_build(cfg: RunConfig, write):
+    write("network.json", _net(cfg).to_dict())
 
 
 _RUNNERS = {
@@ -275,6 +265,15 @@ _RUNNERS = {
     "kac": _run_kac,
     "consistency": _run_consistency,
 }
+
+
+def _write(out: str, name: str, payload) -> str:
+    """Write one run file, a CSV text as it is and anything else as JSON; its sha256."""
+    text = payload if isinstance(payload, str) else json.dumps(payload, indent=1, sort_keys=True)
+    data = text.encode("utf-8")
+    with open(os.path.join(out, name), "wb") as fh:
+        fh.write(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def run(cfg: RunConfig, experiment_kind: str = None) -> RunManifest:
@@ -291,25 +290,19 @@ def run(cfg: RunConfig, experiment_kind: str = None) -> RunManifest:
         raise ConfigError(f"cannot create output directory {cfg.out}: {exc}") from exc
     files = {}
 
-    def write(name: str, text: str):
-        data = text.encode("utf-8")
-        with open(os.path.join(cfg.out, name), "wb") as fh:
-            fh.write(data)
-        files[name] = hashlib.sha256(data).hexdigest()
+    def write(name: str, payload):
+        files[name] = _write(cfg.out, name, payload)
 
     start = time.monotonic()
-    tolerances = _RUNNERS[kind](cfg, write)
-    wall = time.monotonic() - start
-
+    _RUNNERS[kind](cfg, write)
     manifest = RunManifest(
         config_hash=_config_hash(cfg),
         version=__version__,
-        wall_clock=wall,
-        tolerances=tolerances,
+        wall_clock=time.monotonic() - start,
+        config=config_to_dict(cfg),
         files=files,
     )
-    with open(os.path.join(cfg.out, "manifest.json"), "w", encoding="utf-8") as fh:
-        fh.write(manifest.to_json())
+    _write(cfg.out, "manifest.json", asdict(manifest))
     return manifest
 
 

@@ -11,14 +11,14 @@ step attempt evaluates Q six times.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from ._table import csv_table
 from .errors import DomainError, NumericalError
-from .network import VelocityNetwork, _state
+from .network import VelocityNetwork, _positive_state, _state
 
 
 def collision_operator(net: VelocityNetwork, f: np.ndarray) -> np.ndarray:
@@ -110,15 +110,9 @@ class ForwardTrajectory:
         return (1 - lam) * self.states[idx - 1] + lam * self.states[idx]
 
     def to_csv(self) -> str:
-        cols = ["time", "H", "D", "mass"]
-        cols += [f"p{ax}" for ax in "xyz"[: self.net.d]]
-        cols += ["energy"]
-        buf = io.StringIO()
-        buf.write(",".join(cols) + "\n")
-        for m in range(len(self.times)):
-            row = [self.times[m], self.H[m], self.D[m], *self.moments[m]]
-            buf.write(",".join(f"{x:.17g}" for x in row) + "\n")
-        return buf.getvalue()
+        header = ["time", "H", "D", "mass", *(f"p{ax}" for ax in "xyz"[: self.net.d]), "energy"]
+        return csv_table(header, ["%.17g"] * len(header),
+                         [self.times, self.H, self.D, *self.moments.T])
 
 
 def solve_forward(
@@ -142,9 +136,7 @@ def solve_forward(
         raise DomainError(f"tol and dt_init must be finite and positive, got {tol!r}, {dt_init!r}")
     if not max_step > 0:
         raise DomainError(f"max_step must be positive, got {max_step!r}")
-    f = _state(net, f0, "solve_forward")
-    if f.min() <= 0:
-        raise DomainError("solve_forward requires strictly positive f0")
+    f = _positive_state(net, f0, "solve_forward", "f0")
     t = 0.0
     dt = min(dt_init, max_step, T) if T > 0 else dt_init
     times, states, Hs = [0.0], [f.copy()], [entropy(net, f)]

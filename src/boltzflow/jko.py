@@ -9,15 +9,15 @@ free slices in moment-preserving coordinates.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._table import csv_table
 from .errors import DomainError, NumericalError
 from .forward import ForwardTrajectory, entropy
 from .metric import SolverOptions, _PathProblem, w1_distance
-from .network import VelocityNetwork, _state
+from .network import VelocityNetwork, _positive_state
 
 
 @dataclass
@@ -46,23 +46,19 @@ class JkoTrajectory:
 
     def interpolant(self, t: float) -> np.ndarray:
         """Piecewise-constant interpolant: f^tau_n on ((n-1) tau, n tau]."""
-        if t < -1e-12:
-            raise DomainError("time must be nonnegative")
+        if not -1e-12 <= t < np.inf:  # also false for NaN
+            raise DomainError(f"time must be finite and nonnegative, got {t!r}")
         idx = int(np.ceil(max(t, 0.0) / self.tau - 1e-12))
         idx = min(idx, len(self.states) - 1)
         return self.states[idx]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("n,t,H,step_distance,residual\n")
-        for m in range(len(self.states)):
-            dist = np.sqrt(self.squared_moves[m - 1]) if m > 0 else 0.0
-            resid = self.residuals[m - 1] if m > 0 else 0.0
-            buf.write(
-                f"{m},{m * self.tau:.17g},{self.entropies[m]:.17g},"
-                f"{dist:.17g},{resid:.17g}\n"
-            )
-        return buf.getvalue()
+        n = np.arange(len(self.states))
+        return csv_table(
+            ["n", "t", "H", "step_distance", "residual"], ["%d"] + ["%.17g"] * 4,
+            [n, n * self.tau, self.entropies, np.sqrt(np.append(0.0, self.squared_moves)),
+             np.append(0.0, self.residuals)],
+        )
 
 
 def jko_step(
@@ -80,9 +76,7 @@ def jko_step(
     (NumericalError otherwise).
     """
     opts = opts or SolverOptions()
-    f_prev = _state(net, f_prev, "jko_step")
-    if f_prev.min() <= 0:
-        raise DomainError("jko_step requires strictly positive f_prev")
+    f_prev = _positive_state(net, f_prev, "jko_step", "f_prev")
     if not 0 < tau < np.inf:  # also false for NaN
         raise DomainError(f"tau must be finite and positive, got {tau!r}")
 
@@ -121,7 +115,7 @@ def jko_trajectory(
         raise DomainError(f"tau must be finite and positive, got {tau!r}")
     if not 0 <= T < np.inf:
         raise DomainError(f"T must be finite and nonnegative, got {T!r}")
-    f0 = np.asarray(f0, dtype=float)
+    f0 = _positive_state(net, f0, "jko_trajectory", "f0")
     n_steps = int(np.ceil(T / tau - 1e-12))
     states = [f0.copy()]
     Hs = [entropy(net, f0)]

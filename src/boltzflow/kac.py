@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._table import csv_table
 from .errors import DomainError
 from .kinematics import SPHERE_SURFACE, Kernel, _check_unit, _collide
 from .scalars import GaussianMixture
@@ -78,13 +79,11 @@ class EventLog:
 
     def to_csv(self) -> str:
         d = self.omegas.shape[1]
-        cols = ["t", "i", "j"] + [f"omega{ax}" for ax in "xyz"[:d]] + ["accepted"]
-        # one printf-style template per row: the bytes of str.format's
-        # "{:.17g}" and "{:d}", at less cost per call
-        row = ",".join(["%.17g", "%d", "%d"] + ["%.17g"] * d + ["%d"]) + "\n"
-        columns = [self.times, *self.pairs.T, *self.omegas.T, self.accepted]
-        body = "".join(row % r for r in zip(*(c.tolist() for c in columns)))
-        return ",".join(cols) + "\n" + body
+        return csv_table(
+            ["t", "i", "j", *(f"omega{ax}" for ax in "xyz"[:d]), "accepted"],
+            ["%.17g", "%d", "%d"] + ["%.17g"] * d + ["%d"],
+            [self.times, *self.pairs.T, *self.omegas.T, self.accepted],
+        )
 
 
 def stream(seed: int) -> np.random.Generator:

@@ -24,7 +24,7 @@ import scipy.optimize
 import scipy.sparse
 
 from .errors import DomainError, NumericalError
-from .network import SLOT_SIGN, VelocityNetwork, _state
+from .network import SLOT_SIGN, VelocityNetwork, _positive_state, _state
 from .scalars import log_mean, log_mean_and_partials
 
 
@@ -37,6 +37,10 @@ BATCH_ROWS = 1 << 15
 @dataclass
 class SolverOptions:
     tol: float = 1e-8  # projected-gradient (KKT) target
+
+    def __post_init__(self):
+        if not 0 < self.tol < np.inf:  # also false for NaN
+            raise DomainError(f"tol must be finite and positive, got {self.tol!r}")
 
 
 @dataclass
@@ -310,9 +314,8 @@ def solve_distance(
 ) -> MetricSolution:
     """Collision distance between strictly positive moment-matched states."""
     opts = opts or SolverOptions()
-    f0, f1 = (_state(net, f, "solve_distance") for f in (f0, f1))
-    if f0.min() <= 0 or f1.min() <= 0:
-        raise DomainError("endpoints must be strictly positive")
+    f0 = _positive_state(net, f0, "solve_distance", "f0")
+    f1 = _positive_state(net, f1, "solve_distance", "f1")
     _check_moment_match(net, f0, f1)
 
     prob = _PathProblem(net, K, f0, f1)

@@ -9,7 +9,6 @@ weight w = h^d.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -259,9 +258,10 @@ class VelocityNetwork:
 
     # -- export --------------------------------------------------------------
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
+        """The lattice, kernel and quadruples as JSON-ready Python values."""
         W = float(self.h ** (2 * self.d))
-        payload = {
+        return {
             "d": self.d,
             "V": self.V,
             "h": self.h,
@@ -282,7 +282,6 @@ class VelocityNetwork:
                 for q, om, b in zip(self.quad, self.omega, self.B_q)
             ],
         }
-        return json.dumps(payload, indent=1, sort_keys=True)
 
 
 def _state(net: VelocityNetwork, f, name: str) -> np.ndarray:
@@ -293,6 +292,14 @@ def _state(net: VelocityNetwork, f, name: str) -> np.ndarray:
     if not (f.min() >= 0 and f.max() < np.inf):  # a NaN fails the first test
         raise DomainError(f"{name} requires finite f >= 0")
     return f
+
+
+def _positive_state(net: VelocityNetwork, f, name: str, arg: str) -> np.ndarray:
+    """f as a float array, checked to be one finite, strictly positive state."""
+    f = np.asarray(f, dtype=float)
+    if np.any(f <= 0):
+        raise DomainError(f"{name} requires strictly positive {arg}")
+    return _state(net, f, name)
 
 
 def _pair_keys(lattice: np.ndarray, M: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -506,9 +513,6 @@ def maxent_project(
 
 def tilt_to_moments(net: VelocityNetwork, f0: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Minimal exponential tilt of f0 matching (mass, momentum, energy)."""
-    f0 = np.asarray(f0, dtype=float)
-    if np.any(f0 <= 0):
-        raise DomainError("tilt_to_moments requires strictly positive f0")
-    f0 = _state(net, f0, "tilt_to_moments")
+    f0 = _positive_state(net, f0, "tilt_to_moments", "f0")
     targets = np.asarray(targets, dtype=float)
     return _exponential_fit(net, np.log(f0), targets)

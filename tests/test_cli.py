@@ -11,6 +11,7 @@ import pytest
 
 import boltzflow.cli
 import boltzflow.metric
+from boltzflow._table import csv_table
 from boltzflow.cli import (
     EXIT_CONFIG,
     EXIT_DOMAIN,
@@ -97,9 +98,25 @@ def test_run_forward_writes_manifest(tmp_path, command, etype, fields, files):
     assert on_disk["config_hash"] == manifest.config_hash
     assert on_disk["files"] == manifest.files
     assert on_disk["version"]
+    # the manifest keeps the config its hash is computed over
+    assert set(on_disk) == {"config", "config_hash", "files", "version", "wall_clock"}
+    canon = json.dumps(on_disk["config"], sort_keys=True)
+    assert hashlib.sha256(canon.encode()).hexdigest() == on_disk["config_hash"]
+    assert parse_config_dict(on_disk["config"]) == cfg
     if command == "forward":
         report = json.load(open(os.path.join(out, "report.json")))
         assert report["H_final"] <= report["H_initial"]
+
+
+def test_csv_table_writes_per_cell_format_bytes():
+    # one row template over .tolist() scalars writes the bytes that
+    # per-cell f-strings write, on signed zeros, subnormals, non-finite
+    # values and integers past 2^53
+    x = np.array([0.0, -0.0, 5e-324, 1.0 / 3.0, -1e300, np.inf, -np.inf, np.nan])
+    k = np.array([0, -7, 1, 2**62 + 1, 3, 4, 5, 6])
+    b = np.arange(8) % 3 == 0
+    expected = "x,k,b\n" + "".join(f"{u:.17g},{int(v)},{int(w)}\n" for u, v, w in zip(x, k, b))
+    assert csv_table(["x", "k", "b"], ["%.17g", "%d", "%d"], [x, k, b]) == expected
 
 
 def test_run_is_reproducible(tmp_path):
@@ -357,18 +374,20 @@ def test_threads_do_not_change_results(tmp_path):
 
 
 def test_blas_threads_do_not_change_files(tmp_path):
-    # default forward, distance and jko runs write the same files on one
-    # and on two OpenBLAS threads (Q(f) takes a dense K @ f).  On a one-CPU
-    # machine OpenBLAS runs one thread either way, and this test passes
-    # without showing anything
+    # every default run writes the same files on one and on two OpenBLAS
+    # threads (Q(f) takes a dense K @ f).  On a one-CPU machine OpenBLAS
+    # runs one thread either way, and this test passes without showing
+    # anything
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     files = {"1": {}, "2": {}}
     for threads, written in files.items():
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
                "PYTHONPATH": src}
-        for command in ("forward", "distance", "jko"):
-            out = tmp_path / threads / command
-            subprocess.run([sys.executable, "-m", "boltzflow", command, "--out", str(out)],
+        for command in (["network", "build"], ["forward"], ["distance"], ["jko"], ["kac"],
+                        ["consistency"]):
+            out = tmp_path / threads / command[0]
+            subprocess.run([sys.executable, "-m", "boltzflow", *command, "--out", str(out)],
                            env=env, check=True, capture_output=True)
-            written[command] = json.loads((out / "manifest.json").read_text())["files"]
+            written[command[0]] = json.loads((out / "manifest.json").read_text())["files"]
+    assert len(files["1"]) == 6
     assert files["1"] == files["2"]

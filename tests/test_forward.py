@@ -6,13 +6,14 @@ import oracles
 from oracles import boltzmann_flux
 from boltzflow.errors import DomainError
 from boltzflow.forward import (
+    ForwardTrajectory,
     collision_operator,
     dissipation,
     energy_identity_report,
     entropy,
     solve_forward,
 )
-from boltzflow.jko import jko_step
+from boltzflow.jko import jko_step, jko_trajectory
 from boltzflow.metric import solve_distance, w1_distance
 from boltzflow.network import VelocityNetwork, maxent_project, restrict_quadruples, tilt_to_moments
 
@@ -127,6 +128,7 @@ _STATE_FUNCTIONS = {
     "solve_distance-f0": lambda net, f: solve_distance(net, f, maxent_project(net), K=2),
     "solve_distance-f1": lambda net, f: solve_distance(net, maxent_project(net), f, K=2),
     "jko_step": lambda net, f: jko_step(net, f, 0.1, K=1),
+    "jko_trajectory": lambda net, f: jko_trajectory(net, f, 0.1, 0.0),
     "w1_distance-f0": lambda net, f: w1_distance(net, f, maxent_project(net)),
     "w1_distance-f1": lambda net, f: w1_distance(net, maxent_project(net), f),
     "tilt_to_moments": lambda net, f: tilt_to_moments(net, f, [1.0, 0.0, 0.0, 2.0]),
@@ -141,6 +143,29 @@ _STATE_FUNCTIONS = {
 def test_state_must_be_finite_nonnegative_and_one_per_node(net, feq, function, case):
     with pytest.raises(DomainError):
         _STATE_FUNCTIONS[function](net, _bad_states(net, feq)[case])
+
+
+# the entry points that need a strictly positive state: the call, and the
+# name its error gives the state
+_POSITIVE_FUNCTIONS = {
+    "solve_forward": (_STATE_FUNCTIONS["solve_forward"], "f0"),
+    "solve_distance-f0": (_STATE_FUNCTIONS["solve_distance-f0"], "f0"),
+    "solve_distance-f1": (_STATE_FUNCTIONS["solve_distance-f1"], "f1"),
+    "jko_step": (_STATE_FUNCTIONS["jko_step"], "f_prev"),
+    "jko_trajectory": (_STATE_FUNCTIONS["jko_trajectory"], "f0"),
+    "tilt_to_moments": (_STATE_FUNCTIONS["tilt_to_moments"], "f0"),
+}
+
+
+@pytest.mark.parametrize("function", sorted(_POSITIVE_FUNCTIONS))
+def test_state_must_be_strictly_positive(net, feq, function):
+    # one zero entry; jko_trajectory checks f0 even when T = 0 takes no step
+    call, arg = _POSITIVE_FUNCTIONS[function]
+    f = feq.copy()
+    f[3] = 0.0
+    name = function.split("-")[0]
+    with pytest.raises(DomainError, match=f"^{name} requires strictly positive {arg}$"):
+        call(net, f)
 
 
 def test_state_at_interpolates(net, tilted):
@@ -172,6 +197,27 @@ def test_energy_identity_small_run(net, tilted):
     rep = energy_identity_report(traj)
     assert rep["global_residual"] <= 1e-6
     assert rep["max_interval_residual"] <= 1e-6
+
+
+def test_energy_identity_odd_interval_count(net, tilted):
+    # an odd number of steps: Simpson over the step pairs, then the
+    # trapezoid rule on the last step
+    full = solve_forward(net, tilted(7), 1.0, max_step=0.05)
+    m = len(full.times) - (len(full.times) % 2 == 1)  # an even sample count
+    traj = ForwardTrajectory(net, full.times[:m], full.states[:m], full.H[:m])
+    t, D = traj.times, traj.D
+    total = 0.0
+    for a in range(0, m - 2, 2):  # Simpson's rule on a non-uniform triple
+        h0, h1 = t[a + 1] - t[a], t[a + 2] - t[a + 1]
+        total += (h0 + h1) / 6.0 * ((2.0 - h1 / h0) * D[a]
+                                    + (h0 + h1) ** 2 / (h0 * h1) * D[a + 1]
+                                    + (2.0 - h0 / h1) * D[a + 2])
+    total += 0.5 * (D[-2] + D[-1]) * (t[-1] - t[-2])
+    expected = abs(traj.H[-1] - traj.H[0] + total)
+    rep = energy_identity_report(traj)
+    assert (m - 1) % 2 == 1
+    assert abs(rep["global_residual"] - expected) <= 1e-15
+    assert rep["global_residual"] <= 1e-6
 
 
 @pytest.mark.parametrize("dt_init", [1e-2, 2.0], ids=["no-rejection", "rejections"])

@@ -90,11 +90,29 @@ def test_interpolant_piecewise_constant(net, tilted):
         traj.interpolant(-0.5)
 
 
+def test_interpolant_rejects_non_finite_time(net, tilted):
+    traj = jko_trajectory(net, tilted(5), 0.1, 0.2, K=4)
+    for t in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError, match="time must be finite and nonnegative"):
+            traj.interpolant(t)
+
+
 def test_csv_shape(net, tilted):
     traj = jko_trajectory(net, tilted(5), 0.1, 0.2, K=4)
     lines = traj.to_csv().strip().split("\n")
     assert lines[0] == "n,t,H,step_distance,residual"
     assert len(lines) == len(traj.states) + 1
+
+
+def test_csv_matches_per_step_rows(net, tilted):
+    # the columns are formed whole; each row as it was written one step at a time
+    traj = jko_trajectory(net, tilted(5), 0.07, 0.2, K=4)
+    rows = ["n,t,H,step_distance,residual"]
+    for m in range(len(traj.states)):
+        dist = np.sqrt(traj.squared_moves[m - 1]) if m > 0 else 0.0
+        resid = traj.residuals[m - 1] if m > 0 else 0.0
+        rows.append(f"{m},{m * traj.tau:.17g},{traj.entropies[m]:.17g},{dist:.17g},{resid:.17g}")
+    assert traj.to_csv() == "\n".join(rows) + "\n"
 
 
 def test_compare_to_forward(net, tilted):

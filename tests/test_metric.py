@@ -5,6 +5,7 @@ import pytest
 import boltzflow.jko
 import oracles
 from oracles import action_density, boltzmann_flux, discrete_action, gradient_form_residual
+from boltzflow.cli import _tilted_state
 from boltzflow.errors import DomainError
 from boltzflow.forward import dissipation, solve_forward
 from boltzflow.metric import (
@@ -196,6 +197,31 @@ def test_no_path_evaluation_after_newton(net, feq, tilted, monkeypatch, solver):
     else:
         boltzflow.jko.jko_step(net, tilted(1), 0.1, K=4)
     assert calls["done"] and calls["after"] == 0
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+def test_solver_tolerance_rule(tol):
+    # NaN would run every Newton iteration and return unchecked, +inf the
+    # unsolved straight path, and 0 or less would end as a numerical stall
+    with pytest.raises(DomainError, match="tol must be finite and positive"):
+        SolverOptions(tol=tol)
+
+
+def test_line_search_backs_off_from_the_cone_boundary(net, monkeypatch):
+    # amplitude-1 tilts: a full Newton step takes the path below FLOOR, the
+    # candidate is +inf, and the halved step goes on to converge
+    real_call = _PathProblem.__call__
+    seen = []
+
+    def call(self, y):
+        point = real_call(self, y)
+        seen.append((point[0], np.min(self.path(y))))
+        return point
+
+    monkeypatch.setattr(_PathProblem, "__call__", call)
+    sol = solve_distance(net, _tilted_state(net, 1.0, 1), _tilted_state(net, 1.0, 2), K=8)
+    assert any(val == np.inf and low < FLOOR for val, low in seen)
+    assert sol.kkt_residual <= SolverOptions().tol
 
 
 @pytest.mark.parametrize("K", [1, 0, -3, 2.5, 4.0, True, "4"])

@@ -406,7 +406,7 @@ def test_restrict_quadruples_rejects_bad_rows(net, rows):
 
 
 def test_to_json_roundtrip(net):
-    payload = json.loads(net.to_json())
+    payload = json.loads(json.dumps(net.to_dict()))
     assert payload["d"] == net.d
     assert len(payload["quadruples"]) == net.n_quadruples
     assert payload["quadruples"][0]["W"] == net.h ** (2 * net.d)
