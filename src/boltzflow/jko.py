@@ -1,10 +1,12 @@
 """Minimizing-movement (implicit Euler) scheme for the entropy.
 
 One step from f_prev minimizes H(g) + W_B(g, f_prev)^2 / (2 tau).  The
-step is posed as a single convex program over the whole discrete path
-with the left endpoint pinned and the right endpoint free; the flux is
+step is posed as a single program over the whole discrete path with the
+left endpoint pinned and the right endpoint free; the flux is
 eliminated exactly as in the metric solver, so the unknowns are the K
-free slices in moment-preserving coordinates.
+free slices in moment-preserving coordinates.  The program is not
+proved convex; its reduced Hessian was positive definite at every point
+sampled.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ class JkoStep:
     objective: float  # H + squared_distance / (2 tau)
     kkt_residual: float
     iterations: int
+    hessian_builds: int  # one per Newton step
 
 
 @dataclass
@@ -99,6 +102,7 @@ def jko_step(
         objective=obj,
         kkt_residual=kkt,
         iterations=iters,
+        hessian_builds=prob.hessian_builds,
     )
 
 

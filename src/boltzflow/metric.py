@@ -32,6 +32,8 @@ FLOOR = 1e-12  # positivity barrier for densities
 # quadruple rows per batch of path intervals: a whole d = 2 path in one
 # batch, d = 3, V/h = 3 (Q = 136686) one interval at a time
 BATCH_ROWS = 1 << 15
+# the LAPACK routines behind scipy.linalg.cho_factor and cho_solve
+_POTRF, _POTRS = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 
 
 @dataclass
@@ -52,6 +54,7 @@ class MetricSolution:
     slice_actions: np.ndarray  # (K,)
     kkt_residual: float
     iterations: int
+    hessian_builds: int = 0  # one per Newton step
     floor_sensitivity: float = 0.0  # |value - value at 10x floor shift|
 
 
@@ -81,7 +84,8 @@ class _PathProblem:
     nslices = K - 1.  With `tau` it is the JKO step from f0: base is the
     constant path, scale 1/(2 tau), nslices = K and the entropy.  K must
     be an integer, at least 2 for a distance (an interior slice to move)
-    and at least 1 for a JKO step.
+    and at least 1 for a JKO step.  `hessian_builds` counts the calls of
+    `hessian`.
     """
 
     def __init__(self, net, K, f0, f1=None, tau=None):
@@ -101,6 +105,13 @@ class _PathProblem:
         self.N = _orthonormal_complement(self.C)
         # kernel regularizer; exact on moment-conserving differences
         self.P = self.C @ self.C.T
+        nfree = self.N.shape[1]
+        # each interval block's lower triangle goes into the band: flat
+        # band positions (those of interval 0) and flat block positions
+        r, c = np.tril_indices(2 * nfree)
+        self.band_map = (r - c) * (K + 1) * nfree + c, r * 2 * nfree + c
+        self.entropy_tril = np.tril_indices(nfree)
+        self.hessian_builds = 0
 
     def path(self, y: np.ndarray) -> np.ndarray:
         path = self.base.copy()
@@ -116,62 +127,82 @@ class _PathProblem:
         A batch holds up to BATCH_ROWS quadruple rows, and at least one
         interval.  Each slice of the gradient and Hessian takes at most two
         interval terms onto a zero start, so the result does not depend on
-        how the intervals are batched.
+        how the intervals are batched.  The value and gradient are one pass
+        over the batches and the Hessian a second pass over the factors the
+        first one kept.
+        """
+        value, grad, kept, actions, fluxes = self._value(path)
+        return value, grad, self._band(path, kept) if hessian else None, actions, fluxes
+
+    def _value(self, path):
+        """Value, gradient, kept factors, actions and fluxes of `evaluate`.
+
+        The kept factors hold one `(start, stop, part)` per batch, `part`
+        being what `_add_intervals` returns for it.
         """
         K, n, Q = len(path) - 1, self.net.n_nodes, self.net.n_quadruples
-        nfree = self.N.shape[1]
         actions = np.zeros(K)
         fluxes = np.zeros((K, Q))
         grad = np.zeros((K + 1, n))
-        H = np.zeros((2 * nfree, (K + 1) * nfree)) if hessian else None
         size = max(1, BATCH_ROWS // Q)
+        kept = []
         for m in range(0, K, size):
-            self._add_intervals(path, m, min(m + size, K), actions, fluxes, grad, H)
+            stop = min(m + size, K)
+            kept.append((m, stop, self._add_intervals(path, m, stop, actions, fluxes, grad)))
         value = self.scale * self.dt * actions.sum()
         if self.entropy:
             w, g = self.net.node_weight, path[K]
             value += np.sum(w * g * np.log(g))
             grad[K] += w * (np.log(g) + 1.0)
-            if hessian:
-                r, c = np.tril_indices(nfree)
-                H[r - c, K * nfree + c] += (self.N.T @ (w / g[:, None] * self.N))[r, c]
-        return value, grad, H, actions, fluxes
+        return value, grad, kept, actions, fluxes
 
-    def _add_intervals(self, path, start, stop, actions, fluxes, grad, H):
-        """Add the terms of intervals start..stop - 1 to the outputs of `evaluate`.
+    def _band(self, path, kept):
+        """The Hessian band of `evaluate` from the factors `_value` kept."""
+        K, nfree = len(path) - 1, self.N.shape[1]
+        H = np.zeros((2 * nfree, (K + 1) * nfree))
+        for start, stop, part in kept:
+            self._add_hessian(path, start, stop, part, H)
+        if self.entropy:
+            w, g = self.net.node_weight, path[K]
+            r, c = self.entropy_tril
+            H[r - c, K * nfree + c] += (self.N.T @ (w / g[:, None] * self.N))[r, c]
+        return H
+
+    def _slots(self, path, start, stop):
+        """Partner densities u (k, 4, Q) of intervals start..stop - 1.
+
+        u_a = d(f_i f_j or f_k f_l)/d(f_a) at the midpoint fbar: the
+        partner slot's density.  Slot arrays are (k, 4, Q) and slot blocks
+        (k, 4, 4, Q), so every elementwise step runs along the quadruples.
+        """
+        fbar = 0.5 * (path[start:stop] + path[start + 1 : stop + 1])
+        return np.take(fbar, self.net.quad.T[[1, 0, 3, 2]], axis=-1)
+
+    def _add_intervals(self, path, start, stop, actions, fluxes, grad):
+        """Add the value and gradient terms of intervals start..stop - 1.
 
         Per interval, A = g' L^+ g with g = w (fb - fa) / dt and
         L = S diag(kappa Lambda(fbar)) S'.  With u = L^+ g (the
         potential), s = S' u (the optimal flux is J = Lambda s),
-        c = kappa s^2, G the Q x n Jacobian of Lambda(fbar) and
-        B = S diag(kappa s) G, the gradient in (fa, fb) is
-        (-2 (w/dt) u - G'c / 2, 2 (w/dt) u - G'c / 2).  The Hessian in the
-        coordinates (N' fa, N' fb) is 2 M' L^+ M - (1/4) [[H2, H2], [H2, H2]],
-        where M = [-(w/dt) N - B N / 2, (w/dt) N - B N / 2] is the Jacobian
-        of g - L u at fixed u and H2 = N' (sum_q c_q Hess Lambda_q) N; it
-        is built only when H is not None.  The regularized
-        L + tr(L)/n C C' is SPD and is factored once; it acts as L^+ on
-        the range of L.  Every array carries a leading interval axis, and
-        the batched LAPACK calls factor and solve one interval at a time.
+        c = kappa s^2 and G the Q x n Jacobian of Lambda(fbar), the
+        gradient in (fa, fb) is (-2 (w/dt) u - G'c / 2, 2 (w/dt) u - G'c / 2).
+        The regularized L + tr(L)/n C C' is SPD and is factored once; it
+        acts as L^+ on the range of L.  Every array carries a leading
+        interval axis.  Returns what `_add_hessian` cannot rebuild cheaply:
+        the log-mean partials, the Cholesky factors and the potentials.
         """
-        net, kappa, N = self.net, self.net.kappa, self.N
-        k, n, nfree = stop - start, net.n_nodes, N.shape[1]
-        fa, fb = path[start:stop], path[start + 1 : stop + 1]
-        fbar = 0.5 * (fa + fb)
-        # slot arrays are (k, 4, Q) and slot blocks (k, 4, 4, Q), so every
-        # elementwise step runs along the quadruples
-        # u_a = d(f_i f_j or f_k f_l)/d(f_a): the partner slot's density;
-        # the products p = f_i f_j and r = f_k f_l come from the same gathers
-        u = np.take(fbar, net.quad.T[[1, 0, 3, 2]], axis=-1)
+        net, kappa = self.net, self.net.kappa
+        k, n = stop - start, net.n_nodes
+        # the products p = f_i f_j and r = f_k f_l come from the slot gathers
+        u = self._slots(path, start, stop)
         lam, lam_p, lam_r, lam_pp, lam_pr, lam_rr = log_mean_and_partials(
             u[:, 1] * u[:, 0], u[:, 3] * u[:, 2]
         )
         L = net.laplacian(kappa * lam)
         L += (np.trace(L, axis1=1, axis2=2) / n)[:, None, None] * self.P
-        # batched, cho_factor returns one `lower` flag per slice
-        cho = scipy.linalg.cho_factor(L)[0], False
-        g = net.node_weight * (fb - fa) / self.dt
-        pot = scipy.linalg.cho_solve(cho, g[:, :, None])[:, :, 0]
+        factors = _cholesky(L)
+        g = net.node_weight * (path[start + 1 : stop + 1] - path[start:stop]) / self.dt
+        pot = _cho_solve(factors, g[:, :, None])[:, :, 0]
         # one dot per interval, as BLAS sums it
         actions[start:stop] = [gm @ um for gm, um in zip(g, pot)]
         s = net.grad_bar(pot.T).T
@@ -187,14 +218,34 @@ class _PathProblem:
         grad[start:stop] += weight * (-2.0 * w * pot + dbar)
         grad[start + 1 : stop + 1] += weight * (2.0 * w * pot + dbar)
         fluxes[start:stop] = lam * s
-        if H is None:
-            return
+        return lam_p, lam_r, lam_pp, lam_pr, lam_rr, factors, pot
+
+    def _add_hessian(self, path, start, stop, part, H):
+        """Add the Hessian terms of intervals start..stop - 1 to the band H.
+
+        With the quantities of `_add_intervals` and B = S diag(kappa s) G,
+        the Hessian in the coordinates (N' fa, N' fb) is
+        2 M' L^+ M - (1/4) [[H2, H2], [H2, H2]], where
+        M = [-(w/dt) N - B N / 2, (w/dt) N - B N / 2] is the Jacobian of
+        g - L u at fixed u and H2 = N' (sum_q c_q Hess Lambda_q) N.  `part`
+        is what `_add_intervals` returned for these intervals; the slot
+        gathers, s and c are rebuilt from the path and its potentials, so
+        no slot array outlives its batch.
+        """
+        net, kappa, N = self.net, self.net.kappa, self.N
+        k, nfree = stop - start, N.shape[1]
+        lam_p, lam_r, lam_pp, lam_pr, lam_rr, factors, pot = part
+        u = self._slots(path, start, stop)
+        s = net.grad_bar(pot.T).T
+        slot_grad = np.stack([lam_p, lam_p, lam_r, lam_r], axis=1) * u
+        c = kappa * s**2
+        w = net.node_weight / self.dt
         B = SLOT_SIGN[:, None, None] * ((kappa * s)[:, None] * slot_grad)[:, None]
         B = net.scatter_blocks(B)
         BN = B @ N
         BN -= self.C @ (self.C.T @ BN)  # the range of L
         M = np.concatenate([-w * N - 0.5 * BN, w * N - 0.5 * BN], axis=2)
-        Hm = 2.0 * M.transpose(0, 2, 1) @ scipy.linalg.cho_solve(cho, M)
+        Hm = 2.0 * M.transpose(0, 2, 1) @ _cho_solve(factors, M)
         # Hess Lambda_q in the slots: Lambda_xy u_a u_b, with x and y the
         # products (p or r) of slots a and b, plus Lambda_p on (i, j), (j, i)
         # and Lambda_r on (k, l), (l, k) from the Hessians of p and r
@@ -211,15 +262,15 @@ class _PathProblem:
         H2 = N.T @ net.scatter_blocks(local) @ N
         Hm = Hm.reshape(k, 2, nfree, 2, nfree)
         Hm -= 0.25 * H2[:, None, :, None, :]
-        Hm *= weight
-        r, c = np.tril_indices(2 * nfree)  # each block's lower triangle goes into the band
-        band, block = (r - c) * H.shape[1] + c, r * 2 * nfree + c
+        Hm *= self.scale * self.dt
+        band, block = self.band_map
         for m in range(start, stop):
             H.reshape(-1)[band + m * nfree] += Hm[m - start].reshape(-1)[block]
 
     def __call__(self, y: np.ndarray):
-        """Value, reduced gradient, reduced Hessian, actions and fluxes at y.
+        """Value, reduced gradient, kept factors, actions and fluxes at y.
 
+        The third entry is what `hessian` builds the reduced Hessian from.
         Outside the positive cone the value is +inf and the rest is zero or
         None.
         """
@@ -227,26 +278,33 @@ class _PathProblem:
         if np.any(path < FLOOR):
             return np.inf, np.zeros_like(y), None, None, None
         try:
-            value, grad, H, actions, fluxes = self.evaluate(path, hessian=True)
+            value, grad, kept, actions, fluxes = self._value(path)
         except np.linalg.LinAlgError:  # L lost definiteness at the barrier
             return np.inf, np.zeros_like(y), None, None, None
         free = slice(1, self.nslices + 1)
-        H = H[:, self.N.shape[1] : len(y) + self.N.shape[1]]  # LAPACK reads none past the end
-        return value, (grad[free] @ self.N).ravel(), H, actions, fluxes
+        return value, (grad[free] @ self.N).ravel(), (path, kept), actions, fluxes
+
+    def hessian(self, point) -> np.ndarray:
+        """The reduced Hessian at a finite point `self(y)`, a LAPACK lower band."""
+        self.hessian_builds += 1
+        nfree = self.N.shape[1]
+        H = self._band(*point[2])
+        return H[:, nfree : (self.nslices + 1) * nfree]  # LAPACK reads none past the end
 
     def solve(self, opts: SolverOptions):
         """Damped Newton iteration on the exact Hessian, started at y = 0.
 
         Truncated-CG trust regions stall above the target tolerance on this
         objective, so each step factors the analytic Hessian and backtracks
-        on the full Newton step.  Every candidate is evaluated with its
-        Hessian, so an accepted point is never evaluated twice.  Returns the
-        minimizing path, its KKT residual, the iteration count and its whole
-        evaluation `self(y)`.
+        on the full Newton step.  Points are evaluated without their
+        Hessian, which is built only where a Newton step starts: line-search
+        candidates and the converged point get none, and no point is
+        evaluated twice.  Returns the minimizing path, its KKT residual, the iteration
+        count and its whole evaluation `self(y)`.
         """
         y = np.zeros(self.nslices * self.N.shape[1])
         point = self(y)
-        val, g, H = point[:3]
+        val, g = point[:2]
         if not np.isfinite(val):
             raise NumericalError("path solver left the positive cone")
         kkt = float(np.max(np.abs(g)))
@@ -254,7 +312,7 @@ class _PathProblem:
         for _ in range(60):
             if kkt <= 0.3 * opts.tol:
                 break
-            step = _newton_step(H, g)
+            step = _newton_step(self.hessian(point), g)
             accepted = False
             damp = 1.0
             while damp > 1e-8:
@@ -270,7 +328,7 @@ class _PathProblem:
             if not accepted:
                 break
             y, point = cand, cand_point
-            val, g, H = point[:3]
+            val, g = point[:2]
             kkt = float(np.max(np.abs(g)))
             iters += 1
         if kkt > opts.tol:
@@ -278,6 +336,37 @@ class _PathProblem:
                 f"path solver stalled: projected gradient {kkt:.2e} > tol {opts.tol:.2e}"
             )
         return self.path(y), kkt, iters, point
+
+
+def _cholesky(L):
+    """Upper Cholesky factors of a stack of SPD matrices, as cho_factor makes them.
+
+    One LAPACK call per matrix: SciPy's batched wrappers loop in Python
+    with a finiteness check and a LAPACK lookup on every slice.  A
+    non-finite stack raises ValueError and a matrix that is not positive
+    definite LinAlgError, as in cho_factor.
+    """
+    if not np.all(np.isfinite(L)):
+        raise ValueError("array must not contain infs or NaNs")
+    factors = []
+    for Lm in L:
+        factor, info = _POTRF(Lm, lower=False, clean=False)
+        if info > 0:
+            raise np.linalg.LinAlgError(
+                f"{info}-th leading minor of the array is not positive definite"
+            )
+        factors.append(factor)
+    return factors
+
+
+def _cho_solve(factors, b):
+    """Each slice of b solved with its factor from `_cholesky`, stacked as cho_solve stacks them.
+
+    A non-finite b raises ValueError, as in cho_solve.
+    """
+    if not np.all(np.isfinite(b)):
+        raise ValueError("array must not contain infs or NaNs")
+    return np.stack([_POTRS(factor, bm, lower=False)[0] for factor, bm in zip(factors, b)])
 
 
 def _newton_step(H, g):
@@ -336,6 +425,7 @@ def solve_distance(
         slice_actions=actions,
         kkt_residual=kkt,
         iterations=iters,
+        hessian_builds=prob.hessian_builds,
         floor_sensitivity=sensitivity,
     )
 

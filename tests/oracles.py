@@ -8,13 +8,16 @@ collision operator quadruple by quadruple through the COO incidence,
 the velocity pairs by np.unique and the clique cover through an n^2
 key table, the incidence matrix from COO triplets and the incidence
 operators as per-slot `np.add.at` scatters, the W_B and JKO path
-objective one interval at a time with a dense Hessian, the Newton step
-by a dense Cholesky factorization, the W1 distance by its
+objective one interval at a time with a dense Hessian, the Newton loop
+with every candidate's Hessian built, the Newton step by a dense
+Cholesky factorization, the W1 distance by its
 Kantorovich-Rubinstein dual, the Kac walk, its CSV log and its
 dependency levels one event and one row at a time, the OU entropy
 estimate through scipy's logsumexp, and the Dormand-Prince loop with
 all seven stages evaluated on every step attempt.  None of them share
-code with the functions they check.
+code with the functions they check, but for the Newton loop: it takes
+its steps with the fast path's banded solve, which is checked on its
+own.
 
 It also holds the test-only diagnostics that no run calls: the action
 A(f, J) of a flux and its integrand, the Boltzmann flux
@@ -31,10 +34,11 @@ import scipy.sparse
 import scipy.special
 
 from boltzflow.forward import collision_operator as forward_rhs
-from boltzflow.errors import DomainError
+from boltzflow.errors import DomainError, NumericalError
 from boltzflow.forward import dissipation, entropy
 from boltzflow.kac import EventLog, ParticleState, _pair_from_index, _unit_vectors, stream
 from boltzflow.kinematics import SPHERE_SURFACE, Kernel, collide
+from boltzflow.metric import FLOOR, _newton_step
 from boltzflow.network import SLOT_SIGN, CollisionIndex
 from boltzflow.scalars import GaussianMixture, log_mean, log_mean_and_partials
 
@@ -468,6 +472,73 @@ def path_evaluate(prob, path: np.ndarray, hessian: bool = False):
         if hessian:
             H[K, :, K] += prob.N.T @ (w / g[:, None] * prob.N)
     return value, grad, H, actions, fluxes
+
+
+def path_point(prob, y: np.ndarray):
+    """`_PathProblem.__call__` with the reduced Hessian built on every call.
+
+    The path goes through `path_evaluate` (one interval at a time, with
+    SciPy's cho_factor and cho_solve), and the third entry is the reduced
+    Hessian in the fast path's band storage with 2 nfree rows; entries
+    past the last row stay zero.
+    """
+    path = prob.path(y)
+    if np.any(path < FLOOR):
+        return np.inf, np.zeros_like(y), None, None, None
+    try:
+        value, grad, H, actions, fluxes = path_evaluate(prob, path, True)
+    except np.linalg.LinAlgError:
+        return np.inf, np.zeros_like(y), None, None, None
+    free = slice(1, prob.nslices + 1)
+    dense = H[free, :, free].reshape(len(y), len(y))
+    band = np.zeros((2 * prob.N.shape[1], len(y)))
+    for d in range(min(len(band), len(y))):
+        band[d, : len(y) - d] = np.diagonal(dense, -d)
+    return value, (grad[free] @ prob.N).ravel(), band, actions, fluxes
+
+
+def newton_solve(prob, tol: float):
+    """`_PathProblem.solve` with every candidate evaluated with its Hessian.
+
+    The damped Newton loop as it stood before the Hessian was built only
+    where a step uses it: `path_point` on every candidate, so the
+    converged point's Hessian is built too.  The step is the fast path's
+    `_newton_step`, which `test_banded_step_matches_dense_solve` checks
+    against `newton_step`.  Returns the path, the KKT residual, the
+    iteration count and the minimizer's `path_point`.
+    """
+    y = np.zeros(prob.nslices * prob.N.shape[1])
+    point = path_point(prob, y)
+    val, g, H = point[:3]
+    if not np.isfinite(val):
+        raise NumericalError("path solver left the positive cone")
+    kkt = float(np.max(np.abs(g)))
+    iters = 0
+    for _ in range(60):
+        if kkt <= 0.3 * tol:
+            break
+        step = _newton_step(H, g)
+        accepted = False
+        damp = 1.0
+        while damp > 1e-8:
+            cand = y - damp * step
+            cand_point = path_point(prob, cand)
+            val_c, g_c = cand_point[:2]
+            if np.isfinite(val_c) and (
+                val_c <= val + 1e-12 * (abs(val) + 1.0) or np.max(np.abs(g_c)) < kkt
+            ):
+                accepted = True
+                break
+            damp *= 0.5
+        if not accepted:
+            break
+        y, point = cand, cand_point
+        val, g, H = point[:3]
+        kkt = float(np.max(np.abs(g)))
+        iters += 1
+    if kkt > tol:
+        raise NumericalError(f"path solver stalled: projected gradient {kkt:.2e} > tol {tol:.2e}")
+    return prob.path(y), kkt, iters, point
 
 
 def band_to_dense(band: np.ndarray) -> np.ndarray:

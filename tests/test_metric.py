@@ -273,7 +273,7 @@ def test_reduced_hessian_matches_gradient_differences(net, tilted, d3, monkeypat
     for y in seen["points"]:  # the straight or constant start and the minimizer
         # the band's lower triangle mirrored onto the upper one matches the
         # oracle's dense Hessian, whose upper triangle is computed on its own
-        H = oracles.band_to_dense(prob(y)[2])
+        H = oracles.band_to_dense(prob.hessian(prob(y)))
         dense = oracles.path_evaluate(prob, prob.path(y), True)[2][free, :, free]
         dense = dense.reshape(len(y), -1)
         assert np.max(np.abs(H - dense)) <= 1e-13 * np.max(np.abs(dense))

@@ -1,4 +1,4 @@
-"""The batched path objective against the interval-by-interval oracle.
+"""The batched path objective and its Newton solve against slow oracles.
 
 `_PathProblem.evaluate` handles up to BATCH_ROWS quadruple rows of
 intervals at a time.  It must return the same bits as
@@ -6,7 +6,9 @@ intervals at a time.  It must return the same bits as
 the intervals are split into batches: each slice of the gradient and
 Hessian takes at most two interval terms onto a zero start.  The
 Hessian is a LAPACK lower band, and the Newton step solved from it must
-match a dense Cholesky solve of the expanded matrix.
+match a dense Cholesky solve of the expanded matrix.  The Newton loop,
+which builds a Hessian only where a step uses it, must take the same
+steps as `oracles.newton_solve`, which builds one at every candidate.
 """
 
 import numpy as np
@@ -15,8 +17,18 @@ import scipy.linalg
 
 import boltzflow.metric
 import oracles
+from boltzflow.cli import bimodal_mixture, density_from_mixture
+from boltzflow.forward import entropy
+from boltzflow.jko import jko_step
 from boltzflow.kinematics import Kernel
-from boltzflow.metric import BATCH_ROWS, FLOOR, _newton_step, _PathProblem
+from boltzflow.metric import (
+    BATCH_ROWS,
+    FLOOR,
+    SolverOptions,
+    _newton_step,
+    _PathProblem,
+    solve_distance,
+)
 from boltzflow.network import build_network, maxent_project, restrict_quadruples, tilt_to_moments
 
 K1 = Kernel("constant", b=1.0)
@@ -133,7 +145,8 @@ def test_banded_step_matches_dense_solve(network, jitter):
     # -1e-4 trace / N, both factorizations fail until the jitter reaches
     # 4^14 1e-12 trace / N = 2.7e-4 trace / N, and both solve that system
     for prob, _ in _problems(network):
-        _, g, H = prob(np.zeros(prob.nslices * prob.N.shape[1]))[:3]
+        point = prob(np.zeros(prob.nslices * prob.N.shape[1]))
+        g, H = point[1], prob.hessian(point)
         dense = oracles.band_to_dense(H)
         used = 0.0
         if jitter:
@@ -149,3 +162,62 @@ def test_banded_step_matches_dense_solve(network, jitter):
         cond = np.linalg.cond(dense + used * np.eye(len(dense)))
         bound = 10 * len(g) * np.finfo(float).eps * cond
         assert np.linalg.norm(step - ref) <= bound * np.linalg.norm(ref)
+
+
+@pytest.fixture(scope="module")
+def d3_net():
+    return build_network(3, 2.0, 1.0, K1)
+
+
+@pytest.mark.parametrize(
+    "grid, solver, arg, batched",
+    [
+        *(
+            pytest.param("d2", "distance", (seed, back), False, id=f"seed{seed}-{way}")
+            for seed in (1, 2, 3)
+            for back, way in ((False, "ab"), (True, "ba"))
+        ),
+        pytest.param("d2", "jko", 4e-3, False, id="bimodal-tau4e-3"),
+        pytest.param("d2", "jko", 2e-3, False, id="bimodal-tau2e-3"),
+        pytest.param("d3", "distance", (1, False), False, id="d3-distance"),
+        pytest.param("d3", "jko", 0.1, False, id="d3-jko"),
+        pytest.param("d2", "distance", (1, False), True, id="batches-distance"),
+        pytest.param("d2", "jko", 4e-3, True, id="batches-jko"),
+    ],
+)
+def test_newton_solve_matches_eager_oracle(net, d3_net, monkeypatch, grid, solver, arg, batched):
+    # the geodesic benchmark's solves (d=2 tilts both ways, bimodal JKO
+    # steps at K = 8), a d=3 pair at K = 4, and K = 8 intervals in 3
+    # batches: the same path, value, KKT and iterations, bit for bit, as
+    # the loop that evaluated every candidate with its Hessian through
+    # SciPy's Cholesky wrappers, and one Hessian per Newton step
+    g, K = (net, 8) if grid == "d2" else (d3_net, 4)
+    if batched:
+        monkeypatch.setattr(boltzflow.metric, "BATCH_ROWS", 3 * g.n_quadruples)
+    opts = SolverOptions()
+    if solver == "distance":
+        seed, back = arg
+        a, b = _tilts(g, seed)[:: -1 if back else 1]
+        sol = solve_distance(g, a, b, K=K, opts=opts)
+        path, kkt, iters, (value, _, _, actions, fluxes) = oracles.newton_solve(
+            _PathProblem(g, K, a, b), opts.tol
+        )
+        assert np.array_equal(sol.flux, fluxes) and np.array_equal(sol.slice_actions, actions)
+        assert sol.squared == value and sol.value == np.sqrt(value)
+    else:
+        if grid == "d2":  # the geodesic benchmark's bimodal state
+            f = density_from_mixture(g, bimodal_mixture(2, 1.2, 1.0))
+        else:
+            f = _tilts(g, 1)[0]
+        sol = jko_step(g, f, arg, K=K, opts=opts)
+        prob = _PathProblem(g, K, f, tau=arg)
+        path, kkt, iters, (_, _, _, actions, _) = oracles.newton_solve(prob, opts.tol)
+        sq = float(prob.dt * actions.sum())
+        assert sol.squared_distance == sq
+        assert sol.objective == entropy(g, path[K]) + sq / (2.0 * arg)
+    assert np.array_equal(sol.path, path)
+    assert sol.kkt_residual == kkt and sol.iterations == iters
+    assert sol.hessian_builds == iters
+    if grid == "d2" and solver == "distance":
+        # the loop before built 4 Hessians here, one at the converged point
+        assert iters == 3
