@@ -31,6 +31,7 @@ class JkoStep:
     objective: float  # H + squared_distance / (2 tau)
     kkt_residual: float
     iterations: int
+    stop: str  # "target" or "roundoff floor", see damped_newton
     hessian_builds: int  # one per Newton step
 
 
@@ -84,7 +85,7 @@ def jko_step(
         raise DomainError(f"tau must be finite and positive, got {tau!r}")
 
     prob = _PathProblem(net, K, f_prev, tau=tau)
-    path, kkt, iters, (_, _, _, actions, _) = prob.solve(opts)
+    path, kkt, iters, stop, (_, _, _, actions, _) = prob.solve(opts)
     g = path[K]
     sq = float(prob.dt * actions.sum())
     H_new = entropy(net, g)
@@ -102,6 +103,7 @@ def jko_step(
         objective=obj,
         kkt_residual=kkt,
         iterations=iters,
+        stop=stop,
         hessian_builds=prob.hessian_builds,
     )
 

@@ -23,6 +23,7 @@ import scipy.linalg
 import scipy.optimize
 import scipy.sparse
 
+from ._newton import damped_newton
 from .errors import DomainError, NumericalError
 from .network import SLOT_SIGN, VelocityNetwork, _positive_state, _state
 from .scalars import log_mean, log_mean_and_partials
@@ -54,6 +55,7 @@ class MetricSolution:
     slice_actions: np.ndarray  # (K,)
     kkt_residual: float
     iterations: int
+    stop: str = "target"  # or "roundoff floor", see damped_newton
     hessian_builds: int = 0  # one per Newton step
     floor_sensitivity: float = 0.0  # |value - value at 10x floor shift|
 
@@ -264,8 +266,9 @@ class _PathProblem:
         Hm -= 0.25 * H2[:, None, :, None, :]
         Hm *= self.scale * self.dt
         band, block = self.band_map
-        for m in range(start, stop):
-            H.reshape(-1)[band + m * nfree] += Hm[m - start].reshape(-1)[block]
+        flat, Hm = H.reshape(-1), np.take(Hm.reshape(k, -1), block, axis=1)
+        for first in (start, start + 1):  # even, then odd: no entry twice in one fill
+            flat[band + nfree * np.arange(first, stop, 2)[:, None]] += Hm[first - start :: 2]
 
     def __call__(self, y: np.ndarray):
         """Value, reduced gradient, kept factors, actions and fluxes at y.
@@ -296,46 +299,22 @@ class _PathProblem:
 
         Truncated-CG trust regions stall above the target tolerance on this
         objective, so each step factors the analytic Hessian and backtracks
-        on the full Newton step.  Points are evaluated without their
-        Hessian, which is built only where a Newton step starts: line-search
-        candidates and the converged point get none, and no point is
-        evaluated twice.  Returns the minimizing path, its KKT residual, the iteration
-        count and its whole evaluation `self(y)`.
+        on the full Newton step, in `damped_newton` with the KKT target
+        0.3 tol.  Points are evaluated without their Hessian, which is built
+        only where a Newton step starts: line-search candidates and the
+        converged point get none, and no point is evaluated twice.  Returns
+        the minimizing path, its KKT residual, the iteration count, the stop
+        reason and its whole evaluation `self(y)`.
         """
         y = np.zeros(self.nslices * self.N.shape[1])
         point = self(y)
-        val, g = point[:2]
-        if not np.isfinite(val):
+        if not np.isfinite(point[0]):
             raise NumericalError("path solver left the positive cone")
-        kkt = float(np.max(np.abs(g)))
-        iters = 0
-        for _ in range(60):
-            if kkt <= 0.3 * opts.tol:
-                break
-            step = _newton_step(self.hessian(point), g)
-            accepted = False
-            damp = 1.0
-            while damp > 1e-8:
-                cand = y - damp * step
-                cand_point = self(cand)
-                val_c, g_c = cand_point[:2]
-                if np.isfinite(val_c) and (
-                    val_c <= val + 1e-12 * (abs(val) + 1.0) or np.max(np.abs(g_c)) < kkt
-                ):
-                    accepted = True
-                    break
-                damp *= 0.5
-            if not accepted:
-                break
-            y, point = cand, cand_point
-            val, g = point[:2]
-            kkt = float(np.max(np.abs(g)))
-            iters += 1
-        if kkt > opts.tol:
-            raise NumericalError(
-                f"path solver stalled: projected gradient {kkt:.2e} > tol {opts.tol:.2e}"
-            )
-        return self.path(y), kkt, iters, point
+        y, point, kkt, iters, stop = damped_newton(
+            self, lambda p: _newton_step(self.hessian(p), p[1]), y, point,
+            0.3 * opts.tol, opts.tol, "path solver",
+        )
+        return self.path(y), kkt, iters, stop, point
 
 
 def _cholesky(L):
@@ -408,7 +387,7 @@ def solve_distance(
     _check_moment_match(net, f0, f1)
 
     prob = _PathProblem(net, K, f0, f1)
-    path, kkt, iters, (squared, _, _, actions, flux) = prob.solve(opts)
+    path, kkt, iters, stop, (squared, _, _, actions, flux) = prob.solve(opts)
     value = float(np.sqrt(max(squared, 0.0)))
     # re-evaluate on the path clipped at a 10x larger floor to expose how
     # much the reported value leans on the positivity barrier
@@ -425,6 +404,7 @@ def solve_distance(
         slice_actions=actions,
         kkt_residual=kkt,
         iterations=iters,
+        stop=stop,
         hessian_builds=prob.hessian_builds,
         floor_sensitivity=sensitivity,
     )

@@ -16,6 +16,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse
 
+from ._newton import damped_newton
 from .errors import DomainError, NumericalError
 from .kinematics import Kernel, collide
 
@@ -437,9 +438,11 @@ def _exponential_fit(
 ) -> np.ndarray:
     """Fit f = base * exp(a.v + b|v|^2) to (mass, momentum, energy) targets.
 
-    Damped Newton on the normalized moment map; the Hessian is the
-    feature covariance, positive definite on feasible interiors.  Stops
-    when every moment residual is below 1e-12, within 200 iterations.
+    Damped Newton (`damped_newton`) on the dual objective log Z - th.want,
+    whose gradient is the moment residual and whose Hessian is the feature
+    covariance, positive definite on feasible interiors.  Stops when every
+    moment residual is below 1e-12 or at the loop's roundoff floor;
+    otherwise (a failed line search, or 60 iterations) NumericalError.
     """
     if targets.shape != (net.d + 2,) or not np.all(np.isfinite(targets)):
         raise DomainError(f"moment targets must be {net.d + 2} finite numbers, got {targets}")
@@ -455,41 +458,27 @@ def _exponential_fit(
         )
 
     def dual(th):
-        """The dual objective log Z - th . want and the normalized weights at th."""
+        """The dual objective, its gradient (the moment residual), the weights and their mean."""
         z = log_base + feats @ th
         m = z.max()
         e = np.exp(z - m)
         total = e.sum()
-        return m + np.log(total) - th @ want, e / total
-
-    theta = np.zeros(net.d + 1)
-    val, p = dual(theta)
-    for _ in range(200):
+        p = e / total
         mean = p @ feats
-        resid = mean - want
-        if np.max(np.abs(resid)) < 1e-12:
-            return mass_t * p / net.node_weight
+        return m + np.log(total) - th @ want, mean - want, p, mean
+
+    def newton_step(point):
+        _, resid, p, mean = point
         cov = feats.T @ (p[:, None] * feats) - np.outer(mean, mean)
         try:
-            step = np.linalg.solve(cov, resid)
+            return np.linalg.solve(cov, resid)
         except np.linalg.LinAlgError as exc:
             raise NumericalError("singular moment covariance") from exc
-        # backtracking on the dual objective
-        scale = 1.0
-        while scale > 1e-8:
-            cand = theta - scale * step
-            val_c, p_c = dual(cand)
-            if val_c < val + 1e-12:
-                break
-            scale *= 0.5
-        else:
-            cand = theta - 1e-8 * step
-            val_c, p_c = dual(cand)
-        theta, val, p = cand, val_c, p_c
-    raise NumericalError(
-        "moment Newton did not converge in 200 iterations "
-        f"(residual {np.max(np.abs(resid)):.2e})"
-    )
+
+    theta = np.zeros(net.d + 1)
+    tol = np.nextafter(1e-12, 0.0)  # every residual below 1e-12
+    point = damped_newton(dual, newton_step, theta, dual(theta), tol, tol, "moment fit")[1]
+    return mass_t * point[2] / net.node_weight
 
 
 def maxent_project(

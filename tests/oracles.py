@@ -10,14 +10,14 @@ key table, the incidence matrix from COO triplets and the incidence
 operators as per-slot `np.add.at` scatters, the W_B and JKO path
 objective one interval at a time with a dense Hessian, the Newton loop
 with every candidate's Hessian built, the Newton step by a dense
-Cholesky factorization, the W1 distance by its
-Kantorovich-Rubinstein dual, the Kac walk, its CSV log and its
-dependency levels one event and one row at a time, the OU entropy
-estimate through scipy's logsumexp, and the Dormand-Prince loop with
-all seven stages evaluated on every step attempt.  None of them share
-code with the functions they check, but for the Newton loop: it takes
-its steps with the fast path's banded solve, which is checked on its
-own.
+Cholesky factorization, the moment fit by its own damped Newton loop,
+the W1 distance by its Kantorovich-Rubinstein dual, the Kac walk, its
+CSV log and its dependency levels one event and one row at a time, the
+OU entropy estimate through scipy's logsumexp, and the Dormand-Prince
+loop with all seven stages evaluated on every step attempt.  None of
+them share code with the functions they check, but for the Newton loop:
+it takes its steps with the fast path's banded solve, which is checked
+on its own.
 
 It also holds the test-only diagnostics that no run calls: the action
 A(f, J) of a flux and its integrand, the Boltzmann flux
@@ -569,6 +569,51 @@ def newton_step(H: np.ndarray, g: np.ndarray) -> np.ndarray:
         except np.linalg.LinAlgError:
             jitter = max(4.0 * jitter, 1e-12 * scale)
     raise np.linalg.LinAlgError("path Hessian is numerically indefinite")
+
+
+def exponential_fit(net, log_base: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """f = base * exp(a.v + b|v|^2) with the targets' (mass, momentum, energy).
+
+    The moment fit's own damped Newton loop as it stood before it shared
+    the path solver's: on the dual log Z - th.want, accepting a step whose
+    value is below value + 1e-12, taking a 1e-8 step when no halving down
+    to 1e-8 is accepted, and stopping once every residual is below 1e-12,
+    within 200 iterations.  The targets must be feasible.
+    """
+    feats = np.column_stack([net.nodes, np.sum(net.nodes**2, axis=1)])
+    want = targets[1:] / targets[0]
+
+    def dual(th):
+        z = log_base + feats @ th
+        m = z.max()
+        e = np.exp(z - m)
+        total = e.sum()
+        return m + np.log(total) - th @ want, e / total
+
+    theta = np.zeros(net.d + 1)
+    val, p = dual(theta)
+    for _ in range(200):
+        mean = p @ feats
+        resid = mean - want
+        if np.max(np.abs(resid)) < 1e-12:
+            return targets[0] * p / net.node_weight
+        cov = feats.T @ (p[:, None] * feats) - np.outer(mean, mean)
+        try:
+            step = np.linalg.solve(cov, resid)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError("singular moment covariance") from exc
+        scale = 1.0
+        while scale > 1e-8:
+            cand = theta - scale * step
+            val_c, p_c = dual(cand)
+            if val_c < val + 1e-12:
+                break
+            scale *= 0.5
+        else:
+            cand = theta - 1e-8 * step
+            val_c, p_c = dual(cand)
+        theta, val, p = cand, val_c, p_c
+    raise NumericalError(f"moment Newton did not converge (residual {np.max(np.abs(resid)):.2e})")
 
 
 def gradient_form_residual(net, solution) -> float:

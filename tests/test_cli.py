@@ -182,12 +182,22 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
         y0 = np.zeros(prob.nslices * prob.N.shape[1])
         g = prob(y0)[1]
         y = y0 + 1e-4 * g / (g @ g)
-        return prob.path(y), 0.0, 0, prob(y)
+        return prob.path(y), 0.0, 0, "target", prob(y)
 
     monkeypatch.setattr(boltzflow.metric._PathProblem, "solve", ascend)
     capsys.readouterr()
     assert main(["jko", "--out", str(tmp_path / "jko")]) == EXIT_NUMERICAL
     assert "exceeds competitor" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("etype, V", [("jko", 4.0), ("distance", 5.0)])
+def test_wide_lattice_runs_exit_0(tmp_path, etype, V):
+    # default runs with only V widened: both exited 4 on problems they had
+    # solved while the Newton loop stopped on its KKT target alone
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"network": {"V": V}, "experiment": {"type": etype},
+                                "out": str(tmp_path / "out")}))
+    assert main([etype, "--config", str(path)]) == 0
 
 
 @pytest.mark.parametrize("raw, message", [

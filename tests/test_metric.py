@@ -18,7 +18,8 @@ from boltzflow.metric import (
     solve_distance,
     w1_distance,
 )
-from boltzflow.network import restrict_quadruples, tilt_to_moments
+from boltzflow.kinematics import Kernel
+from boltzflow.network import build_network, maxent_project, restrict_quadruples, tilt_to_moments
 
 
 def test_discrete_action_zero_flux(net, tilted):
@@ -222,6 +223,20 @@ def test_line_search_backs_off_from_the_cone_boundary(net, monkeypatch):
     sol = solve_distance(net, _tilted_state(net, 1.0, 1), _tilted_state(net, 1.0, 2), K=8)
     assert any(val == np.inf and low < FLOOR for val, low in seen)
     assert sol.kkt_residual <= SolverOptions().tol
+
+
+def test_wide_lattice_distance_stops_at_its_roundoff_floor():
+    # d=2, V/h=5, the default distance run with V: 5.0: two steps settle
+    # the value to 12 digits; the path's smallest entries sit near 1e-12,
+    # so the projected gradient's rounding noise (about 1e-5) stays above
+    # tol, where a loop that knew no roundoff floor exited 4
+    net = build_network(2, 5.0, 1.0, Kernel("constant"))
+    f0, f1 = maxent_project(net), _tilted_state(net, 0.3, 0)
+    sol = solve_distance(net, f0, f1, K=16)
+    assert sol.stop == "roundoff floor"
+    prob = _PathProblem(net, 16, f0, f1)
+    assert sol.squared <= prob.evaluate(prob.base)[0]  # the straight path's action
+    assert max(np.max(np.abs(net.moments(g) - net.moments(f0))) for g in sol.path) <= 1e-12
 
 
 @pytest.mark.parametrize("K", [1, 0, -3, 2.5, 4.0, True, "4"])

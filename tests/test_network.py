@@ -14,6 +14,7 @@ from boltzflow.forward import collision_operator, entropy, solve_forward
 from boltzflow.kinematics import Kernel, collide
 from boltzflow.network import (
     MAX_NODES,
+    VelocityNetwork,
     build_network,
     lattice_ratio,
     maxent_project,
@@ -377,6 +378,32 @@ def test_tilt_matches_targets(net, feq):
     assert np.allclose(net.moments(f), targets, atol=1e-10)
     with pytest.raises(DomainError, match="requires strictly positive f0"):
         tilt_to_moments(net, -base, targets)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("h", [1.0, 0.75, 0.5])
+def test_moment_fit_matches_its_own_loop(d, h):
+    # maxent_project and tilt_to_moments against the fit's loop before it
+    # shared the path solver's: the same bits for V/h = 2..6 and seeded
+    # tilts of the Maxwellian up to amplitude 6, where the line search
+    # rejects hundreds of full steps and its acceptance rule decides the
+    # iterates.  The fit reads only the nodes, so the networks have no
+    # quadruples (d = 3, V/h = 6 lies past MAX_NODES); at V = 1 a unit
+    # variance sits on the lattice's corners, outside the fit's domain
+    for M in (M for M in range(2, 7) if M * h > 1.0):
+        net = VelocityNetwork(d, M * h, h, K1, oracles.lattice(d, M), np.zeros((0, 4), int))
+        targets = np.array([1.0, *np.zeros(d), float(d)])
+        feq = maxent_project(net)
+        assert np.array_equal(feq, oracles.exponential_fit(net, np.zeros(net.n_nodes), targets))
+        targets = net.moments(feq)
+        for amplitude in (0.05, 0.5, 1.0, 2.0, 4.0, 6.0):
+            for seed in range(4):
+                rng = np.random.Generator(np.random.Philox(seed))
+                base = feq * np.exp(amplitude * rng.standard_normal(net.n_nodes))
+                assert np.array_equal(
+                    tilt_to_moments(net, base, targets),
+                    oracles.exponential_fit(net, np.log(base), targets),
+                ), (M, amplitude, seed)
 
 
 def test_restrict_quadruples(net):
