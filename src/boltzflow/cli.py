@@ -2,7 +2,8 @@
 
 Each subcommand dispatches one experiment, writes CSV/JSON outputs to
 the run directory, and finishes with a manifest recording the config
-hash and a checksum inventory of every emitted file.
+hash, a checksum inventory of every emitted file and what the solvers
+report.
 
 Exit codes: 0 success, 2 configuration error, 3 domain error,
 4 numerical failure, one per class in `errors`; any other exception
@@ -52,6 +53,7 @@ class RunManifest:
     wall_clock: float
     config: dict  # config_to_dict(cfg), the dict config_hash is computed over
     files: dict  # name -> sha256
+    stats: dict  # what the run's solvers report, kept out of the data files
 
 
 def _config_hash(cfg: RunConfig) -> str:
@@ -148,6 +150,7 @@ def _run_distance(cfg: RunConfig, write):
         ["%d"] + ["%.17g"] * net.n_nodes,
         [np.arange(len(sol.path)), *sol.path.T],
     ))
+    return {"distance": _solve_stats(sol.stop, sol.iterations, sol.hessian_builds)}
 
 
 def _run_jko(cfg: RunConfig, write):
@@ -162,6 +165,13 @@ def _run_jko(cfg: RunConfig, write):
     fwd = solve_forward(net, f0, exp["T"])
     probes = _probe_times(exp["probe_times"], exp["T"])
     write("comparison.json", compare_to_forward(traj, fwd, probes))
+    return {"jko_steps": [_solve_stats(*step) for step in
+                          zip(traj.stops, traj.iterations, traj.hessian_builds)]}
+
+
+def _solve_stats(stop: str, iterations: int, hessian_builds: int) -> dict:
+    """How one path solve stopped, for the manifest's stats block."""
+    return {"stop": stop, "iterations": iterations, "hessian_builds": hessian_builds}
 
 
 def _bimodal_walk(d, speed, N, T, kernel, seed, jump, record_times=None):
@@ -295,13 +305,14 @@ def run(cfg: RunConfig, experiment_kind: str = None) -> RunManifest:
         files[name] = _write(cfg.out, name, payload)
 
     start = time.monotonic()
-    _RUNNERS[kind](cfg, write)
+    stats = _RUNNERS[kind](cfg, write) or {}
     manifest = RunManifest(
         config_hash=_config_hash(cfg),
         version=__version__,
         wall_clock=time.monotonic() - start,
         config=config_to_dict(cfg),
         files=files,
+        stats=stats,
     )
     _write(cfg.out, "manifest.json", asdict(manifest))
     return manifest

@@ -43,6 +43,10 @@ class JkoTrajectory:
     entropies: np.ndarray
     squared_moves: np.ndarray  # (n_steps,) squared distance per step
     residuals: np.ndarray  # (n_steps,) inner KKT residuals
+    # per step, as JkoStep holds them; no data file holds them
+    stops: list  # "target" or "roundoff floor"
+    iterations: list
+    hessian_builds: list
 
     @property
     def n_steps(self) -> int:
@@ -125,7 +129,7 @@ def jko_trajectory(
     n_steps = int(np.ceil(T / tau - 1e-12))
     states = [f0.copy()]
     Hs = [entropy(net, f0)]
-    moves, resids = [], []
+    moves, resids, stops, iters, builds = [], [], [], [], []
     f = f0
     for _ in range(n_steps):
         step = jko_step(net, f, tau, K=K, opts=opts)
@@ -134,6 +138,9 @@ def jko_trajectory(
         Hs.append(step.entropy)
         moves.append(step.squared_distance)
         resids.append(step.kkt_residual)
+        stops.append(step.stop)
+        iters.append(step.iterations)
+        builds.append(step.hessian_builds)
     return JkoTrajectory(
         net=net,
         tau=tau,
@@ -141,6 +148,9 @@ def jko_trajectory(
         entropies=np.array(Hs),
         squared_moves=np.array(moves),
         residuals=np.array(resids),
+        stops=stops,
+        iterations=iters,
+        hessian_builds=builds,
     )
 
 

@@ -25,7 +25,7 @@ import scipy.sparse
 
 from ._newton import damped_newton
 from .errors import DomainError, NumericalError
-from .network import SLOT_SIGN, VelocityNetwork, _positive_state, _state
+from .network import SLOT_PARTNER, SLOT_SIDE, SLOT_SIGN, VelocityNetwork, _positive_state, _state
 from .scalars import log_mean, log_mean_and_partials
 
 
@@ -103,8 +103,7 @@ class _PathProblem:
         self.nslices = K if self.entropy else K - 1
         self.scale = 1.0 / (2.0 * tau) if self.entropy else 1.0
         self.dt = 1.0 / K
-        self.C = net.invariants
-        self.N = _orthonormal_complement(self.C)
+        self.C, self.N = net.invariants, net.free_basis
         # kernel regularizer; exact on moment-conserving differences
         self.P = self.C @ self.C.T
         nfree = self.N.shape[1]
@@ -178,7 +177,7 @@ class _PathProblem:
         (k, 4, 4, Q), so every elementwise step runs along the quadruples.
         """
         fbar = 0.5 * (path[start:stop] + path[start + 1 : stop + 1])
-        return np.take(fbar, self.net.quad.T[[1, 0, 3, 2]], axis=-1)
+        return np.take(fbar, self.net.quad.T[SLOT_PARTNER], axis=-1)
 
     def _add_intervals(self, path, start, stop, actions, fluxes, grad):
         """Add the value and gradient terms of intervals start..stop - 1.
@@ -195,10 +194,10 @@ class _PathProblem:
         """
         net, kappa = self.net, self.net.kappa
         k, n = stop - start, net.n_nodes
-        # the products p = f_i f_j and r = f_k f_l come from the slot gathers
+        # p = f_i f_j and r = f_k f_l: the first slot of each side times its partner
         u = self._slots(path, start, stop)
         lam, lam_p, lam_r, lam_pp, lam_pr, lam_rr = log_mean_and_partials(
-            u[:, 1] * u[:, 0], u[:, 3] * u[:, 2]
+            *(u[:, SLOT_PARTNER[a]] * u[:, a] for a in np.searchsorted(SLOT_SIDE, (0, 1)))
         )
         L = net.laplacian(kappa * lam)
         L += (np.trace(L, axis1=1, axis2=2) / n)[:, None, None] * self.P
@@ -208,7 +207,8 @@ class _PathProblem:
         # one dot per interval, as BLAS sums it
         actions[start:stop] = [gm @ um for gm, um in zip(g, pot)]
         s = net.grad_bar(pot.T).T
-        slot_grad = np.stack([lam_p, lam_p, lam_r, lam_r], axis=1) * u  # dLambda/df_a
+        lam1 = np.stack([lam_p, lam_r], axis=1)  # Lambda's partials by side
+        slot_grad = lam1[:, SLOT_SIDE] * u  # dLambda/df_a
         c = kappa * s**2
         # node sums in quadruple-major order, as the bins run
         bins = (net.quad.ravel() + n * np.arange(k)[:, None]).ravel()
@@ -220,7 +220,7 @@ class _PathProblem:
         grad[start:stop] += weight * (-2.0 * w * pot + dbar)
         grad[start + 1 : stop + 1] += weight * (2.0 * w * pot + dbar)
         fluxes[start:stop] = lam * s
-        return lam_p, lam_r, lam_pp, lam_pr, lam_rr, factors, pot
+        return lam1, lam_pp, lam_pr, lam_rr, factors, pot
 
     def _add_hessian(self, path, start, stop, part, H):
         """Add the Hessian terms of intervals start..stop - 1 to the band H.
@@ -236,10 +236,10 @@ class _PathProblem:
         """
         net, kappa, N = self.net, self.net.kappa, self.N
         k, nfree = stop - start, N.shape[1]
-        lam_p, lam_r, lam_pp, lam_pr, lam_rr, factors, pot = part
+        lam1, lam_pp, lam_pr, lam_rr, factors, pot = part
         u = self._slots(path, start, stop)
         s = net.grad_bar(pot.T).T
-        slot_grad = np.stack([lam_p, lam_p, lam_r, lam_r], axis=1) * u
+        slot_grad = lam1[:, SLOT_SIDE] * u
         c = kappa * s**2
         w = net.node_weight / self.dt
         B = SLOT_SIGN[:, None, None] * ((kappa * s)[:, None] * slot_grad)[:, None]
@@ -249,17 +249,14 @@ class _PathProblem:
         M = np.concatenate([-w * N - 0.5 * BN, w * N - 0.5 * BN], axis=2)
         Hm = 2.0 * M.transpose(0, 2, 1) @ _cho_solve(factors, M)
         # Hess Lambda_q in the slots: Lambda_xy u_a u_b, with x and y the
-        # products (p or r) of slots a and b, plus Lambda_p on (i, j), (j, i)
-        # and Lambda_r on (k, l), (l, k) from the Hessians of p and r
+        # sides (0 for p, 1 for r) of slots a and b, so Lambda_xy is entry
+        # x + y of (Lambda_pp, Lambda_pr, Lambda_rr), plus Lambda_x where b
+        # is a's partner, from the Hessians of p and r
         local = u[:, :, None] * u[:, None, :]
-        local[:, :2, :2] *= lam_pp[:, None, None]
-        local[:, :2, 2:] *= lam_pr[:, None, None]
-        local[:, 2:, :2] *= lam_pr[:, None, None]
-        local[:, 2:, 2:] *= lam_rr[:, None, None]
-        local[:, 0, 1] += lam_p
-        local[:, 1, 0] += lam_p
-        local[:, 2, 3] += lam_r
-        local[:, 3, 2] += lam_r
+        for a, x in enumerate(SLOT_SIDE):
+            for b, y in enumerate(SLOT_SIDE):
+                local[:, a, b] *= (lam_pp, lam_pr, lam_rr)[x + y]
+            local[:, a, SLOT_PARTNER[a]] += lam1[:, x]
         local *= c[:, None, None]
         H2 = N.T @ net.scatter_blocks(local) @ N
         Hm = Hm.reshape(k, 2, nfree, 2, nfree)
@@ -354,13 +351,6 @@ def _newton_step(H, g):
         with contextlib.suppress(np.linalg.LinAlgError):
             return scipy.linalg.solveh_banded(np.vstack([H[:1] + jitter, H[1:]]), g, lower=True)
     raise NumericalError("path Hessian is numerically indefinite")
-
-
-def _orthonormal_complement(C: np.ndarray) -> np.ndarray:
-    n = C.shape[0]
-    proj = np.eye(n) - C @ C.T
-    vals, vecs = np.linalg.eigh(proj)
-    return vecs[:, vals > 0.5]
 
 
 def _check_moment_match(net: VelocityNetwork, f0, f1):

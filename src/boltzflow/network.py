@@ -21,8 +21,11 @@ from .errors import DomainError, NumericalError
 from .kinematics import Kernel, collide
 
 
-# a quadruple's column of S, in its slots (i, j, k, l)
+# a quadruple's slots (i, j, k, l): each one's sign in its column of S, its
+# partner in its product, and that product's side (0: p = f_i f_j, 1: r = f_k f_l)
 SLOT_SIGN = np.array([-1.0, -1.0, 1.0, 1.0])
+SLOT_PARTNER = np.array([1, 0, 3, 2])
+SLOT_SIDE = np.array([0, 0, 1, 1])
 
 # the most lattice nodes a network may have, 11^3: a d = 3, V/h = 5 build
 # already has 3.4 million quadruples and takes about 1 s at a peak RSS
@@ -148,7 +151,9 @@ class VelocityNetwork:
         The cover is exact for any quad.  The distinct pairs (i, j) of
         the quadruples are marked by their codes i n + j in an n^2
         bitmap, and only those m pairs are keyed and sorted, stably, so
-        each key's pairs stay in code order; the index keeps none of it,
+        each key's pairs stay in code order; the pairs that no
+        conservative row joins are then dropped, so a row that is not
+        conservative adds no member to a class.  The index keeps none of it,
         so a forward run holds no per-quadruple array (notes/decisions.md,
         D18, D20 and D21).
         """
@@ -169,13 +174,17 @@ class VelocityNetwork:
         cons = keys[a] == keys[b]
         kc = kappa
         if not cons.all():  # never for a build_network row; no copies then
+            # key only the pairs of conservative rows, in the same order
             a, b, kc = a[cons], b[cons], kappa[cons]
+            keep = np.zeros(len(keys), dtype=bool)
+            keep[a] = keep[b] = True
+            renum = np.cumsum(keep) - 1
+            a, b, pairs, keys = renum[a], renum[b], pairs[:, keep], keys[keep]
         first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
         size = np.diff(np.r_[first, len(keys)])
         cls = np.repeat(np.arange(len(first)), size)[a]
         # a class is a clique if its rows are s (s - 1) / 2 distinct
-        # edges between distinct members, all at one rate; the pairs of
-        # rows that are not conservative may make classes with no rows
+        # edges between distinct members, all at one rate
         base = first[cls]
         lo, hi = np.minimum(a, b) - base, np.maximum(a, b) - base
         area = size * size
@@ -184,7 +193,7 @@ class VelocityNetwork:
         rate[cls] = kc
         bad = (lo == hi) | (kc != rate[cls])
         bad |= np.bincount(edge, minlength=int(area.sum()))[edge] > 1
-        clique = (size > 1) & (np.bincount(cls, minlength=len(first)) == size * (size - 1) // 2)
+        clique = np.bincount(cls, minlength=len(first)) == size * (size - 1) // 2
         clique[cls[bad]] = False
         split = ~cons
         split[cons] = ~clique[cls]
@@ -215,8 +224,17 @@ class VelocityNetwork:
     @cached_property
     def invariants(self) -> np.ndarray:
         """(n, m) orthonormal basis of node functions conserved by every quadruple."""
-        vals, vecs = np.linalg.eigh(self.laplacian(np.ones(self.n_quadruples)))
-        return vecs[:, vals < 1e-9 * max(vals.max(), 1.0)]
+        # one eigh of S S', laplacian(ones(Q)) by exact integer sums, splits node space
+        vals, vecs = np.linalg.eigh((self.S @ self.S.T).toarray())
+        null = vals < 1e-9 * max(vals.max(), 1.0)
+        self.free_basis = vecs[:, ~null]
+        return vecs[:, null]
+
+    @cached_property
+    def free_basis(self) -> np.ndarray:
+        """(n, n - m) orthonormal basis of the rest of node space, the collision modes."""
+        self.invariants  # whose eigh sets this attribute
+        return vars(self)["free_basis"]
 
     def grad_bar(self, phi: np.ndarray) -> np.ndarray:
         """Discrete collision gradient: phi_k + phi_l - phi_i - phi_j."""

@@ -98,8 +98,10 @@ def test_run_forward_writes_manifest(tmp_path, command, etype, fields, files):
     assert on_disk["config_hash"] == manifest.config_hash
     assert on_disk["files"] == manifest.files
     assert on_disk["version"]
-    # the manifest keeps the config its hash is computed over
-    assert set(on_disk) == {"config", "config_hash", "files", "version", "wall_clock"}
+    # the manifest keeps the config its hash is computed over, and the
+    # solver stats that no data file holds
+    assert set(on_disk) == {"config", "config_hash", "files", "stats", "version", "wall_clock"}
+    assert on_disk["stats"] == manifest.stats
     canon = json.dumps(on_disk["config"], sort_keys=True)
     assert hashlib.sha256(canon.encode()).hexdigest() == on_disk["config_hash"]
     assert parse_config_dict(on_disk["config"]) == cfg
@@ -193,11 +195,21 @@ def test_main_exit_codes(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("etype, V", [("jko", 4.0), ("distance", 5.0)])
 def test_wide_lattice_runs_exit_0(tmp_path, etype, V):
     # default runs with only V widened: both exited 4 on problems they had
-    # solved while the Newton loop stopped on its KKT target alone
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"network": {"V": V}, "experiment": {"type": etype},
-                                "out": str(tmp_path / "out")}))
-    assert main([etype, "--config", str(path)]) == 0
+    # solved while the Newton loop stopped on its KKT target alone.  The
+    # manifest's stats say how each path solve stopped: there at the
+    # roundoff floor, in the default run (V = 3) at the KKT target
+    stops = {}
+    for width in (V, 3.0):
+        path, out = tmp_path / f"cfg-{width}.json", tmp_path / f"out-{width}"
+        path.write_text(json.dumps({"network": {"V": width}, "experiment": {"type": etype},
+                                    "out": str(out)}))
+        assert main([etype, "--config", str(path)]) == 0
+        stats = json.loads((out / "manifest.json").read_text())["stats"]
+        solves = stats["jko_steps"] if etype == "jko" else [stats["distance"]]
+        assert all(s["iterations"] == s["hessian_builds"] > 0 for s in solves)
+        stops[width] = {s["stop"] for s in solves}
+    assert "roundoff floor" in stops[V]
+    assert stops[3.0] == {"target"}
 
 
 @pytest.mark.parametrize("raw, message", [

@@ -237,6 +237,35 @@ def test_wide_lattice_distance_stops_at_its_roundoff_floor():
     prob = _PathProblem(net, 16, f0, f1)
     assert sol.squared <= prob.evaluate(prob.base)[0]  # the straight path's action
     assert max(np.max(np.abs(net.moments(g) - net.moments(f0))) for g in sol.path) <= 1e-12
+    # M's tails fall below 10 FLOOR here, so the floor sensitivity is the
+    # value's move when the path is clipped there
+    clipped = np.maximum(sol.path, 10.0 * FLOOR)
+    assert not np.array_equal(clipped, sol.path)
+    assert sol.floor_sensitivity > 0
+    assert sol.floor_sensitivity == abs(float(np.sqrt(prob.evaluate(clipped)[0])) - sol.value)
+
+
+def test_node_space_is_split_once_per_network(monkeypatch):
+    # the network's one eigh gives both the invariants and the free basis
+    # that every path problem on it reads; a distance and two JKO steps
+    # used to take one more eigh each
+    net = build_network(2, 3.0, 1.0, Kernel("constant"))
+    f0, f1 = maxent_project(net), _tilted_state(net, 0.3, 0)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    solve_distance(net, f0, f1, K=4)
+    for tau in (0.1, 0.05):
+        boltzflow.jko.jko_step(net, f1, tau, K=2)
+    assert calls == [(net.n_nodes, net.n_nodes)]
+    C, N = net.invariants, net.free_basis
+    assert C.shape[1] + N.shape[1] == net.n_nodes
+    assert np.allclose(np.hstack([C, N]).T @ np.hstack([C, N]), np.eye(net.n_nodes), atol=1e-13)
 
 
 @pytest.mark.parametrize("K", [1, 0, -3, 2.5, 4.0, True, "4"])

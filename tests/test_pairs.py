@@ -191,7 +191,7 @@ def test_collision_operator_builds_no_plain_incidence():
 def test_network_caches_only_its_derived_operators():
     # Q(f), D(f) and W_B keep no per-pair array: what a network caches
     # past its defining fields is the velocities, the rates, the two
-    # structures of the quadruple graph and the invariant basis
+    # structures of the quadruple graph and the invariant and free bases
     net = build_network(2, 3.0, 1.0, K1)
     feq = maxent_project(net)
     rng = np.random.Generator(np.random.Philox(11))
@@ -201,7 +201,7 @@ def test_network_caches_only_its_derived_operators():
     dissipation(net, f1)
     solve_distance(net, feq, f1, K=2)
     cached = set(vars(net)) - {field.name for field in fields(net)}
-    assert cached == {"nodes", "kappa", "collision_index", "S", "invariants"}
+    assert cached == {"nodes", "kappa", "collision_index", "S", "invariants", "free_basis"}
 
 
 def test_dissipation_matches_quadruple_wise(network):
@@ -305,6 +305,15 @@ def _hand_made(case):
         return restrict_quadruples(build_network(2, 3.0, 1.0, K1), [3, 3, 3])
     if case == "repeated-slot":  # two rows that are not conservative
         return _repeated_slots(build_network(2, 3.0, 1.0, K1))
+    if case == "row-across-keys":
+        # three rows among three of the four pairs of one class, and a row
+        # that is not conservative: it joins the fourth pair, (18, 22), to
+        # the pair of row 0, of another key; the three rows stay one clique
+        net = build_network(2, 3.0, 1.0, K1)
+        sub = restrict_quadruples(net, [271, 272, 302, 0])
+        quad = sub.quad.copy()
+        quad[3] = [18, 22, *net.quad[0, :2]]
+        return replace(sub, quad=quad)
     net = _one_class(build_network(2, 3.0, 1.0, K1))
     quad = net.quad.copy()
     if case == "part-of-a-class":  # five of its six rows: an edge missing
@@ -360,7 +369,9 @@ LATTICES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(LATTICES) + HAND_MADE + ["repeated-slot"])
+@pytest.mark.parametrize(
+    "case", sorted(LATTICES) + HAND_MADE + ["repeated-slot", "row-across-keys"]
+)
 def test_collision_index_matches_key_table_build(case):
     net = build_network(*LATTICES[case]) if case in LATTICES else _hand_made(case)
     got, want = net.collision_index, oracles.keyed_collision_index(net)
