@@ -185,6 +185,8 @@ def parse_config_dict(raw: dict) -> RunConfig:
     if etype == "consistency":
         if len(set(exp["Ns"])) < len(exp["Ns"]):
             raise ConfigError(f"experiment.Ns must not repeat an entry, got {exp['Ns']!r}")
+        if len(exp["Ns"]) < 2:  # the report compares N against N
+            raise ConfigError(f"experiment.Ns needs at least two entries, got {exp['Ns']!r}")
         _check_lattice(network.d, network.V, exp["reference_h"],
                        "network.V / experiment.reference_h")
 

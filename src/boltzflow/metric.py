@@ -25,7 +25,7 @@ import scipy.sparse
 
 from ._newton import damped_newton
 from .errors import DomainError, NumericalError
-from .network import SLOT_PARTNER, SLOT_SIDE, SLOT_SIGN, VelocityNetwork, _positive_state, _state
+from .network import SIDE_SIGN, SLOT_SIDE, VelocityNetwork, _positive_state, _state
 from .scalars import log_mean, log_mean_and_partials
 
 
@@ -169,36 +169,28 @@ class _PathProblem:
             H[r - c, K * nfree + c] += (self.N.T @ (w / g[:, None] * self.N))[r, c]
         return H
 
-    def _slots(self, path, start, stop):
-        """Partner densities u (k, 4, Q) of intervals start..stop - 1.
-
-        u_a = d(f_i f_j or f_k f_l)/d(f_a) at the midpoint fbar: the
-        partner slot's density.  Slot arrays are (k, 4, Q) and slot blocks
-        (k, 4, 4, Q), so every elementwise step runs along the quadruples.
-        """
-        fbar = 0.5 * (path[start:stop] + path[start + 1 : stop + 1])
-        return np.take(fbar, self.net.quad.T[SLOT_PARTNER], axis=-1)
-
     def _add_intervals(self, path, start, stop, actions, fluxes, grad):
         """Add the value and gradient terms of intervals start..stop - 1.
 
         Per interval, A = g' L^+ g with g = w (fb - fa) / dt and
         L = S diag(kappa Lambda(fbar)) S'.  With u = L^+ g (the
-        potential), s = S' u (the optimal flux is J = Lambda s),
-        c = kappa s^2 and G the Q x n Jacobian of Lambda(fbar), the
-        gradient in (fa, fb) is (-2 (w/dt) u - G'c / 2, 2 (w/dt) u - G'c / 2).
-        The regularized L + tr(L)/n C C' is SPD and is factored once; it
-        acts as L^+ on the range of L.  Every array carries a leading
-        interval axis.  Returns what `_add_hessian` cannot rebuild cheaply:
-        the log-mean partials, the Cholesky factors and the potentials.
+        potential), s = S' u (the optimal flux is J = Lambda s) and
+        c = kappa s^2, the gradient in (fa, fb) is
+        (-2 (w/dt) u + dbar, 2 (w/dt) u + dbar) with dbar = -sigma / (2 fbar):
+        Lambda depends on f through a = log p and b = log r, so
+        dLambda/df = G / fbar with G_qv the sum of Lambda_a over the slots
+        of q on its side p at node v and of Lambda_b over those on r, and
+        sigma = G'c.  The regularized L + tr(L)/n C C' is SPD and is
+        factored once; it acts as L^+ on the range of L.  Every array
+        carries a leading interval axis.  Returns what `_add_hessian`
+        cannot rebuild cheaply: the log-mean partials, sigma, the Cholesky
+        factors and the potentials.
         """
         net, kappa = self.net, self.net.kappa
         k, n = stop - start, net.n_nodes
-        # p = f_i f_j and r = f_k f_l: the first slot of each side times its partner
-        u = self._slots(path, start, stop)
-        lam, lam_p, lam_r, lam_pp, lam_pr, lam_rr = log_mean_and_partials(
-            *(u[:, SLOT_PARTNER[a]] * u[:, a] for a in np.searchsorted(SLOT_SIDE, (0, 1)))
-        )
+        fbar = 0.5 * (path[start:stop] + path[start + 1 : stop + 1])
+        f = np.take(fbar, net.quad.T, axis=-1)  # (k, 4, Q), slot by slot
+        lam, lam_a, lam_b, lam_ab = log_mean_and_partials(f[:, 0] * f[:, 1], f[:, 2] * f[:, 3])
         L = net.laplacian(kappa * lam)
         L += (np.trace(L, axis1=1, axis2=2) / n)[:, None, None] * self.P
         factors = _cholesky(L)
@@ -207,58 +199,60 @@ class _PathProblem:
         # one dot per interval, as BLAS sums it
         actions[start:stop] = [gm @ um for gm, um in zip(g, pot)]
         s = net.grad_bar(pot.T).T
-        lam1 = np.stack([lam_p, lam_r], axis=1)  # Lambda's partials by side
-        slot_grad = lam1[:, SLOT_SIDE] * u  # dLambda/df_a
+        lam1 = np.stack([lam_a, lam_b], axis=1)  # Lambda's log partials by side
         c = kappa * s**2
         # node sums in quadruple-major order, as the bins run
         bins = (net.quad.ravel() + n * np.arange(k)[:, None]).ravel()
-        dbar = -0.5 * np.bincount(
-            bins, weights=(c[:, None] * slot_grad).transpose(0, 2, 1).ravel(), minlength=k * n
+        sigma = np.bincount(
+            bins, weights=(c[:, None] * lam1)[:, SLOT_SIDE].transpose(0, 2, 1).ravel(),
+            minlength=k * n,
         ).reshape(k, n)
+        dbar = -sigma / (2.0 * fbar)
         w = net.node_weight / self.dt
         weight = self.scale * self.dt
         grad[start:stop] += weight * (-2.0 * w * pot + dbar)
         grad[start + 1 : stop + 1] += weight * (2.0 * w * pot + dbar)
         fluxes[start:stop] = lam * s
-        return lam1, lam_pp, lam_pr, lam_rr, factors, pot
+        return lam1, lam_ab, sigma, factors, pot
 
     def _add_hessian(self, path, start, stop, part, H):
         """Add the Hessian terms of intervals start..stop - 1 to the band H.
 
-        With the quantities of `_add_intervals` and B = S diag(kappa s) G,
-        the Hessian in the coordinates (N' fa, N' fb) is
-        2 M' L^+ M - (1/4) [[H2, H2], [H2, H2]], where
+        With the quantities of `_add_intervals`, D = diag(fbar) and
+        B = S diag(kappa s) G D^-1, the Hessian in the coordinates
+        (N' fa, N' fb) is 2 M' L^+ M - (1/4) [[H2, H2], [H2, H2]], where
         M = [-(w/dt) N - B N / 2, (w/dt) N - B N / 2] is the Jacobian of
-        g - L u at fixed u and H2 = N' (sum_q c_q Hess Lambda_q) N.  `part`
-        is what `_add_intervals` returned for these intervals; the slot
-        gathers, s and c are rebuilt from the path and its potentials, so
-        no slot array outlives its batch.
+        g - L u at fixed u and H2 = N' (sum_q c_q Hess Lambda_q) N.  In
+        log f the Hessian of Lambda_q is its (a, b) Hessian
+        [[Lambda_a - Lambda_ab, Lambda_ab], [Lambda_ab, Lambda_b - Lambda_ab]]
+        on the slots of each side, so
+        sum_q c_q Hess Lambda_q = D^-1 (X - diag sigma) D^-1 with X the
+        scattered side blocks c times that Hessian; -diag sigma is the
+        chain rule's term d(1/f)/df, and a slot repeated in a quadruple
+        (i == j) sums its blocks on one node.  `part` is what
+        `_add_intervals` returned for these intervals; s and c are rebuilt
+        from the potentials, and nothing is gathered per slot.
         """
         net, kappa, N = self.net, self.net.kappa, self.N
-        k, nfree = stop - start, N.shape[1]
-        lam1, lam_pp, lam_pr, lam_rr, factors, pot = part
-        u = self._slots(path, start, stop)
+        k, n, nfree = stop - start, net.n_nodes, N.shape[1]
+        lam1, lam_ab, sigma, factors, pot = part
+        fbar = 0.5 * (path[start:stop] + path[start + 1 : stop + 1])
+        DN = N / fbar[:, :, None]  # D^-1 N
         s = net.grad_bar(pot.T).T
-        slot_grad = lam1[:, SLOT_SIDE] * u
         c = kappa * s**2
         w = net.node_weight / self.dt
-        B = SLOT_SIGN[:, None, None] * ((kappa * s)[:, None] * slot_grad)[:, None]
-        B = net.scatter_blocks(B)
-        BN = B @ N
+        B = net.scatter_blocks(SIDE_SIGN[:, None, None] * ((kappa * s)[:, None] * lam1)[:, None])
+        BN = B @ DN
         BN -= self.C @ (self.C.T @ BN)  # the range of L
         M = np.concatenate([-w * N - 0.5 * BN, w * N - 0.5 * BN], axis=2)
         Hm = 2.0 * M.transpose(0, 2, 1) @ _cho_solve(factors, M)
-        # Hess Lambda_q in the slots: Lambda_xy u_a u_b, with x and y the
-        # sides (0 for p, 1 for r) of slots a and b, so Lambda_xy is entry
-        # x + y of (Lambda_pp, Lambda_pr, Lambda_rr), plus Lambda_x where b
-        # is a's partner, from the Hessians of p and r
-        local = u[:, :, None] * u[:, None, :]
-        for a, x in enumerate(SLOT_SIDE):
-            for b, y in enumerate(SLOT_SIDE):
-                local[:, a, b] *= (lam_pp, lam_pr, lam_rr)[x + y]
-            local[:, a, SLOT_PARTNER[a]] += lam1[:, x]
-        local *= c[:, None, None]
-        H2 = N.T @ net.scatter_blocks(local) @ N
+        # c times the (a, b) Hessian diag(lam_a, lam_b) - lam_ab sign sign'
+        hess = -np.outer(SIDE_SIGN, SIDE_SIGN)[:, :, None] * lam_ab[:, None, None]
+        hess[:, [0, 1], [0, 1]] += lam1
+        hess *= c[:, None, None]
+        X = net.scatter_blocks(hess)
+        X.reshape(k, n * n)[:, :: n + 1] -= sigma  # the diagonal of each interval's X
+        H2 = DN.transpose(0, 2, 1) @ X @ DN
         Hm = Hm.reshape(k, 2, nfree, 2, nfree)
         Hm -= 0.25 * H2[:, None, :, None, :]
         Hm *= self.scale * self.dt

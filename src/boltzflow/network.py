@@ -21,11 +21,11 @@ from .errors import DomainError, NumericalError
 from .kinematics import Kernel, collide
 
 
-# a quadruple's slots (i, j, k, l): each one's sign in its column of S, its
-# partner in its product, and that product's side (0: p = f_i f_j, 1: r = f_k f_l)
-SLOT_SIGN = np.array([-1.0, -1.0, 1.0, 1.0])
-SLOT_PARTNER = np.array([1, 0, 3, 2])
+# a quadruple's two sides, p = f_i f_j lost and r = f_k f_l gained, with
+# their signs in its column of S; its slots (i, j, k, l) and their sides
+SIDE_SIGN = np.array([-1.0, 1.0])
 SLOT_SIDE = np.array([0, 0, 1, 1])
+SLOT_SIGN = SIDE_SIGN[SLOT_SIDE]
 
 # the most lattice nodes a network may have, 11^3: a d = 3, V/h = 5 build
 # already has 3.4 million quadruples and takes about 1 s at a peak RSS
@@ -245,24 +245,25 @@ class VelocityNetwork:
         return self.S @ q_values
 
     def scatter_blocks(self, blocks: np.ndarray) -> np.ndarray:
-        """Sum per-quadruple (..., 4, 4, Q) slot blocks into dense (..., n, n).
+        """Sum per-quadruple (..., 2, 2, Q) side blocks into dense (..., n, n).
 
-        Entry (a, b) of block q lands on (quad[q, a], quad[q, b]) of its
-        own slice.  One bincount per slot pair, over every slice at once
-        with each slice's bins offset by n^2, keeps every temporary the
-        size of one slot of the blocks; each slice sums in the order of
-        an unbatched call.
+        Entry (x, y) of block q lands on (quad[q, a], quad[q, b]) of its
+        own slice for every slot a on side x and b on side y (SLOT_SIDE).
+        One bincount per slot pair, over every slice at once with each
+        slice's bins offset by n^2, keeps every temporary the size of one
+        entry of the blocks; each slice sums in the order of an unbatched
+        call.
         """
         n = self.n_nodes
         batch = blocks.shape[:-3]
         offset = n * n * np.arange(int(np.prod(batch))).reshape(batch + (1,))
         out = np.zeros(n * n * offset.size)
-        for a in range(4):
+        for a, x in enumerate(SLOT_SIDE):
             rows = self.quad[:, a] * n + offset
-            for b in range(4):
+            for b, y in enumerate(SLOT_SIDE):
                 out += np.bincount(
                     (rows + self.quad[:, b]).ravel(),
-                    weights=blocks[..., a, b, :].ravel(),
+                    weights=blocks[..., x, y, :].ravel(),
                     minlength=out.size,
                 )
         return out.reshape(batch + (n, n))
@@ -272,7 +273,7 @@ class VelocityNetwork:
 
         weights is (..., Q) and the Laplacians (..., n, n).
         """
-        signs = np.outer(SLOT_SIGN, SLOT_SIGN)[:, :, None]
+        signs = np.outer(SIDE_SIGN, SIDE_SIGN)[:, :, None]
         return self.scatter_blocks(signs * np.expand_dims(weights, (-3, -2)))
 
     # -- export --------------------------------------------------------------
@@ -458,9 +459,13 @@ def _exponential_fit(
 
     Damped Newton (`damped_newton`) on the dual objective log Z - th.want,
     whose gradient is the moment residual and whose Hessian is the feature
-    covariance, positive definite on feasible interiors.  Stops when every
-    moment residual is below 1e-12 or at the loop's roundoff floor;
-    otherwise (a failed line search, or 60 iterations) NumericalError.
+    covariance, positive definite on feasible interiors.  The per-mass
+    targets must lie strictly inside the convex hull of the features
+    (v, |v|^2), else DomainError: each momentum coordinate inside the box,
+    and the energy below d V^2 and above its least value at that momentum.
+    Stops when every moment residual is below 1e-12 or at the loop's
+    roundoff floor; otherwise (a failed line search, or 60 iterations)
+    NumericalError.
     """
     if targets.shape != (net.d + 2,) or not np.all(np.isfinite(targets)):
         raise DomainError(f"moment targets must be {net.d + 2} finite numbers, got {targets}")
@@ -470,7 +475,13 @@ def _exponential_fit(
     feats = np.column_stack([net.nodes, np.sum(net.nodes**2, axis=1)])  # (n, d+1)
     want = targets[1:] / mass_t  # per-unit-mass momentum and energy
     lo, hi = feats.min(axis=0), feats.max(axis=0)
-    if np.any(want <= lo) or np.any(want >= hi):
+    # the least energy at momentum u: sum_k of |v|^2 interpolated linearly
+    # between the grid points around u_k, as the lattice's hull is
+    # separable; u clipped to the box, which the first two tests check
+    u = np.clip(want[:-1], lo[:-1], hi[:-1]) / net.h
+    a = np.floor(u)
+    least = net.h**2 * np.sum(a**2 + (2 * a + 1) * (u - a))
+    if np.any(want <= lo) or np.any(want >= hi) or not want[-1] > least:
         raise DomainError(
             f"moment targets {targets} are not strictly inside the attainable range"
         )

@@ -1,10 +1,12 @@
 """Numerically stable scalar kernels and the Gaussian mixture.
 
 The logarithmic mean is the building block of the collision metric.
-It and its partials share one kernel, psi(x) = sinh(x/2) / (x/2) with
-x = log(s/t): a 12-term Taylor series below |x| = 2 and the closed form
-above, so no branch cancels and values stay accurate to a few ulp for
-every pair of positive arguments.
+It and its partials in the log coordinates a = log s, b = log t share
+one kernel, psi(x) = sinh(x/2) / (x/2) with x = a - b: a 12-term
+Taylor series below |x| = 2 and the closed form above, so no branch
+cancels and values stay accurate to a few ulp for every pair of
+positive arguments.  The collision metric differentiates through log f
+(notes/decisions.md, D27), so no partial in s or t is formed.
 """
 
 from __future__ import annotations
@@ -59,17 +61,16 @@ def log_mean(s, t):
 
 
 def log_mean_and_partials(p: np.ndarray, r: np.ndarray):
-    """Logarithmic mean and its first and second partials, p, r > 0.
+    """Logarithmic mean and its partials in a = log p and b = log r, p, r > 0.
 
-    Returns (lam, lam_p, lam_r, lam_pp, lam_pr, lam_rr).  With
-    E = sqrt(p r), x = log(p / r) and psi(x) = sinh(x/2) / (x/2),
-    lam = E psi(x); in a = log p, b = log r,
+    Returns (lam, lam_a, lam_b, lam_ab).  With E = sqrt(p r),
+    x = log(p / r) and psi(x) = sinh(x/2) / (x/2), lam = E psi(x),
     lam_a = E (psi/2 + psi'), lam_b = E (psi/2 - psi') and
     lam_ab = E chi with chi = psi/4 - psi''.  Degree-1 homogeneity gives
-    lam_aa - lam_a = lam_bb - lam_b = -lam_ab, so
-    lam_pp = -lam_ab / p^2, lam_pr = lam_ab / (p r), lam_rr = -lam_ab / r^2.
-    psi, psi' and chi come from their Taylor series below |x| = 2 and
-    from cancellation-free closed forms above it.
+    lam_a + lam_b = lam and lam_aa = lam_a - lam_ab,
+    lam_bb = lam_b - lam_ab, so these four values are the whole second
+    order jet.  psi, psi' and chi come from their Taylor series below
+    |x| = 2 and from cancellation-free closed forms above it.
     """
     x = np.log(p / r)
     E = np.sqrt(p * r)
@@ -87,15 +88,7 @@ def log_mean_and_partials(p: np.ndarray, r: np.ndarray):
     up[~small] = (np.exp(0.5 * xl) - psi[~small]) / xl
     down[~small] = (psi[~small] - np.exp(-0.5 * xl)) / xl
     chi[~small] = 2.0 * (np.cosh(0.5 * xl) - psi[~small]) / xl**2
-    lam_ab = E * chi
-    return (
-        E * psi,
-        E * up / p,
-        E * down / r,
-        -lam_ab / p**2,
-        lam_ab / (p * r),
-        -lam_ab / r**2,
-    )
+    return E * psi, E * up, E * down, E * chi
 
 
 @dataclass(frozen=True)

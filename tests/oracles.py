@@ -8,8 +8,9 @@ collision operator quadruple by quadruple through the COO incidence,
 the velocity pairs by np.unique and the clique cover through an n^2
 key table, the incidence matrix from COO triplets and the incidence
 operators as per-slot `np.add.at` scatters, the W_B and JKO path
-objective one interval at a time with a dense Hessian, the Newton loop
-with every candidate's Hessian built, the Newton step by a dense
+objective one interval at a time with a dense Hessian (and once more
+with the mobility differentiated in f, on 4 x 4 slot blocks), the
+Newton loop with every candidate's Hessian built, the Newton step by a dense
 Cholesky factorization, the moment fit by its own damped Newton loop,
 the W1 distance by its Kantorovich-Rubinstein dual, the Kac walk, its
 CSV log and its dependency levels one event and one row at a time, the
@@ -39,7 +40,7 @@ from boltzflow.forward import dissipation, entropy
 from boltzflow.kac import EventLog, ParticleState, _pair_from_index, _unit_vectors, stream
 from boltzflow.kinematics import SPHERE_SURFACE, Kernel, collide
 from boltzflow.metric import FLOOR, _newton_step
-from boltzflow.network import SLOT_SIGN, CollisionIndex
+from boltzflow.network import SIDE_SIGN, SLOT_SIDE, CollisionIndex
 from boltzflow.scalars import GaussianMixture, log_mean, log_mean_and_partials
 
 
@@ -403,15 +404,64 @@ def collision_operator(net, f: np.ndarray) -> np.ndarray:
 def path_interval(prob, fa: np.ndarray, fb: np.ndarray, hessian: bool = False):
     """Action, gradient, flux and Hessian (or None) of one interval of `prob`.
 
-    The formulas of `boltzflow.metric._PathProblem._add_intervals` for a
-    single interval, each array without an interval axis.
+    The formulas of `boltzflow.metric._PathProblem._add_intervals` and
+    `_add_hessian` for a single interval, each array without an interval
+    axis: the mobility differentiated through log fbar.
+    """
+    net, kappa, N = prob.net, prob.net.h ** (2 * prob.net.d) * prob.net.B_q, prob.N
+    n = net.n_nodes
+    fbar = 0.5 * (fa + fb)
+    lam, lam_a, lam_b, lam_ab = log_mean_and_partials(*quadruple_products(net, fbar))
+    L = net.laplacian(kappa * lam)
+    L += np.trace(L) / len(L) * prob.P
+    cho = scipy.linalg.cho_factor(L)
+    g = net.node_weight * (fb - fa) / prob.dt
+    pot = scipy.linalg.cho_solve(cho, g)
+    act = g @ pot
+    s = net.grad_bar(pot)
+    c = kappa * s**2
+    lam1 = np.stack([lam_a, lam_b], axis=1)  # (Q, 2)
+    sigma = np.bincount(
+        net.quad.ravel(), weights=(c[:, None] * lam1[:, SLOT_SIDE]).ravel(), minlength=n
+    )
+    dbar = -sigma / (2.0 * fbar)
+    w = net.node_weight / prob.dt
+    grad = np.concatenate([-2.0 * w * pot + dbar, 2.0 * w * pot + dbar])
+    flux = lam * s
+    if not hessian:
+        return act, grad, flux, None
+    DN = N / fbar[:, None]
+    # side blocks (2, 2, Q): sign of side x times kappa s Lambda_y
+    B = SIDE_SIGN[:, None, None] * ((kappa * s) * lam1.T)[None]
+    BN = net.scatter_blocks(B) @ DN
+    BN -= prob.C @ (prob.C.T @ BN)
+    M = np.hstack([-w * N - 0.5 * BN, w * N - 0.5 * BN])
+    H = 2.0 * M.T @ scipy.linalg.cho_solve(cho, M)
+    hess = np.array([[lam_a - lam_ab, lam_ab], [lam_ab, lam_b - lam_ab]])
+    X = net.scatter_blocks(c * hess)
+    X[np.diag_indices(n)] -= sigma
+    H2 = DN.T @ X @ DN
+    H -= 0.25 * np.tile(H2, (2, 2))
+    return act, grad, flux, H
+
+
+def path_interval_pspace(prob, fa: np.ndarray, fb: np.ndarray, hessian: bool = False):
+    """`path_interval` with the mobility differentiated in f itself.
+
+    The partials in p = f_i f_j and r = f_k f_l are the log-coordinate
+    ones divided by p and r (lam_pp = -lam_ab / p^2, lam_pr = lam_ab /
+    (p r), lam_rr = -lam_ab / r^2, by homogeneity), each slot's partial is
+    the side's partial times its partner's density, and the second
+    partials are 4 x 4 slot blocks per quadruple, the partner term added
+    from the Hessians of p and r, summed by `scatter_blocks`.
     """
     net, kappa, N = prob.net, prob.net.h ** (2 * prob.net.d) * prob.net.B_q, prob.N
     fbar = 0.5 * (fa + fb)
     u = fbar[net.quad[:, [1, 0, 3, 2]]]
-    lam, lam_p, lam_r, lam_pp, lam_pr, lam_rr = log_mean_and_partials(
-        *quadruple_products(net, fbar)
-    )
+    p, r = quadruple_products(net, fbar)
+    lam, lam_a, lam_b, lam_ab = log_mean_and_partials(p, r)
+    lam_p, lam_r = lam_a / p, lam_b / r
+    lam_pp, lam_pr, lam_rr = -lam_ab / p**2, lam_ab / (p * r), -lam_ab / r**2
     L = net.laplacian(kappa * lam)
     L += np.trace(L) / len(L) * prob.P
     cho = scipy.linalg.cho_factor(L)
@@ -429,9 +479,9 @@ def path_interval(prob, fa: np.ndarray, fb: np.ndarray, hessian: bool = False):
     flux = lam * s
     if not hessian:
         return act, grad, flux, None
-    # quadruple-major blocks (Q, 4, 4), handed over slot-major (4, 4, Q)
-    B = SLOT_SIGN[:, None] * ((kappa * s)[:, None] * slot_grad)[:, None]
-    B = net.scatter_blocks(B.transpose(1, 2, 0))
+    sign = np.array([-1.0, -1.0, 1.0, 1.0])
+    B = sign[:, None] * ((kappa * s)[:, None] * slot_grad)[:, None]
+    B = scatter_blocks(net.quad, net.n_nodes, B.transpose(1, 2, 0))
     BN = B @ N
     BN -= prob.C @ (prob.C.T @ BN)
     M = np.hstack([-w * N - 0.5 * BN, w * N - 0.5 * BN])
@@ -445,13 +495,15 @@ def path_interval(prob, fa: np.ndarray, fb: np.ndarray, hessian: bool = False):
     local[:, 1, 0] += lam_p
     local[:, 2, 3] += lam_r
     local[:, 3, 2] += lam_r
-    H2 = N.T @ net.scatter_blocks((c[:, None, None] * local).transpose(1, 2, 0)) @ N
+    H2 = N.T @ scatter_blocks(
+        net.quad, net.n_nodes, (c[:, None, None] * local).transpose(1, 2, 0)
+    ) @ N
     H -= 0.25 * np.tile(H2, (2, 2))
     return act, grad, flux, H
 
 
-def path_evaluate(prob, path: np.ndarray, hessian: bool = False):
-    """`_PathProblem.evaluate` by a loop over the intervals, one `path_interval` each."""
+def path_evaluate(prob, path: np.ndarray, hessian: bool = False, interval=path_interval):
+    """`_PathProblem.evaluate` by a loop over the intervals, one `interval` call each."""
     K, n = len(path) - 1, prob.net.n_nodes
     nfree = prob.N.shape[1]
     weight = prob.scale * prob.dt
@@ -460,7 +512,7 @@ def path_evaluate(prob, path: np.ndarray, hessian: bool = False):
     grad = np.zeros((K + 1, n))
     H = np.zeros((K + 1, nfree, K + 1, nfree)) if hessian else None
     for m in range(K):
-        actions[m], gm, fluxes[m], Hm = path_interval(prob, path[m], path[m + 1], hessian)
+        actions[m], gm, fluxes[m], Hm = interval(prob, path[m], path[m + 1], hessian)
         grad[m : m + 2] += weight * gm.reshape(2, n)
         if hessian:
             H[m : m + 2, :, m : m + 2] += weight * Hm.reshape(2, nfree, 2, nfree)

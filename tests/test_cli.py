@@ -241,6 +241,8 @@ def test_domain_errors_exit_3(tmp_path, capsys, raw, message):
     ("jko", {"probe_times": [-0.1, 0.5]}),
     ("consistency", {"probe_times": [-0.05, 0.05]}),
     ("consistency", {"Ns": [8, 8]}),
+    ("consistency", {"Ns": []}),
+    ("consistency", {"Ns": [64]}),
     # json.dumps writes NaN and Infinity, and json.load reads them back
     ("forward", {"network.V": float("nan")}),
     ("distance", {"tol": float("nan")}),
@@ -258,10 +260,11 @@ def test_domain_errors_exit_3(tmp_path, capsys, raw, message):
 ], ids=["kac-ou-time", "forward-max-step", "kac-one-particle", "consistency-fractional-N",
         "consistency-one-particle", "consistency-one-replicate", "consistency-reference-h",
         "consistency-zero-reference-h", "jko-negative-probe", "consistency-negative-probe",
-        "consistency-repeated-N", "network-V-nan", "distance-tol-nan", "jko-tau-infinity",
-        "network-ratio-overflow", "consistency-reference-h-overflow", "network-d2-nodes",
-        "network-d3-nodes", "network-float-d", "kernel-string-lo", "clamp-null-b",
-        "kernel-list-hi", "constant-nan-hi", "constant-lo-above-hi"])
+        "consistency-repeated-N", "consistency-no-N", "consistency-one-N", "network-V-nan",
+        "distance-tol-nan", "jko-tau-infinity", "network-ratio-overflow",
+        "consistency-reference-h-overflow", "network-d2-nodes", "network-d3-nodes",
+        "network-float-d", "kernel-string-lo", "clamp-null-b", "kernel-list-hi",
+        "constant-nan-hi", "constant-lo-above-hi"])
 def test_config_ranges_exit_2(tmp_path, capsys, etype, fields):
     # every range is checked at parse time, before the experiment starts; the
     # message names the last field set

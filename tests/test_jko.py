@@ -1,5 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boltzflow.cli import _tilted_state
 from boltzflow.errors import DomainError
@@ -194,3 +198,32 @@ def test_wide_lattice_step_matches_its_reference(wide):
     ref = np.array(WIDE_REFERENCE_STATE)
     assert np.max(np.abs(step.state - ref)) <= 1e-15 * np.max(ref)
     assert abs(step.objective - WIDE_REFERENCE_OBJECTIVE) <= 1e-15 * abs(WIDE_REFERENCE_OBJECTIVE)
+
+
+@functools.lru_cache(maxsize=None)
+def _small_network(d, M, kind):
+    kernel = Kernel("constant") if kind == "constant" else Kernel("clamp", lo=0.5, hi=2.0)
+    return build_network(d, float(M), 1.0, kernel)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    grid=st.sampled_from([(2, 2), (2, 3), (2, 4), (3, 2)]),
+    kind=st.sampled_from(["constant", "clamp"]),
+    amplitude=st.floats(0.0, 0.5),
+    seed=st.integers(0, 2**16),
+    tau=st.floats(1e-3, 0.1),
+    K=st.sampled_from([2, 4]),
+)
+def test_jko_entropy_does_not_increase(grid, kind, amplitude, seed, tau, K):
+    # the minimizing movement lowers the entropy at every step, up to the
+    # rounding of its sum (n eps sum |w f log f|).  V/h = 1 is left out:
+    # the default energy d sits on the edge of its attainable range there
+    net = _small_network(*grid, kind)
+    traj = jko_trajectory(net, _tilted_state(net, amplitude, seed), tau, 2 * tau, K=K)
+    assert traj.n_steps == 2
+    assert set(traj.stops) <= {"target", "roundoff floor"}
+    eps = np.finfo(float).eps
+    for f, H, H_next in zip(traj.states, traj.entropies, traj.entropies[1:]):
+        slack = net.n_nodes * eps * net.node_weight * np.sum(np.abs(f * np.log(f)))
+        assert H_next <= H + slack

@@ -14,6 +14,7 @@ from boltzflow.forward import collision_operator, entropy, solve_forward
 from boltzflow.kinematics import Kernel, collide
 from boltzflow.network import (
     MAX_NODES,
+    SLOT_SIDE,
     VelocityNetwork,
     build_network,
     lattice_ratio,
@@ -128,14 +129,16 @@ def test_operators_match_scatter_oracles(net):
 
 
 def test_scatter_blocks_matches_add_at(net):
-    # blocks without symmetry, so a swapped slot pair shows
+    # side blocks without symmetry, so a swapped side pair shows; each
+    # slot (i, j, k, l) takes the entries of its side
     rng = np.random.default_rng(12)
     for g in (net, restrict_quadruples(net, [0, 5, 17, 300])):
-        blocks = rng.standard_normal((4, 4, g.n_quadruples))
-        ref = oracles.scatter_blocks(g.quad, g.n_nodes, blocks)
+        blocks = rng.standard_normal((2, 2, g.n_quadruples))
+        slot_blocks = blocks[SLOT_SIDE][:, SLOT_SIDE]
+        ref = oracles.scatter_blocks(g.quad, g.n_nodes, slot_blocks)
         assert np.max(np.abs(g.scatter_blocks(blocks) - ref)) <= 1e-14 * np.max(np.abs(ref))
         # leading axes: each slice sums as an unbatched call does
-        batch = rng.standard_normal((2, 3, 4, 4, g.n_quadruples))
+        batch = rng.standard_normal((2, 3, 2, 2, g.n_quadruples))
         out = g.scatter_blocks(batch)
         weights = rng.random((3, g.n_quadruples))
         lap = g.laplacian(weights)
@@ -344,6 +347,11 @@ def test_maxent_custom_moments(net):
 def test_maxent_infeasible(net):
     with pytest.raises(DomainError, match="not strictly inside the attainable range"):
         maxent_project(net, energy=100.0)  # beyond max |v|^2 on the grid
+    # below and on the least energy |u|^2 = 4 at momentum u = (2, 0), and
+    # a momentum far outside the box, whose least energy would overflow
+    for momentum, energy in (((2.0, 0.0), 1.0), ((2.0, 0.0), 4.0), ((1e300, 0.0), 4.0)):
+        with pytest.raises(DomainError, match="not strictly inside the attainable range"):
+            maxent_project(net, momentum=momentum, energy=energy)
     with pytest.raises(DomainError, match="target mass must be positive"):
         maxent_project(net, mass=-1.0)
 

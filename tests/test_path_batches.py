@@ -30,6 +30,7 @@ from boltzflow.metric import (
     solve_distance,
 )
 from boltzflow.network import build_network, maxent_project, restrict_quadruples, tilt_to_moments
+from boltzflow.scalars import log_mean_and_partials
 
 K1 = Kernel("constant", b=1.0)
 K = 8
@@ -92,6 +93,83 @@ def test_evaluate_matches_interval_loop(network, monkeypatch, batch):
     for prob, path in _problems(network):
         for hessian in (False, True):
             _assert_same(prob.evaluate(path, hessian), oracles.path_evaluate(prob, path, hessian))
+
+
+def _rounding_bounds(prob, path):
+    """Elementwise bounds on how far two roundings of the gradient and band may differ.
+
+    Two formulas for the same exact quantities each land within
+    gamma eps |terms| of them, |terms| being the sum of the magnitudes of
+    the terms a result adds up (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 3), so they differ by at most twice that.
+    - A gradient entry sums at most m nonnegative mobility terms (m the
+      most slots on one node), each rounded at most 5 times, then takes at
+      most 6 more steps: gamma = m + 10.  An interval's two terms a and b
+      have |a| + |b| = max(|b - a|, |b + a|), its larger gradient half.
+    - A band entry sums T-term scatters (T the most slot pairs on one node
+      pair) of terms rounded at most 6 times, then takes at most 3
+      products of length n and 10 more steps, and the Cholesky solve,
+      which lands within (3 n + 1) eps |L^-1| |R'| |R| |x| (Higham,
+      Theorem 10.4): gamma = 3 n + T + 20, on the magnitudes |M|,
+      |L^-1| |M| and |N|' |Hess Lambda| |N| formed below.
+    """
+    net, N, C = prob.net, prob.N, prob.C
+    n, nfree, K = net.n_nodes, N.shape[1], len(path) - 1
+    eps, weight, w = np.finfo(float).eps, prob.scale * prob.dt, net.node_weight / prob.dt
+    m = np.bincount(net.quad.ravel()).max()
+    T = np.bincount((net.quad[:, :, None] * n + net.quad[:, None, :]).ravel()).max()
+    grad = np.zeros((K + 1, n))
+    band = np.zeros((K + 1, nfree, K + 1, nfree))
+    absN, absCC = np.abs(N), np.abs(C) @ np.abs(C).T
+    for k in range(K):
+        halves = oracles.path_interval(prob, path[k], path[k + 1])[1].reshape(2, n)
+        grad[k : k + 2] += weight * np.max(np.abs(halves), axis=0)
+        fbar = 0.5 * (path[k] + path[k + 1])
+        p, r = oracles.quadruple_products(net, fbar)
+        lam, lam_a, lam_b, lam_ab = log_mean_and_partials(p, r)
+        L = net.laplacian(net.kappa * lam)
+        L += np.trace(L) / n * prob.P
+        R = scipy.linalg.cholesky(L)
+        Linv = np.abs(np.linalg.inv(L))
+        g = net.node_weight * (path[k + 1] - path[k]) / prob.dt
+        s = net.grad_bar(scipy.linalg.cho_solve((R, False), g))
+        c, ks = net.kappa * s**2, np.abs(net.kappa * s)
+        lam1 = np.stack([lam_a, lam_b])
+        # |B|, |B N| after the projection, |M| and |L^-1 M| by their terms
+        Babs = net.scatter_blocks(np.stack([ks * lam1] * 2)) / fbar
+        BN = (np.eye(n) + absCC) @ Babs @ absN
+        Mabs = np.hstack([w * absN + 0.5 * BN] * 2)
+        Z = Linv @ Mabs
+        # 2 M' L^-1 M: M rounded on both sides, the product, and the solve
+        Hm = 2.0 * Mabs.T @ (3.0 * Z + Linv @ np.abs(R.T) @ np.abs(R) @ Z)
+        # the mobility's Hessian: the side blocks and the diagonal sigma
+        hess = np.abs(np.array([[lam_a - lam_ab, lam_ab], [lam_ab, lam_b - lam_ab]]))
+        sigma = np.bincount(net.quad.ravel(), (c * lam1[[0, 0, 1, 1]]).T.ravel(), minlength=n)
+        Y = (net.scatter_blocks(c * hess) + np.diag(sigma)) / np.outer(fbar, fbar)
+        Hm += 0.25 * np.tile(absN.T @ Y @ absN, (2, 2))
+        band[k : k + 2, :, k : k + 2] += weight * Hm.reshape(2, nfree, 2, nfree)
+    if prob.entropy:  # the entropy's terms, added last
+        last = path[K]
+        grad[K] += np.abs(net.node_weight * (np.log(last) + 1.0))
+        band[K, :, K] += absN.T @ (net.node_weight / last[:, None] * absN)
+    band = band.reshape((K + 1) * nfree, -1)
+    return 2 * (m + 10) * eps * grad, 2 * (3 * n + T + 20) * eps * band
+
+
+def test_log_coordinates_match_pspace_formulas(network):
+    # the mobility differentiated through log fbar against the p-space
+    # partials on 4 x 4 slot blocks: the same value and fluxes, bit for bit
+    # (no derivative enters them), and the gradient and band within the
+    # rounding bounds of both formulas
+    for prob, path in _problems(network):
+        new = prob.evaluate(path, True)
+        ref = oracles.path_evaluate(prob, path, True, oracles.path_interval_pspace)
+        assert new[0] == ref[0]
+        assert np.array_equal(new[3], ref[3]) and np.array_equal(new[4], ref[4])
+        grad_bound, band_bound = _rounding_bounds(prob, path)
+        assert np.all(np.abs(new[1] - ref[1]) <= grad_bound)
+        dense = ref[2].reshape(band_bound.shape)
+        assert np.all(np.abs(np.tril(oracles.band_to_dense(new[2]) - dense)) <= band_bound)
 
 
 def test_batch_sizes(net, monkeypatch):
